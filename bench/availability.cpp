@@ -30,19 +30,7 @@ namespace {
 
 using namespace vdx;
 
-double number_flag(int argc, char** argv, std::string_view name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view{argv[i]} == name) return std::strtod(argv[i + 1], nullptr);
-  }
-  return fallback;
-}
 
-bool switch_flag(int argc, char** argv, std::string_view name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view{argv[i]} == name) return true;
-  }
-  return false;
-}
 
 struct RunResult {
   serve::ServeReport report;
@@ -115,12 +103,13 @@ RunResult run_once(const sim::Scenario& scenario, std::uint64_t seed,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = switch_flag(argc, argv, "--smoke");
-  const auto sessions = static_cast<std::size_t>(
-      number_flag(argc, argv, "--sessions", smoke ? 600.0 : 2'000.0));
-  const auto seed_count = static_cast<std::size_t>(
-      number_flag(argc, argv, "--seeds", smoke ? 2.0 : 5.0));
-  const double round_s = number_flag(argc, argv, "--round", 120.0);
+  const auto [smoke, sessions, seed_count, round_s] =
+      bench::parse_flags(argc, argv, [](core::Flags& flags) {
+        const bool smoke = flags.boolean("smoke");
+        return std::tuple{smoke, flags.count("sessions", smoke ? 600 : 2'000),
+                          flags.count("seeds", smoke ? 2 : 5, 1),
+                          flags.positive("round", 120.0)};
+      });
 
   sim::ScenarioConfig scenario_config;
   scenario_config.trace.session_count = smoke ? 1'500 : 4'000;

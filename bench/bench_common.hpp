@@ -9,24 +9,39 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 
+#include "core/flags.hpp"
 #include "obs/observe.hpp"
 #include "sim/experiments.hpp"
 
 namespace vdx::bench {
 
-/// Parses an optional `--threads N` from a bench's argv (0 = all cores, the
-/// default; 1 = serial). Benches stay runnable with no arguments.
-inline std::size_t threads_flag(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view{argv[i]} == "--threads") {
-      return static_cast<std::size_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
+/// Reads a bench's command line through core::Flags: `read` pulls every flag
+/// the bench accepts and returns what it read; any other flag is rejected.
+/// A bad or unknown flag prints one line and exits 2. Benches stay runnable
+/// with no arguments.
+template <typename Read>
+auto parse_flags(int argc, char** argv, Read&& read) {
+  try {
+    core::Flags flags{argc, argv, 1};
+    auto values = read(flags);
+    flags.check_all_used();
+    return values;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    std::exit(2);
   }
-  return 0;
+}
+
+/// `--threads N` for a bench that takes no other flag (0 = all cores, the
+/// default; 1 = serial).
+inline std::size_t threads_flag(int argc, char** argv) {
+  return parse_flags(argc, argv,
+                     [](core::Flags& flags) { return flags.count("threads", 0); });
 }
 
 /// The paper-scale scenario: 33.4K broker sessions + 3x background over the

@@ -25,19 +25,7 @@ namespace {
 
 using namespace vdx;
 
-double number_flag(int argc, char** argv, std::string_view name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view{argv[i]} == name) return std::strtod(argv[i + 1], nullptr);
-  }
-  return fallback;
-}
 
-bool switch_flag(int argc, char** argv, std::string_view name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view{argv[i]} == name) return true;
-  }
-  return false;
-}
 
 struct Point {
   double multiplier = 1.0;
@@ -76,10 +64,12 @@ Point run_point(const sim::Scenario& scenario,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = switch_flag(argc, argv, "--smoke");
-  const auto base_sessions = static_cast<std::size_t>(
-      number_flag(argc, argv, "--sessions", smoke ? 1'500.0 : 10'000.0));
-  const double round_s = number_flag(argc, argv, "--round", smoke ? 30.0 : 10.0);
+  const auto [smoke, base_sessions, round_s] =
+      bench::parse_flags(argc, argv, [](core::Flags& flags) {
+        const bool smoke = flags.boolean("smoke");
+        return std::tuple{smoke, flags.count("sessions", smoke ? 1'500 : 10'000),
+                          flags.positive("round", smoke ? 30.0 : 10.0)};
+      });
 
   sim::ScenarioConfig scenario_config;
   scenario_config.trace.session_count = std::min<std::size_t>(base_sessions, 10'000);

@@ -6,9 +6,10 @@
 // code paths. The monolith's public demand interface is stateless —
 // set_active_load(full demand) — so its per-round cost includes regrouping
 // the whole active population (broker::group_sessions over P sessions).
-// The sharded exchange adds the sessionized interface: workers keep
-// incremental per-shard ledgers, so a round costs only the churn delta (K
-// adds + K removes) plus the collect/merge frames. The differential suite
+// The sharded exchange adds the sessionized interface: the coordinator
+// keeps one incremental session book, so a round costs only the churn delta
+// (K adds + K removes), a re-slice of the book's groups, and the
+// slice/collect/merge frames. The differential suite
 // under tests/shard/ proves the settlement bytes are identical; this bench
 // measures what the incremental interface buys at scale.
 //
@@ -19,6 +20,7 @@
 
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "broker/grouping.hpp"
@@ -30,19 +32,7 @@ namespace {
 
 using namespace vdx;
 
-double number_flag(int argc, char** argv, std::string_view name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view{argv[i]} == name) return std::strtod(argv[i + 1], nullptr);
-  }
-  return fallback;
-}
 
-bool bool_flag(int argc, char** argv, std::string_view name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view{argv[i]} == name) return true;
-  }
-  return false;
-}
 
 constexpr double kRungs[] = {1.2, 3.6};
 
@@ -74,13 +64,13 @@ struct ChurnStream {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool smoke = bool_flag(argc, argv, "--smoke");
-  const auto population = static_cast<std::size_t>(
-      number_flag(argc, argv, "--sessions", smoke ? 6e5 : 1e6));
-  const auto churn = static_cast<std::size_t>(
-      number_flag(argc, argv, "--churn", smoke ? 3e3 : 1e4));
-  const auto rounds = static_cast<std::size_t>(
-      number_flag(argc, argv, "--rounds", smoke ? 6 : 12));
+  const auto [population, churn, rounds] =
+      bench::parse_flags(argc, argv, [](core::Flags& flags) {
+        const bool smoke = flags.boolean("smoke");
+        return std::tuple{flags.count("sessions", smoke ? 600'000 : 1'000'000),
+                          flags.count("churn", smoke ? 3'000 : 10'000),
+                          flags.count("rounds", smoke ? 6 : 12, 1)};
+      });
 
   sim::ScenarioConfig scenario_config;
   scenario_config.trace.session_count = 10'000;  // pilot only; demand is synthetic
@@ -132,7 +122,7 @@ int main(int argc, char** argv) {
     reporter.gauge("shard.rounds_per_sec", {{"shards", "0"}}).set(mono_rps);
   }
 
-  // Sharded: the same churn stream through incremental per-shard ledgers.
+  // Sharded: the same churn stream through the coordinator's session book.
   for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
                                    std::size_t{4}, std::size_t{8}}) {
     market::ShardedConfig config;

@@ -14,21 +14,17 @@
 
 namespace {
 
-double number_flag(int argc, char** argv, std::string_view name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string_view{argv[i]} == name) return std::strtod(argv[i + 1], nullptr);
-  }
-  return fallback;
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace vdx;
-  const auto sessions =
-      static_cast<std::size_t>(number_flag(argc, argv, "--sessions", 1e6));
-  const double hours = number_flag(argc, argv, "--hours", 6.0);
-  const double epoch_s = number_flag(argc, argv, "--epoch", 300.0);
+  const auto [sessions, hours, epoch_s, threads] =
+      bench::parse_flags(argc, argv, [](core::Flags& flags) {
+        return std::tuple{flags.count("sessions", 1'000'000),
+                          flags.positive("hours", 6.0),
+                          flags.positive("epoch", 300.0), flags.count("threads", 0)};
+      });
 
   // The scenario contributes world/catalog/mapping only; its own pilot trace
   // stays small regardless of the streamed session count.
@@ -68,7 +64,7 @@ int main(int argc, char** argv) {
   sim::StreamingConfig config;
   config.design = sim::Design::kMarketplace;
   config.epoch_s = epoch_s;
-  config.run.threads = bench::threads_flag(argc, argv);
+  config.run.threads = threads;
   config.obs.metrics = &reporter.registry();
 
   sim::GeneratorStream broker_stream{broker_generator};

@@ -111,15 +111,19 @@ std::size_t Flags::count(const std::string& key, std::size_t fallback,
   const std::string* value = raw(key);
   if (value == nullptr) return fallback;
   if (value->empty()) throw std::invalid_argument{"--" + key + " needs a value"};
+  // Integral values in scientific notation (`--sessions 1e6`) count too.
   std::size_t consumed = 0;
-  long long parsed = 0;
+  double parsed = 0.0;
   try {
-    parsed = std::stoll(*value, &consumed);
+    parsed = std::stod(*value, &consumed);
   } catch (const std::exception&) {
     fail(key, *value, "needs an integer");
   }
-  if (consumed != value->size()) fail(key, *value, "needs an integer");
-  if (parsed < 0 || static_cast<std::size_t>(parsed) < minimum) {
+  if (consumed != value->size() || parsed != std::floor(parsed) ||
+      std::abs(parsed) > 0x1p53) {
+    fail(key, *value, "needs an integer");
+  }
+  if (parsed < 0.0 || static_cast<std::size_t>(parsed) < minimum) {
     fail(key, *value, "must be an integer >= " + std::to_string(minimum));
   }
   return static_cast<std::size_t>(parsed);

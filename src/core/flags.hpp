@@ -37,8 +37,9 @@ class Flags {
   /// Finite number that must be strictly positive *when given explicitly*;
   /// `fallback` (which may be a 0 sentinel) when absent.
   [[nodiscard]] double positive(const std::string& key, double fallback);
-  /// Non-negative integer; an explicit value below `minimum` is rejected.
-  /// `fallback` is returned as-is when the flag is absent.
+  /// Non-negative integer, plain or in integral scientific notation (1e6);
+  /// an explicit value below `minimum` is rejected. `fallback` is returned
+  /// as-is when the flag is absent.
   [[nodiscard]] std::size_t count(const std::string& key, std::size_t fallback,
                                   std::size_t minimum = 0);
   /// Bare switch (`--stream`) or explicit true/1.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -17,20 +18,28 @@ namespace {
 using core::Errc;
 using core::Result;
 using core::Status;
-using proto::ShardDemandMode;
 using proto::ShardFrame;
 using proto::ShardFrameType;
 
 // Worker snapshot sections (its own envelope, ids disjoint from the
 // monolith exchange's 10-14 purely for greppability).
+constexpr std::uint32_t kWorkerVersionSection = 19;
 constexpr std::uint32_t kWorkerCoreSection = 20;
 constexpr std::uint32_t kWorkerJournalSection = 21;
 constexpr std::uint32_t kWorkerCountersSection = 22;
 // Coordinator snapshot sections.
+constexpr std::uint32_t kCoordVersionSection = 29;
 constexpr std::uint32_t kCoordCoreSection = 30;
 constexpr std::uint32_t kCoordSettlementSection = 31;
 constexpr std::uint32_t kCoordSlicesSection = 32;
 constexpr std::uint32_t kCoordWorkersSection = 33;
+// Version 1 (per-shard session ledgers, no version section) became version
+// 2 when the session book moved to the coordinator.
+constexpr std::uint32_t kWorkerSnapshotVersion = 2;
+constexpr std::uint32_t kCoordinatorSnapshotVersion = 2;
+
+/// Book sessions never depart on their own; push_session_delta removes them.
+constexpr double kForever = std::numeric_limits<double>::infinity();
 
 [[nodiscard]] Status invalid(std::string message) {
   return Status::failure(Errc::kInvalidArgument, std::move(message));
@@ -38,6 +47,65 @@ constexpr std::uint32_t kCoordWorkersSection = 33;
 
 [[nodiscard]] bool finite_nonneg(double v) noexcept {
   return std::isfinite(v) && v >= 0.0;
+}
+
+[[nodiscard]] Status corrupt_snapshot(std::string message) {
+  return Status::failure(Errc::kCorruptSnapshot, std::move(message));
+}
+
+void add_version(state::SnapshotWriter& writer, std::uint32_t section,
+                 std::uint32_t version) {
+  proto::ByteWriter w;
+  w.write_u32(version);
+  writer.add_section(section, w.take());
+}
+
+/// kVersionMismatch unless the snapshot carries `version`; a snapshot
+/// without the section is version 1.
+[[nodiscard]] Status check_version(const state::SnapshotView& view,
+                                   std::uint32_t section, std::uint32_t version,
+                                   const std::string& what) {
+  std::uint32_t found = 1;
+  if (const state::Section* s = view.find(section); s != nullptr) {
+    if (s->bytes.size() != sizeof(std::uint32_t)) {
+      return corrupt_snapshot(what + " snapshot: malformed version section");
+    }
+    found = proto::ByteReader{s->bytes}.read_u32();
+  }
+  if (found == version) return core::ok_status();
+  return Status::failure(Errc::kVersionMismatch,
+                         what + " snapshot format version " + std::to_string(found) +
+                             " (this build reads version " +
+                             std::to_string(version) + ")");
+}
+
+/// Rejects a demand slice a worker must not hold: unknown city, or a
+/// non-finite bitrate/client count.
+[[nodiscard]] Status validate_slice(std::span<const proto::ShardGroup> slice,
+                                    std::uint32_t city_count) {
+  for (const proto::ShardGroup& g : slice) {
+    if (g.group.city.value() >= city_count) {
+      return invalid("demand slice references unknown city " +
+                     std::to_string(g.group.city.value()));
+    }
+    if (!std::isfinite(g.group.bitrate_mbps) || g.group.bitrate_mbps <= 0.0 ||
+        !finite_nonneg(g.group.client_count)) {
+      return invalid("demand slice group with non-finite bitrate/clients");
+    }
+  }
+  return core::ok_status();
+}
+
+/// Validates one kBidCandidates response to a collect of `round`.
+[[nodiscard]] core::Result<std::vector<proto::ShardGroup>> parse_candidates(
+    std::size_t shard, const ShardFrame& frame, std::uint64_t round) {
+  using R = core::Result<std::vector<proto::ShardGroup>>;
+  if (frame.type != ShardFrameType::kBidCandidates || frame.round != round) {
+    return R::failure(Errc::kCorruptFrame,
+                      "collect: unexpected response from shard " +
+                          std::to_string(shard));
+  }
+  return proto::decode_shard_groups(frame.payload);
 }
 
 }  // namespace
@@ -97,83 +165,6 @@ std::uint64_t ShardPlan::hash() const noexcept {
 }
 
 // ---------------------------------------------------------------------------
-// SessionLedger
-// ---------------------------------------------------------------------------
-
-core::Status SessionLedger::apply(std::span<const proto::ShardSessionAdd> adds,
-                                  std::span<const std::uint32_t> removes) {
-  // Validate the whole batch first: a rejected batch must mutate nothing.
-  // (Within a batch, adds are applied before removes.)
-  std::map<std::uint32_t, std::pair<std::uint32_t, double>> batch;
-  for (const proto::ShardSessionAdd& add : adds) {
-    if (!std::isfinite(add.bitrate_mbps) || add.bitrate_mbps <= 0.0) {
-      return invalid("session ledger: bitrate must be finite and > 0");
-    }
-    const std::pair<std::uint32_t, double> data{add.city, add.bitrate_mbps};
-    if (const auto it = sessions_.find(add.id); it != sessions_.end()) {
-      if (it->second != data) {
-        return invalid("session ledger: session " + std::to_string(add.id) +
-                       " re-added with different city/bitrate");
-      }
-      continue;  // idempotent re-add
-    }
-    if (const auto it = batch.find(add.id); it != batch.end()) {
-      if (it->second != data) {
-        return invalid("session ledger: session " + std::to_string(add.id) +
-                       " added twice with different city/bitrate");
-      }
-      continue;
-    }
-    batch.emplace(add.id, data);
-  }
-  // Commit.
-  for (const auto& [id, data] : batch) {
-    sessions_.emplace(id, data);
-    counts_[data] += 1.0;
-  }
-  for (const std::uint32_t id : removes) {
-    const auto it = sessions_.find(id);
-    if (it == sessions_.end()) continue;  // idempotent re-remove
-    const auto cit = counts_.find(it->second);
-    if (cit != counts_.end()) {
-      cit->second -= 1.0;
-      if (cit->second <= 0.5) counts_.erase(cit);
-    }
-    sessions_.erase(it);
-  }
-  return core::ok_status();
-}
-
-std::vector<broker::ClientGroup> SessionLedger::groups() const {
-  std::vector<broker::ClientGroup> out;
-  out.reserve(counts_.size());
-  for (const auto& [key, count] : counts_) {
-    broker::ClientGroup group;
-    group.id = broker::ShareId{static_cast<std::uint32_t>(out.size())};
-    group.city = geo::CityId{key.first};
-    group.isp = 0;
-    group.bitrate_mbps = key.second;
-    group.client_count = count;
-    out.push_back(group);
-  }
-  return out;
-}
-
-void SessionLedger::clear() noexcept {
-  sessions_.clear();
-  counts_.clear();
-}
-
-std::vector<proto::ShardSessionAdd> SessionLedger::sessions() const {
-  std::vector<proto::ShardSessionAdd> out;
-  out.reserve(sessions_.size());
-  for (const auto& [id, data] : sessions_) {
-    out.push_back(proto::ShardSessionAdd{id, data.first, data.second});
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
 // ShardWorker
 // ---------------------------------------------------------------------------
 
@@ -185,7 +176,6 @@ ShardWorker::ShardWorker(std::uint32_t shard) : shard_(shard), journal_(4096) {
   counters_.placements = metrics_.counter("shard.placements");
   counters_.awarded_mbps = metrics_.counter("shard.awarded_mbps");
   counters_.demand_mbps = metrics_.gauge("shard.demand_mbps");
-  counters_.sessions_active = metrics_.gauge("shard.sessions_active");
 }
 
 proto::ShardFrame ShardWorker::ack(const proto::ShardFrame& request,
@@ -211,13 +201,8 @@ proto::ShardFrame ShardWorker::fail(const proto::ShardFrame& request,
 
 void ShardWorker::refresh_gauges() {
   double demand = 0.0;
-  if (mode_ == ShardDemandMode::kDemand) {
-    for (const proto::ShardGroup& g : demand_) demand += g.group.demand_mbps();
-  } else if (mode_ == ShardDemandMode::kSessions) {
-    for (const broker::ClientGroup& g : ledger_.groups()) demand += g.demand_mbps();
-  }
+  for (const proto::ShardGroup& g : demand_) demand += g.group.demand_mbps();
   counters_.demand_mbps.set(demand);
-  counters_.sessions_active.set(static_cast<double>(ledger_.size()));
 }
 
 proto::ShardFrame ShardWorker::on_hello(const proto::ShardFrame& request) {
@@ -251,66 +236,16 @@ proto::ShardFrame ShardWorker::on_set_demand(const proto::ShardFrame& request) {
   if (!decoded.ok()) {
     return fail(request, decoded.error().code, decoded.error().message);
   }
-  if (ledger_.size() > 0) {
-    return fail(request, Errc::kInvalidArgument,
-                "worker is session-fed; explicit demand slices are exclusive");
-  }
-  for (const proto::ShardGroup& g : decoded.value()) {
-    if (g.global_id == proto::kDerivedGroupId) {
-      return fail(request, Errc::kInvalidArgument,
-                  "demand slice group without a global id");
-    }
-    if (g.group.city.value() >= context_.city_count) {
-      return fail(request, Errc::kInvalidArgument,
-                  "demand slice references unknown city " +
-                      std::to_string(g.group.city.value()));
-    }
-    if (!std::isfinite(g.group.bitrate_mbps) || g.group.bitrate_mbps <= 0.0 ||
-        !finite_nonneg(g.group.client_count)) {
-      return fail(request, Errc::kInvalidArgument,
-                  "demand slice group with non-finite bitrate/clients");
-    }
+  if (auto status = validate_slice(decoded.value(), context_.city_count);
+      !status.ok()) {
+    return fail(request, status.error().code, status.error().message);
   }
   demand_ = std::move(decoded).value();  // replace: trivially idempotent
-  mode_ = ShardDemandMode::kDemand;
   refresh_gauges();
   return ack(request, static_cast<std::uint64_t>(demand_.size()));
 }
 
-proto::ShardFrame ShardWorker::on_session_delta(const proto::ShardFrame& request) {
-  auto decoded = proto::decode_session_delta(request.payload);
-  if (!decoded.ok()) {
-    return fail(request, decoded.error().code, decoded.error().message);
-  }
-  if (mode_ == ShardDemandMode::kDemand) {
-    return fail(request, Errc::kInvalidArgument,
-                "worker holds an explicit demand slice; session deltas are exclusive");
-  }
-  for (const proto::ShardSessionAdd& add : decoded.value().adds) {
-    if (add.city >= context_.city_count) {
-      return fail(request, Errc::kInvalidArgument,
-                  "session references unknown city " + std::to_string(add.city));
-    }
-  }
-  if (auto status = ledger_.apply(decoded.value().adds, decoded.value().removes);
-      !status.ok()) {
-    return fail(request, status.error().code, status.error().message);
-  }
-  mode_ = ShardDemandMode::kSessions;
-  refresh_gauges();
-  return ack(request, static_cast<std::uint64_t>(ledger_.size()));
-}
-
 proto::ShardFrame ShardWorker::on_collect(const proto::ShardFrame& request) {
-  proto::ShardCandidates candidates;
-  candidates.mode = mode_;
-  if (mode_ == ShardDemandMode::kDemand) {
-    candidates.groups = demand_;
-  } else if (mode_ == ShardDemandMode::kSessions) {
-    for (const broker::ClientGroup& g : ledger_.groups()) {
-      candidates.groups.push_back(proto::ShardGroup{proto::kDerivedGroupId, g});
-    }
-  }
   // Round-guarded bookkeeping: a chaos retry of the same collect must not
   // double-record (the journal/counters are part of the deterministic
   // surface the equivalence suite byte-compares).
@@ -318,16 +253,16 @@ proto::ShardFrame ShardWorker::on_collect(const proto::ShardFrame& request) {
       request.round > last_collect_logged_round_) {
     journal_.begin_round(static_cast<std::uint32_t>(request.round));
     journal_.record(obs::EventKind::kRoundStart, shard_,
-                    static_cast<double>(candidates.groups.size()), request.round);
+                    static_cast<double>(demand_.size()), request.round);
     counters_.rounds.add();
-    counters_.groups_announced.add(static_cast<double>(candidates.groups.size()));
+    counters_.groups_announced.add(static_cast<double>(demand_.size()));
     last_collect_logged_round_ = request.round;
   }
   ShardFrame out;
   out.type = ShardFrameType::kBidCandidates;
   out.shard = shard_;
   out.round = request.round;
-  out.payload = proto::encode_candidates(candidates);
+  out.payload = proto::encode_shard_groups(demand_);
   return out;
 }
 
@@ -417,7 +352,6 @@ proto::ShardFrame ShardWorker::handle(const proto::ShardFrame& request) {
   }
   switch (request.type) {
     case ShardFrameType::kSetDemand: return on_set_demand(request);
-    case ShardFrameType::kSessionDelta: return on_session_delta(request);
     case ShardFrameType::kCollect: return on_collect(request);
     case ShardFrameType::kAllocation: return on_allocation(request);
     case ShardFrameType::kStateRequest: {
@@ -493,6 +427,7 @@ int ShardWorker::serve_fd(std::uint32_t shard, int fd) {
 
 std::vector<std::uint8_t> ShardWorker::save_state() const {
   state::SnapshotWriter writer;
+  add_version(writer, kWorkerVersionSection, kWorkerSnapshotVersion);
   {
     proto::ByteWriter w;
     w.write_u32(shard_);
@@ -502,17 +437,9 @@ std::vector<std::uint8_t> ShardWorker::save_state() const {
     w.write_u64(rounds_applied_);
     w.write_u64(last_allocation_round_);
     w.write_u64(last_collect_logged_round_);
-    w.write_u8(static_cast<std::uint8_t>(mode_));
     const auto demand_bytes = proto::encode_shard_groups(demand_);
     w.write_u32(static_cast<std::uint32_t>(demand_bytes.size()));
     w.write_bytes(demand_bytes);
-    const auto sessions = ledger_.sessions();
-    w.write_u32(static_cast<std::uint32_t>(sessions.size()));
-    for (const proto::ShardSessionAdd& s : sessions) {
-      w.write_u32(s.id);
-      w.write_u32(s.city);
-      w.write_f64(s.bitrate_mbps);
-    }
     writer.add_section(kWorkerCoreSection, w.take());
   }
   {
@@ -550,12 +477,17 @@ core::Status ShardWorker::restore_state(std::span<const std::uint8_t> bytes) {
   auto parsed = state::SnapshotView::parse(bytes);
   if (!parsed.ok()) return Status{parsed.error()};
   const state::SnapshotView& view = parsed.value();
+  if (auto status = check_version(view, kWorkerVersionSection,
+                                  kWorkerSnapshotVersion, "worker");
+      !status.ok()) {
+    return status;
+  }
   const state::Section* core_section = view.find(kWorkerCoreSection);
   const state::Section* journal_section = view.find(kWorkerJournalSection);
   const state::Section* counters_section = view.find(kWorkerCountersSection);
   if (core_section == nullptr || journal_section == nullptr ||
       counters_section == nullptr) {
-    return Status::failure(Errc::kCorruptSnapshot, "worker snapshot: missing section");
+    return corrupt_snapshot("worker snapshot: missing section");
   }
 
   // Decode EVERYTHING into locals before touching any member: a corrupt
@@ -563,9 +495,7 @@ core::Status ShardWorker::restore_state(std::span<const std::uint8_t> bytes) {
   std::uint64_t rounds_applied = 0;
   std::uint64_t last_allocation = 0;
   std::uint64_t last_collect = 0;
-  ShardDemandMode mode = ShardDemandMode::kNone;
   std::vector<proto::ShardGroup> demand;
-  std::vector<proto::ShardSessionAdd> sessions;
   try {
     proto::ByteReader r{core_section->bytes};
     const std::uint32_t shard = r.read_u32();
@@ -579,44 +509,21 @@ core::Status ShardWorker::restore_state(std::span<const std::uint8_t> bytes) {
     rounds_applied = r.read_u64();
     last_allocation = r.read_u64();
     last_collect = r.read_u64();
-    const std::uint8_t mode_raw = r.read_u8();
-    if (mode_raw > static_cast<std::uint8_t>(ShardDemandMode::kSessions)) {
-      return Status::failure(Errc::kCorruptSnapshot, "worker snapshot: bad mode");
-    }
-    mode = static_cast<ShardDemandMode>(mode_raw);
     const std::uint32_t demand_len = r.read_u32();
     auto decoded = proto::decode_shard_groups(r.read_bytes(demand_len));
     if (!decoded.ok()) return Status{decoded.error()};
     demand = std::move(decoded).value();
-    const std::uint32_t session_count = r.read_u32();
-    if (session_count > r.remaining() / 16) {
-      return Status::failure(Errc::kCorruptSnapshot,
-                             "worker snapshot: session count lie");
-    }
-    sessions.reserve(session_count);
-    for (std::uint32_t i = 0; i < session_count; ++i) {
-      proto::ShardSessionAdd s;
-      s.id = r.read_u32();
-      s.city = r.read_u32();
-      s.bitrate_mbps = r.read_f64();
-      sessions.push_back(s);
-    }
     if (!r.exhausted()) {
-      return Status::failure(Errc::kCorruptSnapshot,
-                             "worker snapshot: trailing core bytes");
+      return corrupt_snapshot("worker snapshot: trailing core bytes");
     }
   } catch (const proto::WireError& e) {
-    return Status::failure(Errc::kCorruptSnapshot,
-                           std::string{"worker snapshot: "} + e.what());
+    return corrupt_snapshot(std::string{"worker snapshot: "} + e.what());
   }
 
-  // Validate the sessions on a scratch ledger in the decode phase: a
-  // checksum-valid snapshot can still carry an unappliable session set
-  // (non-finite/<=0 bitrate, conflicting duplicate ids), and finding that
-  // out after the commit started would leave the worker half-mutated.
-  SessionLedger ledger;
-  if (!sessions.empty()) {
-    if (auto status = ledger.apply(sessions, {}); !status.ok()) return status;
+  // A checksum-valid snapshot can still carry a slice no kSetDemand would
+  // have been accepted with; refuse it before the commit starts.
+  if (auto status = validate_slice(demand, context_.city_count); !status.ok()) {
+    return status;
   }
 
   auto journal_slice = proto::decode_journal_slice(journal_section->bytes);
@@ -632,12 +539,10 @@ core::Status ShardWorker::restore_state(std::span<const std::uint8_t> bytes) {
       counter_values.emplace_back(std::move(name), value);
     }
     if (!r.exhausted()) {
-      return Status::failure(Errc::kCorruptSnapshot,
-                             "worker snapshot: trailing counter bytes");
+      return corrupt_snapshot("worker snapshot: trailing counter bytes");
     }
   } catch (const proto::WireError& e) {
-    return Status::failure(Errc::kCorruptSnapshot,
-                           std::string{"worker snapshot: "} + e.what());
+    return corrupt_snapshot(std::string{"worker snapshot: "} + e.what());
   }
 
   // Rebuild the journal on a scratch instance so a restore() rejection
@@ -655,9 +560,7 @@ core::Status ShardWorker::restore_state(std::span<const std::uint8_t> bytes) {
   rounds_applied_ = rounds_applied;
   last_allocation_round_ = last_allocation;
   last_collect_logged_round_ = last_collect;
-  mode_ = mode;
   demand_ = std::move(demand);
-  ledger_ = std::move(ledger);
   journal_ = std::move(journal);
   const std::pair<const char*, obs::Counter*> handles[] = {
       {"shard.rounds", &counters_.rounds},
@@ -944,9 +847,8 @@ core::Status ShardedExchange::recover_worker(std::size_t shard) const {
   auto status = try_recover_worker(shard);
   if (!status.ok()) {
     // A worker that failed recovery must not linger half-initialized: a
-    // respawned-but-empty worker would happily accept the next session
-    // delta against an empty ledger and silently lose every session it held
-    // before. Keep it dead so every subsequent call fails typed instead.
+    // respawned worker without its slice would answer collects with empty
+    // demand. Keep it dead so every subsequent call fails typed instead.
     transport_->kill(shard);
   }
   return status;
@@ -976,51 +878,24 @@ core::Status ShardedExchange::try_recover_worker(std::size_t shard) const {
   counters_.restarts.add();
   if (auto status = send_hello(shard); !status.ok()) return status;
 
-  bool restored = false;
   if (!worker_store_dirs_.empty()) {
+    // The store brings back the worker's journal and counters. A worker
+    // with no checkpoint yet simply starts empty: settlement depends only
+    // on the slice pushed below.
     ShardFrame resume;
     resume.type = ShardFrameType::kResumeFromStore;
     resume.shard = static_cast<std::uint32_t>(shard);
-    auto response = direct_call(shard, resume, /*recover=*/false);
-    if (response.ok() && response.value().type == ShardFrameType::kAck) {
-      auto rounds = proto::decode_shard_ack(response.value().payload);
-      if (!rounds.ok()) return Status{rounds.error()};
-      if (mode_ == ShardDemandMode::kSessions &&
-          rounds.value() != settlement_->rounds_completed()) {
-        return Status::failure(
-            Errc::kNotReady,
-            "shard " + std::to_string(shard) + ": checkpoint is " +
-                std::to_string(rounds.value()) + " rounds but the marketplace is at " +
-                std::to_string(settlement_->rounds_completed()) +
-                " — session state cannot be replayed");
-      }
-      restored = true;
-    } else if (mode_ == ShardDemandMode::kSessions) {
-      return response.ok()
-                 ? Status::failure(Errc::kUnavailable,
-                                   "shard " + std::to_string(shard) +
-                                       ": session-fed worker lost its checkpoint")
-                 : Status{response.error()};
-    }
-  } else if (mode_ == ShardDemandMode::kSessions) {
-    return Status::failure(Errc::kUnavailable,
-                           "shard " + std::to_string(shard) +
-                               ": session-fed worker died without a checkpoint "
-                               "store (configure checkpoint_dir)");
+    (void)direct_call(shard, resume, /*recover=*/false);
   }
-
-  if (mode_ == ShardDemandMode::kDemand) {
-    // The cached slice is authoritative and replace-semantics make the push
-    // idempotent, so re-push even over a store-restored worker: a stale
-    // checkpoint then costs journal history, never settlement bytes.
-    (void)restored;
-    ShardFrame push;
-    push.type = ShardFrameType::kSetDemand;
-    push.shard = static_cast<std::uint32_t>(shard);
-    push.payload = proto::encode_shard_groups(last_slices_[shard]);
-    auto response = direct_call(shard, push, /*recover=*/false);
-    if (!response.ok()) return Status{response.error()};
-  }
+  // The cached slice is authoritative and replace-semantics make the push
+  // idempotent, so re-push even over a store-restored worker: a stale
+  // checkpoint then costs journal history, never settlement bytes.
+  ShardFrame push;
+  push.type = ShardFrameType::kSetDemand;
+  push.shard = static_cast<std::uint32_t>(shard);
+  push.payload = proto::encode_shard_groups(last_slices_[shard]);
+  auto response = direct_call(shard, push, /*recover=*/false);
+  if (!response.ok()) return Status{response.error()};
   supervisor_.on_success(static_cast<std::uint32_t>(shard));
   return core::ok_status();
 }
@@ -1058,48 +933,52 @@ core::Status ShardedExchange::push_slice_to(std::size_t shard) const {
 }
 
 core::Status ShardedExchange::push_demand_slices() const {
-  const bool breakers = !link_breakers_.empty();
+  // Every shard owes an ack for the new slices: its flag stays up until its
+  // own push lands, so a shard the loop never reached cannot pass for fresh.
+  std::fill(needs_resync_.begin(), needs_resync_.end(), 1);
+  const bool breakers = breaker_active();
   const std::uint64_t now = settlement_->rounds_completed();
   for (std::size_t s = 0; s < plan_.shard_count; ++s) {
     if (breakers && !link_breakers_[s].allow(now)) {
       // Quarantined: leave the shard alone instead of burning the link
-      // retry budget. It settles from the coordinator's cached slice (the
-      // authoritative copy in demand mode) until a half-open probe lands a
-      // fresh push.
-      needs_resync_[s] = 1;
+      // retry budget. It settles from the coordinator's cached slice until
+      // a half-open probe lands a fresh push.
       counters_.skipped_pushes.add();
       continue;
     }
     auto pushed = push_slice_to(s);
     if (pushed.ok()) {
-      if (breakers) {
-        link_breakers_[s].on_success(now);
-        needs_resync_[s] = 0;
-      }
+      if (breakers) link_breakers_[s].on_success(now);
+      needs_resync_[s] = 0;
       continue;
     }
     if (!breakers) return pushed;
     link_breakers_[s].on_failure(now);
-    needs_resync_[s] = 1;
   }
   return core::ok_status();
 }
 
-/// Half-open probes for flagged shards: a successful re-push of the current
-/// slice is the only thing that clears needs_resync_, because only a push
-/// proves the worker's demand matches the coordinator cache again.
-void ShardedExchange::resync_quarantined(std::uint64_t round) const {
+/// A successful re-push of the current slice is the only thing that clears
+/// needs_resync_, because only a push proves the worker's demand matches
+/// the coordinator cache again. Under the breaker this is the half-open
+/// probe; without it a shard that still cannot take its slice fails the
+/// round rather than settle on whatever it held before.
+core::Status ShardedExchange::resync_flagged(std::uint64_t round) const {
+  const bool breakers = breaker_active();
   for (std::size_t s = 0; s < plan_.shard_count; ++s) {
     if (needs_resync_[s] == 0) continue;
-    if (!link_breakers_[s].allow(round)) continue;
+    if (breakers && !link_breakers_[s].allow(round)) continue;
     auto pushed = push_slice_to(s);
     if (pushed.ok()) {
-      link_breakers_[s].on_success(round);
+      if (breakers) link_breakers_[s].on_success(round);
       needs_resync_[s] = 0;
-    } else {
+    } else if (breakers) {
       link_breakers_[s].on_failure(round);
+    } else {
+      return pushed;
     }
   }
+  return core::ok_status();
 }
 
 void ShardedExchange::set_active_load(std::span<const broker::ClientGroup> groups,
@@ -1108,14 +987,12 @@ void ShardedExchange::set_active_load(std::span<const broker::ClientGroup> group
     throw std::invalid_argument{
         "ShardedExchange::set_active_load: loads arity mismatch"};
   }
-  if (mode_ == ShardDemandMode::kSessions) {
+  if (session_fed_) {
     throw std::logic_error{
         "ShardedExchange: exchange is session-fed; set_active_load is exclusive"};
   }
-  auto slices = slice_demand(groups);
-  last_slices_ = std::move(slices);
+  last_slices_ = slice_demand(groups);
   background_loads_.assign(background_loads.begin(), background_loads.end());
-  mode_ = ShardDemandMode::kDemand;
   fed_ = true;
   demand_dirty_ = true;
   if (auto status = push_demand_slices(); !status.ok()) {
@@ -1124,102 +1001,69 @@ void ShardedExchange::set_active_load(std::span<const broker::ClientGroup> group
   }
 }
 
-std::uint64_t ShardedExchange::delta_hash(
-    std::span<const proto::ShardSessionAdd> adds,
-    std::span<const std::uint32_t> removes) {
-  proto::ByteWriter w;
-  w.write_u32(static_cast<std::uint32_t>(adds.size()));
+core::Status ShardedExchange::validate_delta(
+    std::span<const proto::ShardSessionAdd> adds) const {
+  const auto conflict = [](std::uint32_t id, const char* how) {
+    return invalid("push_session_delta: session " + std::to_string(id) + how);
+  };
   for (const proto::ShardSessionAdd& add : adds) {
-    w.write_u32(add.id);
-    w.write_u32(add.city);
-    w.write_f64(add.bitrate_mbps);
+    if (!std::isfinite(add.bitrate_mbps) || add.bitrate_mbps <= 0.0) {
+      return invalid("push_session_delta: bitrate must be finite and > 0");
+    }
+    if (add.city >= plan_.shard_of_city.size()) {
+      return invalid("push_session_delta: unknown city " + std::to_string(add.city));
+    }
+    if (add.id == UINT32_MAX) {
+      return conflict(add.id, " uses the reserved id");
+    }
+    if (const auto slot = book_.slot_of(add.id);
+        slot && (book_.city_of_slot(*slot).value() != add.city ||
+                 book_.bitrate_of_slot(*slot) != add.bitrate_mbps)) {
+      return conflict(add.id, " re-added with different city/bitrate");
+    }
   }
-  w.write_u32(static_cast<std::uint32_t>(removes.size()));
-  for (const std::uint32_t id : removes) w.write_u32(id);
-  return state::fnv1a(w.data());
+  // Same-batch copies of one id must agree too. Batches usually arrive in
+  // ascending id order, which rules copies out without sorting.
+  if (std::adjacent_find(adds.begin(), adds.end(),
+                         [](const proto::ShardSessionAdd& a,
+                            const proto::ShardSessionAdd& b) {
+                           return a.id >= b.id;
+                         }) == adds.end()) {
+    return core::ok_status();
+  }
+  std::vector<proto::ShardSessionAdd> sorted{adds.begin(), adds.end()};
+  std::sort(sorted.begin(), sorted.end(),
+            [](const proto::ShardSessionAdd& a, const proto::ShardSessionAdd& b) {
+              return a.id < b.id;
+            });
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i].id == sorted[i - 1].id && sorted[i] != sorted[i - 1]) {
+      return conflict(sorted[i].id, " added twice with different city/bitrate");
+    }
+  }
+  return core::ok_status();
 }
 
 core::Status ShardedExchange::push_session_delta(
     std::span<const proto::ShardSessionAdd> adds,
     std::span<const std::uint32_t> removes) {
-  if (mode_ == ShardDemandMode::kDemand) {
+  if (fed_ && !session_fed_) {
     return invalid(
         "ShardedExchange: exchange holds explicit demand; session deltas are "
         "exclusive");
   }
-  const std::uint64_t batch_hash = delta_hash(adds, removes);
-  if (delta_pending_ && batch_hash != pending_delta_hash_) {
-    return Status::failure(
-        Errc::kNotReady,
-        "push_session_delta: a previous delta failed mid-push and may be "
-        "applied on some shards; retry the identical batch first");
-  }
-  std::vector<proto::ShardSessionDelta> deltas(plan_.shard_count);
-  // Same-batch ids are remembered so a remove in the SAME batch follows its
-  // add to the owning shard (SessionLedger::apply applies adds before removes
-  // within one batch); routing it via session_shard_ — committed batches only
-  // — would skip the remove and leak a phantom session into the worker ledger.
-  std::unordered_map<std::uint32_t, std::uint32_t> batch_shard;
-  batch_shard.reserve(adds.size());
+  if (auto status = validate_delta(adds); !status.ok()) return status;
+  // Adds before removes: a remove in the same batch as its add cancels it.
   for (const proto::ShardSessionAdd& add : adds) {
-    if (add.city >= plan_.shard_of_city.size()) {
-      return invalid("push_session_delta: unknown city " + std::to_string(add.city));
-    }
-    const std::uint32_t shard = plan_.shard_of_city[add.city];
-    if (const auto [it, inserted] = batch_shard.emplace(add.id, shard);
-        !inserted && it->second != shard) {
-      // A conflicting duplicate on ONE shard is rejected by its ledger, but
-      // copies routed to different shards would each be accepted — refuse
-      // here, where both are visible, exactly like the global ledger would.
-      return invalid("push_session_delta: session " + std::to_string(add.id) +
-                     " added twice with cities on different shards");
-    }
-    if (const auto owner = session_shard_.find(add.id);
-        owner != session_shard_.end() && owner->second != shard) {
-      // A re-add whose new city routes to a different shard would be accepted
-      // there as a brand-new session while the old shard keeps its copy. The
-      // global ledger rejects a re-add with different data — mirror that here,
-      // where both owners are visible.
-      return invalid("push_session_delta: session " + std::to_string(add.id) +
-                     " re-added with a city on a different shard");
-    }
-    deltas[shard].adds.push_back(add);
+    if (book_.slot_of(add.id)) continue;  // identical re-add
+    book_.admit(add.id, geo::CityId{add.city}, add.bitrate_mbps, kForever, 0.0);
   }
-  for (const std::uint32_t id : removes) {
-    if (const auto bit = batch_shard.find(id); bit != batch_shard.end()) {
-      deltas[bit->second].removes.push_back(id);
-      continue;
-    }
-    const auto it = session_shard_.find(id);
-    if (it == session_shard_.end()) continue;  // idempotent re-remove
-    deltas[it->second].removes.push_back(id);
-  }
-  // The per-shard sends are NOT atomic as a set: a failure at shard k leaves
-  // shards < k applied. Mark the batch outstanding before the first send —
-  // settlement refuses to run and only a verbatim retry (idempotent on the
-  // already-applied shards) may follow until the whole batch lands.
-  delta_pending_ = true;
-  pending_delta_hash_ = batch_hash;
-  for (std::size_t s = 0; s < plan_.shard_count; ++s) {
-    if (deltas[s].adds.empty() && deltas[s].removes.empty()) continue;
-    ShardFrame frame;
-    frame.type = ShardFrameType::kSessionDelta;
-    frame.shard = static_cast<std::uint32_t>(s);
-    frame.payload = proto::encode_session_delta(deltas[s]);
-    auto response = data_call(s, frame);
-    if (!response.ok()) return Status{response.error()};
-  }
-  delta_pending_ = false;
-  // Commit routing only after every shard accepted its delta. Adds first,
-  // then removes — the same order the workers applied them in.
-  for (const proto::ShardSessionAdd& add : adds) {
-    session_shard_[add.id] = plan_.shard_of_city[add.city];
-  }
-  for (const std::uint32_t id : removes) session_shard_.erase(id);
-  mode_ = ShardDemandMode::kSessions;
+  for (const std::uint32_t id : removes) (void)book_.remove(id);
+  session_fed_ = true;
   fed_ = true;
   demand_dirty_ = true;
-  return core::ok_status();
+  last_slices_ = slice_demand(book_.groups());
+  return push_demand_slices();
 }
 
 core::Status ShardedExchange::ensure_fed() {
@@ -1227,7 +1071,6 @@ core::Status ShardedExchange::ensure_fed() {
   // Default demand, exactly like the monolith: the scenario's broker groups
   // against the placed background load.
   last_slices_ = slice_demand(scenario_.broker_groups());
-  mode_ = ShardDemandMode::kDemand;
   fed_ = true;
   demand_dirty_ = true;
   return push_demand_slices();
@@ -1244,11 +1087,11 @@ core::Result<std::vector<broker::ClientGroup>> ShardedExchange::collect_and_merg
   }
 
   if (breaker_active()) {
-    // Demand mode under the breaker: a quarantined shard's groups are
-    // synthesized from the coordinator's cached slice — byte-identical to
-    // a live answer, because workers only echo the slice the coordinator
-    // pushed. Live shards that fail here trip their breaker and fall back
-    // to the cache in the same round, so collect cannot fail.
+    // Under the breaker a quarantined shard's groups are synthesized from
+    // the coordinator's cached slice — byte-identical to a live answer,
+    // because workers only echo the slice the coordinator pushed. Live
+    // shards that fail here trip their breaker and fall back to the cache
+    // in the same round, so collect cannot fail.
     std::vector<proto::ShardGroup> all;
     bool any_stale = false;
     for (std::size_t s = 0; s < plan_.shard_count; ++s) {
@@ -1277,86 +1120,20 @@ core::Result<std::vector<broker::ClientGroup>> ShardedExchange::collect_and_merg
 
   auto responses = data_broadcast(requests);
   if (!responses.ok()) return R{responses.error()};
-
-  // Shards the routing table says hold live sessions MUST answer in session
-  // mode with exactly as many clients as the table routed to them. A worker
-  // that lost its ledger (respawned after a failed recovery) reports kNone;
-  // one restored from a stale checkpoint reports kSessions with the wrong
-  // population. Merging either slice would silently settle without those
-  // sessions, so the round fails closed instead. Every session contributes
-  // exactly 1.0 to its group's client_count, so the sums are exact doubles.
-  std::vector<double> expected_clients(plan_.shard_count, 0.0);
-  if (mode_ == ShardDemandMode::kSessions) {
-    for (const auto& [id, owner] : session_shard_) expected_clients[owner] += 1.0;
-  }
-
   std::vector<proto::ShardGroup> all;
   for (std::size_t s = 0; s < responses.value().size(); ++s) {
-    const ShardFrame& frame = responses.value()[s];
-    if (frame.type != ShardFrameType::kBidCandidates || frame.round != round) {
-      return R::failure(Errc::kCorruptFrame,
-                        "collect: unexpected response from shard " +
-                            std::to_string(s));
-    }
-    auto candidates = proto::decode_candidates(frame.payload);
-    if (!candidates.ok()) return R{candidates.error()};
-    if (expected_clients[s] > 0.0 &&
-        candidates.value().mode != ShardDemandMode::kSessions) {
-      return R::failure(Errc::kUnavailable,
-                        "collect: shard " + std::to_string(s) +
-                            " lost its session ledger (reported mode " +
-                            std::to_string(static_cast<int>(candidates.value().mode)) +
-                            ")");
-    }
-    if (mode_ == ShardDemandMode::kSessions &&
-        candidates.value().mode == ShardDemandMode::kSessions) {
-      double held = 0.0;
-      for (const proto::ShardGroup& g : candidates.value().groups) {
-        held += g.group.client_count;
-      }
-      if (held != expected_clients[s]) {
-        return R::failure(
-            Errc::kUnavailable,
-            "collect: shard " + std::to_string(s) + " holds " +
-                std::to_string(held) + " session clients but routing expects " +
-                std::to_string(expected_clients[s]));
-      }
-    }
-    for (proto::ShardGroup& g : candidates.value().groups) {
-      all.push_back(std::move(g));
-    }
+    auto groups = parse_candidates(s, responses.value()[s], round);
+    if (!groups.ok()) return R{groups.error()};
+    for (proto::ShardGroup& g : groups.value()) all.push_back(std::move(g));
   }
-
-  std::vector<broker::ClientGroup> merged;
-  merged.reserve(all.size());
-  if (mode_ == ShardDemandMode::kSessions) {
-    // Derived groups: cities are disjoint across shards, so ordering the
-    // concatenation by (city, bitrate) with dense ids reproduces exactly
-    // what one global SessionLedger would emit.
-    std::stable_sort(all.begin(), all.end(),
-                     [](const proto::ShardGroup& a, const proto::ShardGroup& b) {
-                       if (a.group.city.value() != b.group.city.value()) {
-                         return a.group.city.value() < b.group.city.value();
-                       }
-                       return a.group.bitrate_mbps < b.group.bitrate_mbps;
-                     });
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      broker::ClientGroup group = all[i].group;
-      group.id = broker::ShareId{static_cast<std::uint32_t>(i)};
-      merged.push_back(group);
-    }
-  } else {
-    return merge_demand_groups(std::move(all));
-  }
-  counters_.merged_groups.set(static_cast<double>(merged.size()));
-  return merged;
+  return merge_demand_groups(std::move(all));
 }
 
 core::Result<std::vector<broker::ClientGroup>> ShardedExchange::merge_demand_groups(
     std::vector<proto::ShardGroup> all) const {
   using R = core::Result<std::vector<broker::ClientGroup>>;
-  // Explicit slices: global ids restore the original vector losslessly —
-  // the merge must be a bijection onto 0..n-1 or a worker lied.
+  // Global ids restore the original vector losslessly — the merge must be
+  // a bijection onto 0..n-1 or a worker lied.
   std::sort(all.begin(), all.end(),
             [](const proto::ShardGroup& a, const proto::ShardGroup& b) {
               return a.global_id < b.global_id;
@@ -1380,20 +1157,7 @@ core::Result<std::vector<proto::ShardGroup>> ShardedExchange::collect_live(
   using R = core::Result<std::vector<proto::ShardGroup>>;
   auto response = data_call(shard, request);
   if (!response.ok()) return R{response.error()};
-  const ShardFrame& frame = response.value();
-  if (frame.type != ShardFrameType::kBidCandidates || frame.round != round) {
-    return R::failure(Errc::kCorruptFrame,
-                      "collect: unexpected response from shard " +
-                          std::to_string(shard));
-  }
-  auto candidates = proto::decode_candidates(frame.payload);
-  if (!candidates.ok()) return R{candidates.error()};
-  if (candidates.value().mode != ShardDemandMode::kDemand) {
-    return R::failure(Errc::kUnavailable,
-                      "collect: shard " + std::to_string(shard) +
-                          " answered in the wrong demand mode");
-  }
-  return std::move(candidates.value().groups);
+  return parse_candidates(shard, response.value(), round);
 }
 
 core::Status ShardedExchange::broadcast_allocation(std::uint64_t round) {
@@ -1465,17 +1229,14 @@ core::Status ShardedExchange::broadcast_allocation(std::uint64_t round) {
 
 core::Result<RoundReport> ShardedExchange::try_run_round() {
   using R = core::Result<RoundReport>;
-  if (delta_pending_) {
-    return R::failure(Errc::kNotReady,
-                      "run_round: an uncommitted session delta is outstanding; "
-                      "retry push_session_delta with the identical batch");
-  }
   if (auto status = ensure_fed(); !status.ok()) return R{status.error()};
   const std::uint64_t round = settlement_->rounds_completed();
 
-  // Half-open probes first: a quarantined shard that accepts a fresh slice
-  // push rejoins the live collect below in the same round.
-  if (breaker_active()) resync_quarantined(round);
+  // Shards that missed their current slice are re-pushed first, so the
+  // collect below never reads a slice older than the cache. Under the
+  // breaker this is the half-open probe: a quarantined shard that accepts
+  // the push rejoins the live collect in the same round.
+  if (auto status = resync_flagged(round); !status.ok()) return R{status.error()};
 
   auto merged = collect_and_merge(round);
   if (!merged.ok()) return R{merged.error()};
@@ -1589,19 +1350,18 @@ std::vector<std::uint8_t> ShardedExchange::encode_coordinator_core() const {
   w.write_u64(static_cast<std::uint64_t>(settlement_->rounds_completed()));
   w.write_u32(static_cast<std::uint32_t>(plan_.shard_count));
   w.write_u64(plan_.hash());
-  w.write_u8(static_cast<std::uint8_t>(mode_));
   w.write_u8(fed_ ? 1 : 0);
+  w.write_u8(session_fed_ ? 1 : 0);
   w.write_u8(demand_dirty_ ? 1 : 0);
   w.write_u32(static_cast<std::uint32_t>(background_loads_.size()));
   for (const double load : background_loads_) w.write_f64(load);
-  // unordered_map: serialize in sorted order so the bytes are deterministic.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> routing{
-      session_shard_.begin(), session_shard_.end()};
-  std::sort(routing.begin(), routing.end());
-  w.write_u32(static_cast<std::uint32_t>(routing.size()));
-  for (const auto& [id, shard] : routing) {
-    w.write_u32(id);
-    w.write_u32(shard);
+  // The session book in its canonical id order (every end is +inf).
+  const state::StreamCursor book = book_.cursor();
+  w.write_u32(static_cast<std::uint32_t>(book.active.size()));
+  for (const state::ActiveSession& session : book.active) {
+    w.write_u32(session.id);
+    w.write_u32(session.city);
+    w.write_f64(session.bitrate_mbps);
   }
   return w.take();
 }
@@ -1617,17 +1377,31 @@ std::vector<std::uint8_t> ShardedExchange::encode_slices() const {
   return w.take();
 }
 
+state::SnapshotWriter ShardedExchange::coordinator_snapshot() const {
+  state::SnapshotWriter writer;
+  add_version(writer, kCoordVersionSection, kCoordinatorSnapshotVersion);
+  writer.add_section(kCoordCoreSection, encode_coordinator_core());
+  writer.add_section(kCoordSettlementSection, settlement_->save_state());
+  writer.add_section(kCoordSlicesSection, encode_slices());
+  return writer;
+}
+
 struct ShardedExchange::CoordinatorCore {
   std::uint64_t rounds = 0;
-  ShardDemandMode mode = ShardDemandMode::kNone;
   bool fed = false;
+  bool session_fed = false;
   bool dirty = false;
   std::vector<double> background_loads;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> session_shard;
+  std::vector<state::ActiveSession> book;
 };
 
 core::Status ShardedExchange::restore_from_snapshot(const state::SnapshotView& view,
                                                     bool embedded_workers) {
+  if (auto status = check_version(view, kCoordVersionSection,
+                                  kCoordinatorSnapshotVersion, "coordinator");
+      !status.ok()) {
+    return status;
+  }
   const state::Section* core_section = view.find(kCoordCoreSection);
   const state::Section* settlement_section = view.find(kCoordSettlementSection);
   const state::Section* slices_section = view.find(kCoordSlicesSection);
@@ -1635,8 +1409,7 @@ core::Status ShardedExchange::restore_from_snapshot(const state::SnapshotView& v
   if (core_section == nullptr || settlement_section == nullptr ||
       slices_section == nullptr ||
       (embedded_workers && workers_section == nullptr)) {
-    return Status::failure(Errc::kCorruptSnapshot,
-                           "coordinator snapshot: missing section");
+    return corrupt_snapshot("coordinator snapshot: missing section");
   }
 
   // Decode everything into locals before mutating anything.
@@ -1649,13 +1422,8 @@ core::Status ShardedExchange::restore_from_snapshot(const state::SnapshotView& v
     if (shard_count != plan_.shard_count || plan_hash != plan_.hash()) {
       return invalid("coordinator snapshot: taken under a different shard plan");
     }
-    const std::uint8_t mode_raw = r.read_u8();
-    if (mode_raw > static_cast<std::uint8_t>(ShardDemandMode::kSessions)) {
-      return Status::failure(Errc::kCorruptSnapshot,
-                             "coordinator snapshot: bad mode");
-    }
-    core.mode = static_cast<ShardDemandMode>(mode_raw);
     core.fed = r.read_u8() != 0;
+    core.session_fed = r.read_u8() != 0;
     core.dirty = r.read_u8() != 0;
     const std::uint32_t load_count = r.read_u32();
     if (load_count != scenario_.catalog().clusters().size()) {
@@ -1665,28 +1433,31 @@ core::Status ShardedExchange::restore_from_snapshot(const state::SnapshotView& v
     for (std::uint32_t i = 0; i < load_count; ++i) {
       core.background_loads.push_back(r.read_f64());
     }
-    const std::uint32_t routing_count = r.read_u32();
-    if (routing_count > r.remaining() / 8) {
-      return Status::failure(Errc::kCorruptSnapshot,
-                             "coordinator snapshot: routing count lie");
+    const std::uint32_t book_count = r.read_u32();
+    if (book_count > r.remaining() / 16) {
+      return corrupt_snapshot("coordinator snapshot: session count lie");
     }
-    core.session_shard.reserve(routing_count);
-    for (std::uint32_t i = 0; i < routing_count; ++i) {
-      const std::uint32_t id = r.read_u32();
-      const std::uint32_t shard = r.read_u32();
-      if (shard >= plan_.shard_count) {
-        return Status::failure(Errc::kCorruptSnapshot,
-                               "coordinator snapshot: routing to unknown shard");
+    core.book.reserve(book_count);
+    for (std::uint32_t i = 0; i < book_count; ++i) {
+      state::ActiveSession session;
+      session.id = r.read_u32();
+      session.city = r.read_u32();
+      session.bitrate_mbps = r.read_f64();
+      session.end_s = kForever;
+      // Exactly what push_session_delta could have admitted, in id order.
+      if ((i > 0 && session.id <= core.book.back().id) || session.id == UINT32_MAX ||
+          session.city >= plan_.shard_of_city.size() ||
+          !std::isfinite(session.bitrate_mbps) || session.bitrate_mbps <= 0.0) {
+        return corrupt_snapshot("coordinator snapshot: invalid session " +
+                                std::to_string(session.id));
       }
-      core.session_shard.emplace_back(id, shard);
+      core.book.push_back(session);
     }
     if (!r.exhausted()) {
-      return Status::failure(Errc::kCorruptSnapshot,
-                             "coordinator snapshot: trailing core bytes");
+      return corrupt_snapshot("coordinator snapshot: trailing core bytes");
     }
   } catch (const proto::WireError& e) {
-    return Status::failure(Errc::kCorruptSnapshot,
-                           std::string{"coordinator snapshot: "} + e.what());
+    return corrupt_snapshot(std::string{"coordinator snapshot: "} + e.what());
   }
 
   std::vector<std::vector<proto::ShardGroup>> slices;
@@ -1704,12 +1475,10 @@ core::Status ShardedExchange::restore_from_snapshot(const state::SnapshotView& v
       slices[s] = std::move(decoded).value();
     }
     if (!r.exhausted()) {
-      return Status::failure(Errc::kCorruptSnapshot,
-                             "coordinator snapshot: trailing slice bytes");
+      return corrupt_snapshot("coordinator snapshot: trailing slice bytes");
     }
   } catch (const proto::WireError& e) {
-    return Status::failure(Errc::kCorruptSnapshot,
-                           std::string{"coordinator snapshot: "} + e.what());
+    return corrupt_snapshot(std::string{"coordinator snapshot: "} + e.what());
   }
 
   std::vector<std::vector<std::uint8_t>> worker_states;
@@ -1727,12 +1496,10 @@ core::Status ShardedExchange::restore_from_snapshot(const state::SnapshotView& v
         worker_states.emplace_back(bytes.begin(), bytes.end());
       }
       if (!r.exhausted()) {
-        return Status::failure(Errc::kCorruptSnapshot,
-                               "coordinator snapshot: trailing worker bytes");
+        return corrupt_snapshot("coordinator snapshot: trailing worker bytes");
       }
     } catch (const proto::WireError& e) {
-      return Status::failure(Errc::kCorruptSnapshot,
-                             std::string{"coordinator snapshot: "} + e.what());
+      return corrupt_snapshot(std::string{"coordinator snapshot: "} + e.what());
     }
   }
 
@@ -1742,17 +1509,15 @@ core::Status ShardedExchange::restore_from_snapshot(const state::SnapshotView& v
       !status.ok()) {
     return status;
   }
-  mode_ = core.mode;
   fed_ = core.fed;
+  session_fed_ = core.session_fed;
   demand_dirty_ = core.dirty;
-  // The snapshot captured a consistent routing/worker pair, so any delta
-  // that was outstanding at save time is moot after restore.
-  delta_pending_ = false;
-  pending_delta_hash_ = 0;
   background_loads_ = std::move(core.background_loads);
-  session_shard_.clear();
-  for (const auto& [id, shard] : core.session_shard) session_shard_[id] = shard;
+  book_.restore(core.book);
   last_slices_ = std::move(slices);
+  // Whatever slice each worker ends up holding, the next round re-pushes the
+  // restored cache before it collects.
+  std::fill(needs_resync_.begin(), needs_resync_.end(), 1);
 
   if (embedded_workers) {
     for (std::size_t s = 0; s < worker_states.size(); ++s) {
@@ -1769,16 +1534,7 @@ core::Status ShardedExchange::restore_from_snapshot(const state::SnapshotView& v
 
 core::Result<std::vector<std::uint8_t>> ShardedExchange::try_save_state() const {
   using R = core::Result<std::vector<std::uint8_t>>;
-  if (delta_pending_) {
-    // Routing and worker ledgers disagree mid-push; a snapshot taken now
-    // would restore into that inconsistency.
-    return R::failure(Errc::kNotReady,
-                      "save_state: an uncommitted session delta is outstanding");
-  }
-  state::SnapshotWriter writer;
-  writer.add_section(kCoordCoreSection, encode_coordinator_core());
-  writer.add_section(kCoordSettlementSection, settlement_->save_state());
-  writer.add_section(kCoordSlicesSection, encode_slices());
+  state::SnapshotWriter writer = coordinator_snapshot();
   {
     proto::ByteWriter w;
     w.write_u32(static_cast<std::uint32_t>(plan_.shard_count));
@@ -1824,17 +1580,8 @@ core::Status ShardedExchange::checkpoint_now() {
   if (!coordinator_store_.has_value()) {
     return invalid("ShardedExchange::checkpoint_now: no checkpoint_dir configured");
   }
-  if (delta_pending_) {
-    return Status::failure(
-        Errc::kNotReady,
-        "checkpoint_now: an uncommitted session delta is outstanding");
-  }
   const std::uint64_t epoch = settlement_->rounds_completed();
-  state::SnapshotWriter writer;
-  writer.add_section(kCoordCoreSection, encode_coordinator_core());
-  writer.add_section(kCoordSettlementSection, settlement_->save_state());
-  writer.add_section(kCoordSlicesSection, encode_slices());
-  if (auto status = coordinator_store_->write(epoch, writer.finish());
+  if (auto status = coordinator_store_->write(epoch, coordinator_snapshot().finish());
       !status.ok()) {
     return status;
   }
@@ -1872,26 +1619,15 @@ core::Status ShardedExchange::resume_from_stores() {
       !status.ok()) {
     return status;
   }
-  // Workers reload from their own per-shard stores.
+  // Workers reload their journals and counters from their own per-shard
+  // stores; the coordinator's restored slices, re-pushed before the next
+  // collect, are authoritative over whatever age of checkpoint each found.
   for (std::size_t s = 0; s < plan_.shard_count; ++s) {
     ShardFrame frame;
     frame.type = ShardFrameType::kResumeFromStore;
     frame.shard = static_cast<std::uint32_t>(s);
     auto response = direct_call(s, frame, /*recover=*/true);
     if (!response.ok()) return Status{response.error()};
-    auto rounds = proto::decode_shard_ack(response.value().payload);
-    if (!rounds.ok()) return Status{rounds.error()};
-    if (mode_ == ShardDemandMode::kSessions &&
-        rounds.value() != settlement_->rounds_completed()) {
-      return Status::failure(Errc::kNotReady,
-                             "resume: shard " + std::to_string(s) +
-                                 " checkpoint lags the coordinator");
-    }
-  }
-  if (mode_ == ShardDemandMode::kDemand) {
-    // The coordinator's cached slices are authoritative over whatever age of
-    // checkpoint each worker found.
-    if (auto status = push_demand_slices(); !status.ok()) return status;
   }
   return core::ok_status();
 }

@@ -2,9 +2,13 @@
 // (DESIGN.md §14; ROADMAP "sharded multi-process exchange").
 //
 // Topology. The marketplace is partitioned by city across N worker shards
-// (farthest-point region seeding, the federation idiom). Each worker owns
-// its slice of the demand — either explicit broker groups or a live session
-// ledger — plus its own journal, metrics, and per-shard CheckpointStore.
+// (farthest-point region seeding, the federation idiom). Each worker holds
+// one demand slice — the broker groups of its cities, tagged with their
+// global ids — plus its own journal, metrics, and per-shard
+// CheckpointStore. There is one session book, and it lives at the
+// coordinator: push_session_delta folds adds/removes into a
+// sim::SessionStore and re-slices its groups through the same path
+// set_active_load uses, so workers never see a session.
 // A coordinator drives every settlement round on the shared logical clock:
 //
 //   collect per-shard candidate groups  ->  merge into the canonical global
@@ -28,23 +32,22 @@
 // checkpoints, journal export) bypass injection: chaos drills target the
 // data path, and checkpoint cadence must not perturb the fault streams.
 //
-// Crash tolerance. Workers checkpoint into per-shard stores on command; a
-// worker that dies mid-run (real SIGKILL under the process backend) is
-// respawned and restored by the coordinator without losing settlement
-// bytes. A killed coordinator rebuilds from its own store with
-// resume_from_stores(). The embedded save_state()/restore_state() path
+// Crash tolerance. The coordinator's cached slices are authoritative and
+// workers only echo them, so a worker that dies mid-run (real SIGKILL under
+// the process backend) is respawned — restored from its per-shard store
+// when one is configured, for its journal and counters — and re-sent its
+// slice, without losing settlement bytes. A killed coordinator rebuilds
+// from its own store with resume_from_stores(); its snapshot carries the
+// session book. The embedded save_state()/restore_state() path
 // additionally bundles every worker's state into one snapshot so the
 // serving daemon's checkpoint/resume works unchanged at --shards N.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -53,6 +56,7 @@
 #include "proto/shard_wire.hpp"
 #include "resilience/breaker.hpp"
 #include "resilience/supervisor.hpp"
+#include "sim/session_store.hpp"
 #include "state/snapshot.hpp"
 #include "state/store.hpp"
 
@@ -92,39 +96,6 @@ struct ShardPlan {
   [[nodiscard]] std::uint64_t hash() const noexcept;
 };
 
-/// Incremental (city, bitrate)-aggregated session book. Workers keep one per
-/// shard; the monolithic reference path keeps one global — and because every
-/// city lives in exactly one shard, concatenating the per-shard group lists
-/// in (city, bitrate) order reproduces the global ledger's groups exactly.
-/// That equality is what makes the session-fed sharded exchange
-/// byte-identical to a monolith fed the same deltas.
-class SessionLedger {
- public:
-  /// Validates the whole batch, then applies it — a rejected batch mutates
-  /// nothing. Re-adding a live session with identical (city, bitrate) is a
-  /// no-op and removing an unknown id is a no-op (both make retried
-  /// deliveries idempotent); re-adding with different data is
-  /// kInvalidArgument.
-  [[nodiscard]] core::Status apply(std::span<const proto::ShardSessionAdd> adds,
-                                   std::span<const std::uint32_t> removes);
-
-  /// Active sessions aggregated into broker groups, ordered by
-  /// (city, bitrate) ascending with dense ids.
-  [[nodiscard]] std::vector<broker::ClientGroup> groups() const;
-
-  [[nodiscard]] std::size_t size() const noexcept { return sessions_.size(); }
-  void clear() noexcept;
-
-  /// Serialized session set (save/restore round-trips exactly).
-  [[nodiscard]] std::vector<proto::ShardSessionAdd> sessions() const;
-
- private:
-  /// id -> (city, bitrate).
-  std::map<std::uint32_t, std::pair<std::uint32_t, double>> sessions_;
-  /// (city, bitrate) -> active count. Counts are exact sums of 1.0.
-  std::map<std::pair<std::uint32_t, double>, double> counts_;
-};
-
 /// One worker shard: a self-contained frame server over the shard codec.
 /// It is constructed knowing only its shard id — everything else (topology,
 /// cluster->CDN table, checkpoint store) arrives in the kHello frame, so a
@@ -157,8 +128,8 @@ class ShardWorker {
   [[nodiscard]] const obs::RunJournal& journal() const noexcept { return journal_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// Checkpointable worker state (demand slice / session ledger, journal
-  /// window, deterministic shard.* counters, round bookkeeping) in a
+  /// Checkpointable worker state (demand slice, journal window,
+  /// deterministic shard.* counters, round bookkeeping) in a
   /// state::Snapshot envelope. Volatile transport counters (frames seen,
   /// errors returned) are deliberately excluded: they depend on link chaos,
   /// and restored state must match the uninterrupted run's deterministic
@@ -174,7 +145,6 @@ class ShardWorker {
 
   [[nodiscard]] proto::ShardFrame on_hello(const proto::ShardFrame& request);
   [[nodiscard]] proto::ShardFrame on_set_demand(const proto::ShardFrame& request);
-  [[nodiscard]] proto::ShardFrame on_session_delta(const proto::ShardFrame& request);
   [[nodiscard]] proto::ShardFrame on_collect(const proto::ShardFrame& request);
   [[nodiscard]] proto::ShardFrame on_allocation(const proto::ShardFrame& request);
   [[nodiscard]] proto::ShardFrame on_checkpoint(const proto::ShardFrame& request);
@@ -187,9 +157,7 @@ class ShardWorker {
   std::uint32_t shard_;
   bool configured_ = false;
   proto::ShardHello context_;
-  proto::ShardDemandMode mode_ = proto::ShardDemandMode::kNone;
   std::vector<proto::ShardGroup> demand_;
-  SessionLedger ledger_;
 
   std::uint64_t rounds_applied_ = 0;
   std::uint64_t last_allocation_round_ = kNoRound;
@@ -202,7 +170,7 @@ class ShardWorker {
   struct Counters {
     obs::Counter frames, errors;                     // volatile (not saved)
     obs::Counter rounds, groups_announced, placements, awarded_mbps;
-    obs::Gauge demand_mbps, sessions_active;
+    obs::Gauge demand_mbps;
   } counters_;
 };
 
@@ -234,12 +202,12 @@ struct ShardedConfig {
   /// settlement round clock. The default policy (unbounded, immediate) is
   /// exactly the pre-supervisor behavior.
   resilience::RestartPolicy worker_restart;
-  /// Per shard-link circuit breaker (demand mode only). Disabled by default
-  /// (failure_threshold 0): every existing call site keeps its fail-closed
-  /// semantics. When enabled, a tripped shard is quarantined — settled from
-  /// its cached slice (byte-identical: in demand mode the coordinator cache
-  /// is authoritative and workers only echo it) instead of burning the link
-  /// retry budget every round — until a half-open probe re-pushes its slice.
+  /// Per shard-link circuit breaker. Disabled by default (failure_threshold
+  /// 0): every existing call site keeps its fail-closed semantics. When
+  /// enabled, a tripped shard is quarantined — settled from its cached slice
+  /// (byte-identical: the coordinator cache is authoritative and workers
+  /// only echo it) instead of burning the link retry budget every round —
+  /// until a half-open probe re-pushes its slice.
   resilience::BreakerConfig link_breaker;
 };
 
@@ -259,20 +227,23 @@ class ShardedExchange final : public ExchangeFrontend {
   std::vector<RoundReport> run(std::size_t rounds);
 
   /// Replaces the global demand: partitions `groups` by city and pushes one
-  /// slice per shard. Ids must be dense (== index), as everywhere else.
+  /// slice per shard. Ids must be dense (== index), as everywhere else. A
+  /// failed push throws after the new slices are cached; the shards that
+  /// missed theirs are re-pushed before the next collect.
   void set_active_load(std::span<const broker::ClientGroup> groups,
                        std::span<const double> background_loads) override;
 
-  /// Session-fed mode: routes adds/removes to their owning shards' ledgers.
-  /// A remove follows its same-batch add to the owning shard (adds apply
-  /// before removes within one batch, the SessionLedger contract). Mutually
-  /// exclusive with set_active_load on one exchange (logic_error).
-  ///
-  /// The per-shard sends are not atomic as a set: on failure some shards may
-  /// have applied their slice. The batch stays OUTSTANDING — run_round,
-  /// checkpointing, and any DIFFERENT delta fail with kNotReady until the
-  /// identical batch is retried to completion (idempotent on the shards that
-  /// already applied it).
+  /// Session-fed mode: validates the whole batch against the coordinator's
+  /// session book, applies it (adds before removes), re-slices the book's
+  /// groups and pushes them exactly like set_active_load. A rejected batch
+  /// (kInvalidArgument: unknown city, a non-finite or non-positive bitrate,
+  /// a live or same-batch id added again with different data) changes
+  /// nothing. Re-adding a live session with identical data and removing an
+  /// unknown id are no-ops, so a retried batch is harmless. A failed slice
+  /// push returns its error with the batch already applied; the shards that
+  /// missed their slice are re-pushed before the next collect. Mutually
+  /// exclusive with set_active_load on one exchange (kInvalidArgument here,
+  /// logic_error there).
   [[nodiscard]] core::Status push_session_delta(
       std::span<const proto::ShardSessionAdd> adds,
       std::span<const std::uint32_t> removes);
@@ -307,9 +278,9 @@ class ShardedExchange final : public ExchangeFrontend {
   [[nodiscard]] core::Status resume_from_stores();
 
   /// Crash drills: hard-kills a worker (SIGKILL under the process backend).
-  /// The next round detects the dead shard and recovers it automatically —
-  /// from its per-shard store when one is configured, by re-pushing the
-  /// cached demand slice otherwise.
+  /// The next round detects the dead shard and recovers it automatically:
+  /// respawn, reload its per-shard store when one is configured, and
+  /// re-push the cached demand slice.
   void kill_worker(std::size_t shard);
   [[nodiscard]] bool worker_alive(std::size_t shard) const noexcept;
 
@@ -364,15 +335,15 @@ class ShardedExchange final : public ExchangeFrontend {
   [[nodiscard]] core::Result<std::vector<proto::ShardFrame>> data_broadcast(
       const std::vector<proto::ShardFrame>& requests) const;
 
-  /// Respawn + restore; on failure the worker is re-killed so it cannot
-  /// linger half-initialized and absorb later deltas into an empty ledger.
-  /// The supervisor can deny the respawn outright (budget spent / backoff
-  /// running), which also fails typed (kUnavailable).
+  /// Respawn + restore + re-push of the cached slice; on failure the worker
+  /// is re-killed so it cannot linger half-initialized. The supervisor can
+  /// deny the respawn outright (budget spent / backoff running), which also
+  /// fails typed (kUnavailable).
   [[nodiscard]] core::Status recover_worker(std::size_t shard) const;
   [[nodiscard]] core::Status try_recover_worker(std::size_t shard) const;
 
   [[nodiscard]] bool breaker_active() const noexcept {
-    return !link_breakers_.empty() && mode_ == proto::ShardDemandMode::kDemand;
+    return !link_breakers_.empty();
   }
   /// Observer for resilience bookkeeping: shard-side registry (never the
   /// settlement metrics, whose export must stay byte-identical to the
@@ -383,22 +354,25 @@ class ShardedExchange final : public ExchangeFrontend {
   /// ids or unknown cities.
   [[nodiscard]] std::vector<std::vector<proto::ShardGroup>> slice_demand(
       std::span<const broker::ClientGroup> groups) const;
-  /// Sends each shard its slice as kSetDemand and expects acks. With the
-  /// link breaker enabled a quarantined/failed shard is flagged for resync
-  /// instead of failing the push.
+  /// Sends each shard its slice as kSetDemand and expects acks. Every shard
+  /// is flagged for resync until its push lands. Without the breaker the
+  /// first failure is returned; with it a quarantined/failed shard just
+  /// stays flagged.
   [[nodiscard]] core::Status push_demand_slices() const;
   [[nodiscard]] core::Status push_slice_to(std::size_t shard) const;
-  /// Half-open probes: re-push the current slice to flagged shards whose
-  /// breaker admits traffic again.
-  void resync_quarantined(std::uint64_t round) const;
+  /// Re-pushes the current slice to every flagged shard before a collect.
+  /// Without the breaker a failed re-push fails the round; with it only
+  /// shards whose breaker admits traffic are probed, and the rest settle
+  /// from the cache.
+  [[nodiscard]] core::Status resync_flagged(std::uint64_t round) const;
   [[nodiscard]] core::Status ensure_fed();
   [[nodiscard]] core::Result<std::vector<broker::ClientGroup>> collect_and_merge(
       std::uint64_t round);
-  /// One live collect round-trip to `shard`, fully validated (demand mode).
+  /// One live collect round-trip to `shard`, fully validated.
   [[nodiscard]] core::Result<std::vector<proto::ShardGroup>> collect_live(
       std::size_t shard, const proto::ShardFrame& request,
       std::uint64_t round) const;
-  /// Demand-mode merge: sorts by global id and checks the dense bijection.
+  /// Sorts by global id and checks the dense bijection.
   [[nodiscard]] core::Result<std::vector<broker::ClientGroup>> merge_demand_groups(
       std::vector<proto::ShardGroup> all) const;
   /// Slices the settlement's placements by owning shard and broadcasts
@@ -406,13 +380,14 @@ class ShardedExchange final : public ExchangeFrontend {
   [[nodiscard]] core::Status broadcast_allocation(std::uint64_t round);
 
   struct CoordinatorCore;
-  /// Canonical fingerprint of one (adds, removes) batch — pins the verbatim
-  /// retry of a delta that failed mid-push.
-  [[nodiscard]] static std::uint64_t delta_hash(
-      std::span<const proto::ShardSessionAdd> adds,
-      std::span<const std::uint32_t> removes);
+  /// Checks a push_session_delta batch against the book without mutating.
+  [[nodiscard]] core::Status validate_delta(
+      std::span<const proto::ShardSessionAdd> adds) const;
   [[nodiscard]] std::vector<std::uint8_t> encode_coordinator_core() const;
   [[nodiscard]] std::vector<std::uint8_t> encode_slices() const;
+  /// Version, core, settlement and slice sections: the store checkpoint,
+  /// and the embedded snapshot minus its worker states.
+  [[nodiscard]] state::SnapshotWriter coordinator_snapshot() const;
   [[nodiscard]] core::Status restore_from_snapshot(const state::SnapshotView& view,
                                                    bool embedded_workers);
 
@@ -427,24 +402,20 @@ class ShardedExchange final : public ExchangeFrontend {
   std::unique_ptr<proto::FaultInjector> link_injector_;
 
   std::vector<double> background_loads_;
-  proto::ShardDemandMode mode_ = proto::ShardDemandMode::kNone;
   bool fed_ = false;
+  /// Fed through push_session_delta (exclusive with set_active_load).
+  bool session_fed_ = false;
   /// The coordinator's demand changed since it was last pushed into the
   /// settlement exchange. Crucial for byte-identity under admission control:
   /// the monolith's post-shed demand PERSISTS in the broker agent between
   /// rounds, so re-pushing an unchanged merged demand every round would
   /// reset that and diverge — the settlement only sees demand on change.
   bool demand_dirty_ = false;
-  /// Last pushed demand slice per shard (storeless worker recovery, and the
-  /// coordinator checkpoint payload).
+  /// Current demand slice per shard: authoritative over every worker (the
+  /// re-push source for recovery and resync, and a checkpoint payload).
   std::vector<std::vector<proto::ShardGroup>> last_slices_;
-  /// Session-mode routing: id -> owning shard.
-  std::unordered_map<std::uint32_t, std::uint32_t> session_shard_;
-  /// A push_session_delta failed mid-broadcast: some shards applied their
-  /// slice, routing was not committed. Settlement and checkpoints refuse to
-  /// run, and only a verbatim retry (pinned by the batch hash) may follow.
-  bool delta_pending_ = false;
-  std::uint64_t pending_delta_hash_ = 0;
+  /// The session book of a session-fed exchange (empty otherwise).
+  sim::SessionStore book_;
 
   std::optional<state::CheckpointStore> coordinator_store_;
   std::vector<std::filesystem::path> worker_store_dirs_;
@@ -455,8 +426,8 @@ class ShardedExchange final : public ExchangeFrontend {
   /// One breaker per shard link; empty when the breaker is disabled.
   mutable std::vector<resilience::CircuitBreaker> link_breakers_;
   /// Shard must accept a fresh slice push before its live collect output is
-  /// trusted again (set when a push was skipped or failed under the
-  /// breaker; cleared by the next successful push).
+  /// trusted again (set when a push was skipped or failed; cleared by the
+  /// next successful push).
   mutable std::vector<char> needs_resync_;
   mutable std::size_t stale_rounds_ = 0;
 

@@ -1,5 +1,7 @@
 #include "proto/messages.hpp"
 
+#include "core/fnv1a.hpp"
+
 namespace vdx::proto {
 
 namespace {
@@ -147,15 +149,6 @@ constexpr std::size_t payload_size(std::uint8_t raw_type) noexcept {
 constexpr std::size_t kHeaderSize = 4 + 1 + 2;
 constexpr std::size_t kChecksumSize = 4;
 
-std::uint32_t fnv1a(std::span<const std::uint8_t> data) noexcept {
-  std::uint32_t hash = 0x811c9dc5u;
-  for (const std::uint8_t byte : data) {
-    hash ^= byte;
-    hash *= 0x01000193u;
-  }
-  return hash;
-}
-
 std::uint32_t read_u32_le(std::span<const std::uint8_t> data,
                           std::size_t pos) noexcept {
   return static_cast<std::uint32_t>(data[pos]) |
@@ -189,7 +182,7 @@ std::vector<std::uint8_t> encode(const Message& message) {
   const std::size_t payload_start = w.size();
   std::visit([&w](const auto& m) { write_payload(w, m); }, message);
   w.patch_u32(0, static_cast<std::uint32_t>(w.size() - payload_start));
-  w.write_u32(fnv1a(w.data()));  // checksum over header + payload
+  w.write_u32(core::fnv1a32(w.data()));  // checksum over header + payload
   return w.take();
 }
 
@@ -214,7 +207,7 @@ core::Result<Message> try_decode(std::span<const std::uint8_t> data,
   if (data.size() < envelope) return reject("truncated envelope");
 
   const std::size_t checksum_at = kHeaderSize + payload_length;
-  if (read_u32_le(data, checksum_at) != fnv1a(data.first(checksum_at))) {
+  if (read_u32_le(data, checksum_at) != core::fnv1a32(data.first(checksum_at))) {
     return reject("frame checksum mismatch");
   }
 

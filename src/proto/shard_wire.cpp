@@ -3,24 +3,16 @@
 #include <limits>
 #include <utility>
 
+#include "core/fnv1a.hpp"
 #include "proto/wire.hpp"
 
 namespace vdx::proto {
 namespace {
 
-/// FNV-1a 64-bit (same function the snapshot envelope uses; duplicated here
-/// because vdx::proto sits below vdx::state in the link graph).
-[[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (std::uint8_t b : bytes) {
-    hash ^= b;
-    hash *= 0x00000100000001B3ULL;
-  }
-  return hash;
-}
-
 constexpr std::uint8_t kFirstType = static_cast<std::uint8_t>(ShardFrameType::kHello);
 constexpr std::uint8_t kLastType = static_cast<std::uint8_t>(ShardFrameType::kError);
+/// The version-1 session-delta frame; never reassigned.
+constexpr std::uint8_t kRetiredType = 3;
 
 /// Largest payload the decoder will allocate for. Anything bigger than this
 /// is a length-field lie, not a real frame (worker state snapshots are the
@@ -54,7 +46,7 @@ template <typename T, typename Body>
 }  // namespace
 
 bool shard_frame_type_known(std::uint8_t raw) noexcept {
-  return raw >= kFirstType && raw <= kLastType;
+  return raw >= kFirstType && raw <= kLastType && raw != kRetiredType;
 }
 
 std::vector<std::uint8_t> encode_shard_frame(const ShardFrame& frame) {
@@ -67,7 +59,7 @@ std::vector<std::uint8_t> encode_shard_frame(const ShardFrame& frame) {
   writer.write_u32(static_cast<std::uint32_t>(frame.payload.size()));
   std::vector<std::uint8_t> bytes = writer.take();
   bytes.insert(bytes.end(), frame.payload.begin(), frame.payload.end());
-  const std::uint64_t checksum = fnv1a64(bytes);
+  const std::uint64_t checksum = core::fnv1a64(bytes);
   ByteWriter tail;
   tail.write_u64(checksum);
   const auto& tail_bytes = tail.data();
@@ -102,7 +94,8 @@ core::Result<ShardFrame> try_decode_shard_frame(std::span<const std::uint8_t> by
     const auto payload = reader.read_bytes(payload_len);
     frame.payload.assign(payload.begin(), payload.end());
     const std::uint64_t claimed = reader.read_u64();
-    const std::uint64_t actual = fnv1a64(bytes.subspan(0, kHeaderSize + payload_len));
+    const std::uint64_t actual =
+        core::fnv1a64(bytes.subspan(0, kHeaderSize + payload_len));
     if (claimed != actual) return corrupt("shard frame: checksum mismatch");
   } catch (const WireError&) {
     return corrupt("shard frame: truncated");
@@ -157,75 +150,6 @@ core::Result<std::vector<ShardGroup>> decode_shard_groups(
         groups.reserve(static_cast<std::size_t>(count));
         for (std::uint64_t i = 0; i < count; ++i) groups.push_back(read_group(reader));
         return groups;
-      });
-}
-
-std::vector<std::uint8_t> encode_session_delta(const ShardSessionDelta& delta) {
-  ByteWriter writer;
-  writer.write_u64(delta.adds.size());
-  for (const ShardSessionAdd& a : delta.adds) {
-    writer.write_u32(a.id);
-    writer.write_u32(a.city);
-    writer.write_f64(a.bitrate_mbps);
-  }
-  writer.write_u64(delta.removes.size());
-  for (std::uint32_t id : delta.removes) writer.write_u32(id);
-  return writer.take();
-}
-
-core::Result<ShardSessionDelta> decode_session_delta(
-    std::span<const std::uint8_t> payload) {
-  return decode_payload<ShardSessionDelta>(
-      payload, "session delta", [](ByteReader& reader) {
-        ShardSessionDelta delta;
-        const std::uint64_t adds = reader.read_u64();
-        if (adds > std::numeric_limits<std::uint32_t>::max()) {
-          throw WireError{"add count lie"};
-        }
-        delta.adds.reserve(static_cast<std::size_t>(adds));
-        for (std::uint64_t i = 0; i < adds; ++i) {
-          ShardSessionAdd a;
-          a.id = reader.read_u32();
-          a.city = reader.read_u32();
-          a.bitrate_mbps = reader.read_f64();
-          delta.adds.push_back(a);
-        }
-        const std::uint64_t removes = reader.read_u64();
-        if (removes > std::numeric_limits<std::uint32_t>::max()) {
-          throw WireError{"remove count lie"};
-        }
-        delta.removes.reserve(static_cast<std::size_t>(removes));
-        for (std::uint64_t i = 0; i < removes; ++i) {
-          delta.removes.push_back(reader.read_u32());
-        }
-        return delta;
-      });
-}
-
-std::vector<std::uint8_t> encode_candidates(const ShardCandidates& c) {
-  ByteWriter writer;
-  writer.write_u8(static_cast<std::uint8_t>(c.mode));
-  writer.write_u64(c.groups.size());
-  for (const ShardGroup& g : c.groups) write_group(writer, g);
-  return writer.take();
-}
-
-core::Result<ShardCandidates> decode_candidates(std::span<const std::uint8_t> payload) {
-  return decode_payload<ShardCandidates>(
-      payload, "shard candidates", [](ByteReader& reader) {
-        ShardCandidates c;
-        const std::uint8_t mode = reader.read_u8();
-        if (mode > static_cast<std::uint8_t>(ShardDemandMode::kSessions)) {
-          throw WireError{"unknown demand mode"};
-        }
-        c.mode = static_cast<ShardDemandMode>(mode);
-        const std::uint64_t count = reader.read_u64();
-        if (count > std::numeric_limits<std::uint32_t>::max()) {
-          throw WireError{"group count lie"};
-        }
-        c.groups.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i) c.groups.push_back(read_group(reader));
-        return c;
       });
 }
 

@@ -4,7 +4,9 @@
 // A sharded exchange splits the marketplace by city across N worker shards;
 // the coordinator drives every settlement round over this codec: push demand
 // slices, collect per-shard candidate groups, broadcast the global
-// allocation. Frames follow the repo's envelope idiom
+// allocation. Workers only ever hold an explicit demand slice; session
+// deltas are folded into the coordinator's own book and never cross the
+// wire. Frames follow the repo's envelope idiom
 // ([magic][type][version][shard][round][payload][checksum]) and the decoder
 // never throws across the trust boundary: a truncated, bit-flipped,
 // wrong-magic, wrong-version, or trailing-bytes frame is rejected with a
@@ -25,7 +27,9 @@ namespace vdx::proto {
 
 /// "VDSH" read as a little-endian u32.
 inline constexpr std::uint32_t kShardMagic = 0x48534456u;
-inline constexpr std::uint16_t kShardProtocolVersion = 1;
+/// Version 2 retired the session-delta frame and the demand-mode byte of
+/// kBidCandidates; a version-1 peer is rejected at the frame header.
+inline constexpr std::uint16_t kShardProtocolVersion = 2;
 
 enum class ShardFrameType : std::uint8_t {
   /// Coordinator -> worker: shard topology + per-worker context. First frame
@@ -33,13 +37,13 @@ enum class ShardFrameType : std::uint8_t {
   kHello = 1,
   /// Coordinator -> worker: replace the worker's demand slice (explicit
   /// broker groups tagged with their global ids).
-  kSetDemand,
-  /// Coordinator -> worker: incremental session adds/removes routed to this
-  /// shard (the worker aggregates them into groups at collect time).
-  kSessionDelta,
+  kSetDemand = 2,
+  // 3 carried per-shard session deltas in protocol version 1. The value
+  // stays retired: a frame with that type byte is rejected as unknown.
   /// Coordinator -> worker: request this round's candidate groups.
-  kCollect,
-  /// Worker -> coordinator: the shard's current demand slice.
+  kCollect = 4,
+  /// Worker -> coordinator: the shard's current demand slice (a
+  /// shard-groups payload).
   kBidCandidates,
   /// Coordinator -> worker: the slice of the globally settled allocation
   /// that lands on this shard's cities.
@@ -95,14 +99,10 @@ struct ShardFrame {
 // commits a half-read frame.
 // ---------------------------------------------------------------------------
 
-/// Group id marking a slice derived from session aggregation (the
-/// coordinator assigns dense ids at merge time).
-inline constexpr std::uint32_t kDerivedGroupId = UINT32_MAX;
-
 /// One broker demand group tagged with its index in the coordinator's
 /// global demand vector.
 struct ShardGroup {
-  std::uint32_t global_id = kDerivedGroupId;
+  std::uint32_t global_id = 0;
   broker::ClientGroup group;
 };
 
@@ -111,7 +111,7 @@ struct ShardGroup {
 [[nodiscard]] core::Result<std::vector<ShardGroup>> decode_shard_groups(
     std::span<const std::uint8_t> payload);
 
-/// One session routed to a shard worker's ledger.
+/// One session of a ShardedExchange::push_session_delta batch.
 struct ShardSessionAdd {
   std::uint32_t id = 0;
   std::uint32_t city = 0;
@@ -119,36 +119,6 @@ struct ShardSessionAdd {
 
   friend bool operator==(const ShardSessionAdd&, const ShardSessionAdd&) = default;
 };
-
-struct ShardSessionDelta {
-  std::vector<ShardSessionAdd> adds;
-  std::vector<std::uint32_t> removes;
-};
-
-[[nodiscard]] std::vector<std::uint8_t> encode_session_delta(
-    const ShardSessionDelta& delta);
-[[nodiscard]] core::Result<ShardSessionDelta> decode_session_delta(
-    std::span<const std::uint8_t> payload);
-
-/// kBidCandidates payload: how the worker derived its slice.
-enum class ShardDemandMode : std::uint8_t {
-  /// No demand pushed yet (empty slice).
-  kNone = 0,
-  /// Explicit kSetDemand groups (global ids valid).
-  kDemand = 1,
-  /// Aggregated from the session ledger (ids are kDerivedGroupId; groups
-  /// ordered by (city, bitrate) ascending).
-  kSessions = 2,
-};
-
-struct ShardCandidates {
-  ShardDemandMode mode = ShardDemandMode::kNone;
-  std::vector<ShardGroup> groups;
-};
-
-[[nodiscard]] std::vector<std::uint8_t> encode_candidates(const ShardCandidates& c);
-[[nodiscard]] core::Result<ShardCandidates> decode_candidates(
-    std::span<const std::uint8_t> payload);
 
 /// One settled placement as broadcast back to the owning shard. Carries the
 /// group's bitrate so the worker can account awarded Mbps without holding

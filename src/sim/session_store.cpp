@@ -71,18 +71,44 @@ void SessionStore::insert(std::uint32_t id, std::uint32_t city, std::uint32_t is
   ++counts_[rung][city];
 
   // Arrival order == id order, so appends keep the index sorted; the
-  // out-of-order fallback only triggers on adversarial input.
+  // out-of-order fallback only triggers on adversarial input or on an
+  // explicit re-add, which revives the id's tombstone instead of inserting
+  // a second entry for it.
   if (order_.empty() || order_.back().id < id) {
     order_.push_back(OrderEntry{id, slot});
+  } else if (const std::size_t at = order_index(id); order_[at].id == id) {
+    order_[at].slot = slot;
+    --order_dead_;
   } else {
-    const auto at = std::lower_bound(
-        order_.begin(), order_.end(), id,
-        [](const OrderEntry& e, std::uint32_t key) { return e.id < key; });
-    order_.insert(at, OrderEntry{id, slot});
+    order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(at),
+                  OrderEntry{id, slot});
   }
-  departures_.push(HeapEntry{end_s, id, slot});
+  if (std::isfinite(end_s)) departures_.push(HeapEntry{end_s, id, slot});
   ++live_;
   groups_dirty_ = true;
+}
+
+std::size_t SessionStore::order_index(std::uint32_t id) const {
+  const auto at = std::lower_bound(
+      order_.begin(), order_.end(), id,
+      [](const OrderEntry& e, std::uint32_t key) { return e.id < key; });
+  return static_cast<std::size_t>(at - order_.begin());
+}
+
+std::optional<std::uint32_t> SessionStore::slot_of(std::uint32_t id) const {
+  const std::size_t at = order_index(id);
+  if (at == order_.size()) return std::nullopt;
+  const OrderEntry& entry = order_[at];
+  if (entry.id != id || ids_[entry.slot] != id) return std::nullopt;
+  return entry.slot;
+}
+
+bool SessionStore::remove(std::uint32_t id) {
+  const auto slot = slot_of(id);
+  if (!slot) return false;
+  erase_slot(*slot);
+  maybe_compact_order();
+  return true;
 }
 
 void SessionStore::erase_slot(std::uint32_t slot) {
@@ -105,7 +131,8 @@ std::size_t SessionStore::drop_until(double t) {
   while (!departures_.empty() && departures_.top().end_s <= t) {
     const HeapEntry top = departures_.top();
     departures_.pop();
-    if (ids_[top.slot] != top.id) continue;  // already shed
+    // Already shed or removed (possibly re-added since, with a new end).
+    if (ids_[top.slot] != top.id || end_s_[top.slot] != top.end_s) continue;
     erase_slot(top.slot);
     ++dropped;
   }

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <queue>
 #include <span>
 #include <vector>
@@ -45,10 +46,20 @@ class SessionStore {
 
   /// Admits one session at midpoint `now` unless it already ended (a session
   /// that lived entirely between two samples never becomes active). Returns
-  /// whether the population changed. Ids must be unique; arrival order ==
-  /// ascending id order is the fast path (out-of-order ids still work).
+  /// whether the population changed. Live ids must be unique; arrival order
+  /// == ascending id order is the fast path (out-of-order ids still work).
+  /// A session with end_s = +inf never enters the departure heap: it stays
+  /// until remove(id), the explicit-delta mode of the shard coordinator.
   bool admit(std::uint32_t id, core::CityId city, double bitrate_mbps, double end_s,
              double now, std::uint32_t isp = 0);
+
+  /// Removes a live session by id. Returns false (and changes nothing) when
+  /// the id is not live. A removed id may be added again later.
+  bool remove(std::uint32_t id);
+
+  /// Slot of a live session, or nullopt: binary search over the id-sorted
+  /// order index.
+  [[nodiscard]] std::optional<std::uint32_t> slot_of(std::uint32_t id) const;
 
   /// Drops every session with end_s <= t (half-open [arrival, end) activity).
   /// Returns the number dropped.
@@ -112,6 +123,9 @@ class SessionStore {
   // Introspection for the structural tests.
   [[nodiscard]] std::size_t slot_capacity() const noexcept { return ids_.size(); }
   [[nodiscard]] std::size_t free_count() const noexcept { return free_.size(); }
+  [[nodiscard]] std::size_t departure_backlog() const noexcept {
+    return departures_.size();
+  }
 
  private:
   static constexpr std::uint32_t kFreeId = UINT32_MAX;
@@ -137,10 +151,15 @@ class SessionStore {
   [[nodiscard]] std::uint32_t rung_index(std::int64_t kbps);
   void ensure_city(std::uint32_t city);
   void maybe_compact_order();
+  /// Position of the first order_ entry with id >= `id`.
+  [[nodiscard]] std::size_t order_index(std::uint32_t id) const;
 
-  // Parallel slot arrays. ids_[slot] == kFreeId marks a free slot; an order
-  // or heap entry is live iff ids_[slot] still equals its recorded id (slots
-  // are reused only by strictly newer ids).
+  // Parallel slot arrays. ids_[slot] == kFreeId marks a free slot. An order
+  // entry is live iff ids_[slot] still equals its recorded id; order_ holds
+  // at most one entry per id (re-adding a removed id revives its tombstone
+  // in place), so a slot reused by the same id cannot resurrect a second
+  // entry. A heap entry is live iff its slot still holds that id AND that
+  // end time.
   std::vector<std::uint32_t> ids_;
   std::vector<std::uint32_t> city_;
   std::vector<std::uint32_t> isp_;

@@ -29,15 +29,6 @@ std::uint64_t section_checksum(std::uint32_t id, const Bytes& payload) noexcept 
 
 }  // namespace
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes, std::uint64_t basis) noexcept {
-  std::uint64_t hash = basis;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 void SnapshotWriter::add_section(std::uint32_t id, std::vector<std::uint8_t> bytes) {
   sections_.push_back(Section{id, std::move(bytes)});
 }

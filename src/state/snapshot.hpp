@@ -25,6 +25,7 @@
 #include <span>
 #include <vector>
 
+#include "core/fnv1a.hpp"
 #include "core/result.hpp"
 
 namespace vdx::state {
@@ -34,9 +35,11 @@ inline constexpr std::uint64_t kSnapshotMagic = 0x3150414E53584456ULL;
 inline constexpr std::uint32_t kFormatVersion = 1;
 
 /// FNV-1a 64-bit over `bytes`, continuing from `basis` (chainable).
-inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-[[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
-                                  std::uint64_t basis = kFnvBasis) noexcept;
+[[nodiscard]] constexpr std::uint64_t fnv1a(
+    std::span<const std::uint8_t> bytes,
+    std::uint64_t basis = core::kFnv1a64Basis) noexcept {
+  return core::fnv1a64(bytes, basis);
+}
 
 struct Section {
   std::uint32_t id = 0;

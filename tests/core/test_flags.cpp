@@ -78,6 +78,17 @@ TEST(Flags, CountEnforcesIntegerAndMinimum) {
   EXPECT_EQ(make({"--threads", "8"}).count("threads", 0, 1), 8u);
 }
 
+TEST(Flags, CountAcceptsIntegralScientificNotation) {
+  EXPECT_EQ(make({"--sessions", "1e5"}).count("sessions", 0, 1), 100'000u);
+  EXPECT_EQ(make({"--sessions=2.5e3"}).count("sessions", 0, 1), 2'500u);
+  expect_throws([] { (void)make({"--sessions", "1.5e0"}).count("sessions", 0, 1); },
+                "--sessions needs an integer (got '1.5e0')");
+  expect_throws([] { (void)make({"--sessions", "abc"}).count("sessions", 0, 1); },
+                "--sessions needs an integer (got 'abc')");
+  expect_throws([] { (void)make({"--sessions", "1e300"}).count("sessions", 0, 1); },
+                "--sessions needs an integer (got '1e300')");
+}
+
 TEST(Flags, ExistingPathRejectsMissingFiles) {
   expect_throws(
       [] { (void)make({"--resume-from", "no-such.vdxsnap"}).existing_path("resume-from"); },

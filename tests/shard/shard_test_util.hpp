@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -131,6 +132,33 @@ inline std::vector<RoundAction> make_script(const sim::Scenario& scenario,
   }
   return script;
 }
+
+/// The monolith's view of a session-fed run: the test holds the live
+/// sessions itself and regroups them with broker::group_sessions each
+/// round — the oracle for ShardedExchange::push_session_delta.
+struct HeldSessions {
+  std::vector<trace::Session> live;
+
+  /// Adds before removes, like push_session_delta.
+  void apply(std::span<const proto::ShardSessionAdd> adds,
+             std::span<const std::uint32_t> removes) {
+    for (const proto::ShardSessionAdd& add : adds) {
+      trace::Session s;
+      s.id = trace::SessionId{add.id};
+      s.city = geo::CityId{add.city};
+      s.bitrate_mbps = add.bitrate_mbps;
+      live.push_back(s);
+    }
+    const std::set<std::uint32_t> gone(removes.begin(), removes.end());
+    std::erase_if(live, [&](const trace::Session& s) {
+      return gone.contains(s.id.value());
+    });
+  }
+
+  [[nodiscard]] std::vector<broker::ClientGroup> groups() const {
+    return broker::group_sessions(live);
+  }
+};
 
 /// Exact (bitwise, for doubles) equality of every captured surface.
 inline void expect_identical(const RunCapture& mono, const RunCapture& sharded,

@@ -179,9 +179,10 @@ TEST_F(ShardEquivalence, DuplicatedFramesAreDeliveredWithoutChangingBytes) {
   EXPECT_EQ(link.delivered, link.frames + link.duplicated);
 }
 
-// Session-fed mode: the coordinator routes deltas to per-shard ledgers; a
-// monolith holding ONE global ledger and regrouping each round must settle
-// identically (the per-shard concatenation property, end to end).
+// Session-fed mode: the coordinator folds deltas into its one session book
+// and slices the book's groups across the shards; a monolith fed
+// broker::group_sessions of the same live sessions each round must settle
+// identically.
 TEST_F(ShardEquivalence, SessionFedMatchesGlobalLedgerAtEveryShardCount) {
   constexpr double kLadder[] = {0.8, 1.6, 3.2};
   const std::size_t cities = scenario().world().cities().size();
@@ -206,18 +207,18 @@ TEST_F(ShardEquivalence, SessionFedMatchesGlobalLedgerAtEveryShardCount) {
     return d;
   };
 
-  // Monolithic reference: one global ledger, regrouped per round. Session
+  // Monolithic reference: the live sessions, regrouped per round. Session
   // mode prices against the scenario's placed background load.
   obs::MetricsRegistry mono_metrics;
   obs::RunJournal mono_journal;
   ExchangeConfig mono_config;
   mono_config.obs = obs::Observer{&mono_metrics, nullptr, &mono_journal};
   VdxExchange mono{scenario(), mono_config};
-  SessionLedger global;
+  shard_test::HeldSessions global;
   std::vector<RoundReport> mono_reports;
   for (std::size_t r = 0; r < kRounds; ++r) {
     const auto [adds, removes] = deltas_of(r);
-    ASSERT_TRUE(global.apply(adds, removes).ok());
+    global.apply(adds, removes);
     mono.set_active_load(global.groups(), background());
     mono_reports.push_back(mono.run_round());
   }
@@ -258,11 +259,9 @@ TEST_F(ShardEquivalence, SessionFedMatchesGlobalLedgerAtEveryShardCount) {
   }
 }
 
-// A batch whose removes target ids added in the SAME batch: the remove must
-// follow its add to the owning shard (adds apply before removes, the
-// SessionLedger contract). Routing removes off the committed table alone
-// used to drop them, leaking phantom sessions into the worker ledgers that
-// no later delta could ever remove — this pins the fix differentially.
+// A batch whose removes target ids added in the SAME batch: adds apply
+// before removes, so each such pair cancels and no phantom session is left
+// for a later delta to trip over — pinned differentially.
 TEST_F(ShardEquivalence, SameBatchAddRemoveMatchesGlobalLedger) {
   const auto cities =
       static_cast<std::uint32_t>(scenario().world().cities().size());
@@ -290,10 +289,10 @@ TEST_F(ShardEquivalence, SameBatchAddRemoveMatchesGlobalLedger) {
   std::vector<RoundReport> mono_reports;
   {
     VdxExchange mono{scenario()};
-    SessionLedger global;
+    shard_test::HeldSessions global;
     for (std::size_t r = 0; r < kBatchRounds; ++r) {
       const auto [adds, removes] = deltas_of(r);
-      ASSERT_TRUE(global.apply(adds, removes).ok());
+      global.apply(adds, removes);
       mono.set_active_load(global.groups(), background());
       mono_reports.push_back(mono.run_round());
     }

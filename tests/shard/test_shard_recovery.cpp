@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "market/shard.hpp"
 #include "shard/shard_test_util.hpp"
 #include "sim/designs.hpp"
+#include "state/snapshot.hpp"
 
 namespace vdx::market {
 namespace {
@@ -118,9 +122,10 @@ TEST_F(ShardRecovery, StorelessWorkerDeathInDemandModeIsInvisible) {
   }
 }
 
-// Session mode CANNOT replay lost ledgers from the coordinator — per-shard
-// checkpoint stores are mandatory, and with checkpoint_every_rounds=1 a
-// SIGKILL after every settlement round must still be byte-invisible.
+// Session mode with per-shard stores: with checkpoint_every_rounds=1 a
+// SIGKILL after every settlement round is byte-invisible — the respawned
+// worker reloads its journal from its store and the coordinator re-pushes
+// its slice of the one session book.
 TEST_F(ShardRecovery, SessionModeResumesFromPerShardStoresAfterEveryRoundKill) {
   const std::size_t cities = scenario().world().cities().size();
   const auto add_of = [&](std::uint32_t id) {
@@ -128,17 +133,17 @@ TEST_F(ShardRecovery, SessionModeResumesFromPerShardStoresAfterEveryRoundKill) {
                                   id % 2 == 0 ? 1.2 : 3.6};
   };
 
-  // Monolithic reference over the same deltas (global ledger, regrouped).
+  // Monolithic reference over the same deltas (live sessions, regrouped).
   std::vector<RoundReport> mono_reports;
   {
     VdxExchange mono{scenario()};
-    SessionLedger global;
+    shard_test::HeldSessions global;
     for (std::size_t r = 0; r < kRounds; ++r) {
       std::vector<proto::ShardSessionAdd> adds;
       for (std::uint32_t k = 0; k < 300; ++k) {
         adds.push_back(add_of(static_cast<std::uint32_t>(r) * 300 + k));
       }
-      ASSERT_TRUE(global.apply(adds, {}).ok());
+      global.apply(adds, {});
       mono.set_active_load(global.groups(), background());
       mono_reports.push_back(mono.run_round());
     }
@@ -172,78 +177,196 @@ TEST_F(ShardRecovery, SessionModeResumesFromPerShardStoresAfterEveryRoundKill) {
   }
 }
 
-// A session-fed worker that dies WITHOUT a store is unrecoverable — the
-// next round must fail with a typed error, not silently settle wrong bytes.
-TEST_F(ShardRecovery, SessionModeWithoutStoreFailsClosedOnWorkerDeath) {
-  ShardedConfig config;
-  config.shards = 2;
-  ShardedExchange exchange{scenario(), config};
-  std::vector<proto::ShardSessionAdd> adds;
-  for (std::uint32_t id = 0; id < 200; ++id) {
-    adds.push_back({id, id % static_cast<std::uint32_t>(
-                            scenario().world().cities().size()),
-                    1.5});
+/// Session deltas for the storeless and failed-push drills: round r admits
+/// 250 sessions and retires the oldest 100 of round r - 1.
+std::pair<std::vector<proto::ShardSessionAdd>, std::vector<std::uint32_t>>
+churn_delta(const sim::Scenario& scenario, std::size_t r) {
+  const auto cities = static_cast<std::uint32_t>(scenario.world().cities().size());
+  std::pair<std::vector<proto::ShardSessionAdd>, std::vector<std::uint32_t>> d;
+  for (std::uint32_t k = 0; k < 250; ++k) {
+    const auto id = static_cast<std::uint32_t>(r) * 250 + k;
+    d.first.push_back({id, id % cities, id % 3 == 0 ? 1.2 : 3.6});
   }
-  ASSERT_TRUE(exchange.push_session_delta(adds, {}).ok());
-  (void)exchange.run_round();
-
-  exchange.kill_worker(0);
-  const auto result = exchange.try_run_round();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.error().code, core::Errc::kUnavailable);
-  EXPECT_THROW((void)exchange.run_round(), std::runtime_error);
+  for (std::uint32_t k = 0; r > 0 && k < 100; ++k) {
+    d.second.push_back(static_cast<std::uint32_t>(r - 1) * 250 + k);
+  }
+  return d;
 }
 
-// A delta that fails mid-push leaves some shards applied and routing
-// uncommitted. The batch stays OUTSTANDING: settlement and snapshots refuse
-// to run, a DIFFERENT batch is refused outright, and only the verbatim
-// retry passes the gate (idempotent on the shards that already applied it).
-TEST_F(ShardRecovery, FailedDeltaPushWedgesSettlementUntilVerbatimRetry) {
+/// Monolith fed broker::group_sessions of the live set after each delta.
+RunCapture session_fed_mono(const sim::Scenario& scenario,
+                            std::span<const double> background, std::size_t rounds) {
+  obs::MetricsRegistry metrics;
+  obs::RunJournal journal;
+  ExchangeConfig config;
+  config.obs = obs::Observer{&metrics, nullptr, &journal};
+  VdxExchange mono{scenario, config};
+  shard_test::HeldSessions held;
+  std::vector<RoundAction> script(rounds);
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const auto [adds, removes] = churn_delta(scenario, r);
+    held.apply(adds, removes);
+    script[r].groups = held.groups();
+  }
+  return shard_test::drive(mono, script, background, journal, metrics);
+}
+
+/// Reports, placements, journal and metrics of a finished sharded run.
+RunCapture capture_of(const ShardedExchange& exchange, std::vector<RoundReport> reports,
+                      const obs::RunJournal& journal,
+                      const obs::MetricsRegistry& metrics) {
+  RunCapture capture;
+  capture.reports = std::move(reports);
+  const auto placed = exchange.settlement().placements();
+  capture.placements.assign(placed.begin(), placed.end());
+  std::ostringstream journal_out;
+  journal.write_jsonl(journal_out);
+  capture.journal_jsonl = journal_out.str();
+  std::ostringstream metrics_out;
+  metrics.write_jsonl(metrics_out);
+  capture.metrics_jsonl = metrics_out.str();
+  return capture;
+}
+
+// The session book lives at the coordinator, so a session-fed worker holds
+// nothing that cannot be re-pushed: a storeless kill after every round is
+// as invisible as in demand mode.
+TEST_F(ShardRecovery, StorelessWorkerDeathInSessionModeIsInvisible) {
+  const RunCapture mono = session_fed_mono(scenario(), background(), kRounds);
+  for (const ShardBackend backend :
+       {ShardBackend::kInproc, ShardBackend::kProcess}) {
+    ShardedConfig config;
+    config.shards = 3;
+    config.backend = backend;
+    obs::MetricsRegistry metrics;
+    obs::RunJournal journal;
+    config.exchange.obs = obs::Observer{&metrics, nullptr, &journal};
+    ShardedExchange exchange{scenario(), config};
+    std::vector<RoundReport> reports;
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      const auto [adds, removes] = churn_delta(scenario(), r);
+      ASSERT_TRUE(exchange.push_session_delta(adds, removes).ok());
+      reports.push_back(exchange.run_round());
+      exchange.kill_worker(r % config.shards);
+    }
+    shard_test::expect_identical(
+        mono, capture_of(exchange, std::move(reports), journal, metrics),
+        std::string{"storeless session kill "} + std::string{to_string(backend)});
+    EXPECT_EQ(exchange.worker_restarts(), kRounds - 1);  // last kill never recovered
+  }
+}
+
+/// Link chaos harsh enough, with a retry budget small enough, that slice
+/// pushes sometimes fail outright.
+ShardedConfig flaky_links(std::uint64_t seed) {
   ShardedConfig config;
   config.shards = 2;
-  ShardedExchange exchange{scenario(), config};
-  // One city per shard so the batch demonstrably spans both workers.
-  const auto& plan = exchange.plan();
-  std::uint32_t city0 = UINT32_MAX;
-  std::uint32_t city1 = UINT32_MAX;
-  for (std::uint32_t c = 0; c < plan.shard_of_city.size(); ++c) {
-    (plan.shard_of_city[c] == 0 ? city0 : city1) = c;
+  config.link_faults.drop_rate = 0.3;
+  config.link_faults.seed = seed;
+  config.max_link_retries = 1;
+  return config;
+}
+
+// A failed slice push leaves the shards it never reached (and the one it
+// failed on) echoing their previous slice. With the same (city, bitrate)
+// cells and only client counts changed, such a stale slice passes the
+// merge's id check, so it must never reach a collect: every shard stays
+// flagged until its push lands, and the round re-pushes flagged shards
+// before it collects.
+TEST_F(ShardRecovery, FailedSlicePushIsRepushedBeforeTheNextCollect) {
+  const auto script = shard_test::make_script(
+      scenario(), sim::StressScenario::kDiurnal, 2);
+  ASSERT_EQ(script[0].groups.size(), script[1].groups.size());
+  ASSERT_NE(script[0].groups[0].client_count, script[1].groups[0].client_count);
+  const RunCapture mono = run_mono(script);
+
+  // The first seed whose link faults fail round 1's push and nothing else.
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    obs::MetricsRegistry metrics;
+    obs::RunJournal journal;
+    ShardedConfig config = flaky_links(seed);
+    config.exchange.obs = obs::Observer{&metrics, nullptr, &journal};
+    ShardedExchange exchange{scenario(), config};
+    try {
+      exchange.set_active_load(script[0].groups, background());
+    } catch (const std::runtime_error&) {
+      continue;
+    }
+    auto first = exchange.try_run_round();
+    if (!first.ok()) continue;
+    bool push_failed = false;
+    try {
+      exchange.set_active_load(script[1].groups, background());
+    } catch (const std::runtime_error&) {
+      push_failed = true;  // the caller catches and carries on
+    }
+    if (!push_failed) continue;
+    auto second = exchange.try_run_round();
+    if (!second.ok()) continue;
+
+    shard_test::expect_identical(
+        mono,
+        capture_of(exchange, {first.value(), second.value()}, journal, metrics),
+        "failed slice push, link seed " + std::to_string(seed));
+    return;
   }
-  ASSERT_NE(city0, UINT32_MAX);
-  ASSERT_NE(city1, UINT32_MAX);
+  FAIL() << "no link seed in range failed only round 1's slice push";
+}
 
-  std::vector<proto::ShardSessionAdd> first{{1, city0, 1.0}, {2, city1, 1.0}};
-  ASSERT_TRUE(exchange.push_session_delta(first, {}).ok());
-  (void)exchange.run_round();
+// The same rule covers session deltas: the batch is applied to the book in
+// one step, so a failed slice push cannot leave it half-applied; the
+// round re-pushes the shards that missed their slice and settles exactly
+// what a monolith fed the live sessions settles.
+TEST_F(ShardRecovery, FailedDeltaPushIsRepushedAndSettlesLikeTheMonolith) {
+  const RunCapture mono = session_fed_mono(scenario(), background(), 2);
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    obs::MetricsRegistry metrics;
+    obs::RunJournal journal;
+    ShardedConfig config = flaky_links(seed);
+    config.exchange.obs = obs::Observer{&metrics, nullptr, &journal};
+    ShardedExchange exchange{scenario(), config};
+    const auto [adds0, removes0] = churn_delta(scenario(), 0);
+    if (!exchange.push_session_delta(adds0, removes0).ok()) continue;
+    auto first = exchange.try_run_round();
+    if (!first.ok()) continue;
+    const auto [adds1, removes1] = churn_delta(scenario(), 1);
+    const auto pushed = exchange.push_session_delta(adds1, removes1);
+    if (pushed.ok()) continue;
+    EXPECT_EQ(pushed.error().code, core::Errc::kTimeout);
+    auto second = exchange.try_run_round();
+    if (!second.ok()) continue;
 
-  // Shard 1 is session-fed with no store: unrecoverable. The push applies
-  // on shard 0, then fails on shard 1 — the exact partial state.
+    shard_test::expect_identical(
+        mono,
+        capture_of(exchange, {first.value(), second.value()}, journal, metrics),
+        "failed delta push, link seed " + std::to_string(seed));
+    return;
+  }
+  FAIL() << "no link seed in range failed only round 1's delta push";
+}
+
+// Without the breaker, a shard that still cannot take its slice fails the
+// round typed instead of settling whatever it held before.
+TEST_F(ShardRecovery, UnrecoverableResyncFailsTheRoundTyped) {
+  ShardedConfig config;
+  config.shards = 2;
+  config.worker_restart.max_restarts = 1;  // one respawn, then it stays dead
+  ShardedExchange exchange{scenario(), config};
+  const auto [adds, removes] = churn_delta(scenario(), 0);
+  ASSERT_TRUE(exchange.push_session_delta(adds, removes).ok());
   exchange.kill_worker(1);
-  std::vector<proto::ShardSessionAdd> second{{3, city0, 2.0}, {4, city1, 2.0}};
-  const auto failed = exchange.push_session_delta(second, {});
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.error().code, core::Errc::kUnavailable);
+  (void)exchange.run_round();  // spends the one respawn
+  ASSERT_EQ(exchange.worker_restarts(), 1u);
 
-  // Settlement and snapshots fail closed while the batch is outstanding.
+  exchange.kill_worker(1);
+  const auto [adds1, removes1] = churn_delta(scenario(), 1);
+  const auto pushed = exchange.push_session_delta(adds1, removes1);
+  ASSERT_FALSE(pushed.ok());
+  EXPECT_EQ(pushed.error().code, core::Errc::kUnavailable);
   const auto round = exchange.try_run_round();
   ASSERT_FALSE(round.ok());
-  EXPECT_EQ(round.error().code, core::Errc::kNotReady);
-  const auto snapshot = exchange.try_save_state();
-  ASSERT_FALSE(snapshot.ok());
-  EXPECT_EQ(snapshot.error().code, core::Errc::kNotReady);
-  EXPECT_THROW((void)exchange.save_state(), std::runtime_error);
-
-  // A different batch is refused at the gate...
-  std::vector<proto::ShardSessionAdd> different{{5, city0, 3.0}};
-  const auto refused = exchange.push_session_delta(different, {});
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.error().code, core::Errc::kNotReady);
-
-  // ...while the verbatim retry passes it (and here fails only because the
-  // worker is truly unrecoverable — a healed worker would clear the wedge).
-  const auto retried = exchange.push_session_delta(second, {});
-  ASSERT_FALSE(retried.ok());
-  EXPECT_EQ(retried.error().code, core::Errc::kUnavailable);
+  EXPECT_EQ(round.error().code, core::Errc::kUnavailable);
+  EXPECT_EQ(exchange.rounds_completed(), 1u);
 }
 
 // Coordinator crash: a FRESH ShardedExchange over the same stores resumes
@@ -356,6 +479,31 @@ TEST_F(ShardRecovery, EmbeddedSnapshotRoundTripsAcrossAFreshExchange) {
   other.shards = 2;
   ShardedExchange wrong_plan{scenario(), other};
   EXPECT_FALSE(wrong_plan.restore_state(snapshot).ok());
+}
+
+// The session book moved into the coordinator snapshot in format version
+// 2. A version-1 snapshot (no version section) fails typed instead of
+// being misread, and the refused restore leaves the exchange untouched.
+TEST_F(ShardRecovery, VersionOneCoordinatorSnapshotFailsWithVersionMismatch) {
+  ShardedConfig config;
+  config.shards = 2;
+  ShardedExchange first{scenario(), config};
+  const auto [adds, removes] = churn_delta(scenario(), 0);
+  ASSERT_TRUE(first.push_session_delta(adds, removes).ok());
+  (void)first.run_round();
+  const auto current = state::SnapshotView::parse(first.save_state());
+  ASSERT_TRUE(current.ok());
+
+  state::SnapshotWriter old_format;
+  for (const state::Section& section : current.value().sections()) {
+    if (section.id != 29) old_format.add_section(section.id, section.bytes);
+  }
+  ShardedExchange resumed{scenario(), config};
+  const auto before = resumed.save_state();
+  const auto status = resumed.restore_state(old_format.finish());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, core::Errc::kVersionMismatch);
+  EXPECT_EQ(resumed.save_state(), before);
 }
 
 }  // namespace

@@ -6,10 +6,13 @@
 // every rejected frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/fnv1a.hpp"
 #include "market/shard.hpp"
 #include "proto/fault.hpp"
 #include "proto/shard_wire.hpp"
@@ -49,16 +52,6 @@ std::vector<ShardFrame> corpus() {
     frames.push_back(demand);
   }
   {
-    ShardFrame delta;
-    delta.type = ShardFrameType::kSessionDelta;
-    delta.shard = 1;
-    ShardSessionDelta payload;
-    for (std::uint32_t i = 0; i < 8; ++i) payload.adds.push_back({i, i % 3, 2.4});
-    payload.removes = {100, 101};
-    delta.payload = encode_session_delta(payload);
-    frames.push_back(delta);
-  }
-  {
     ShardFrame collect;
     collect.type = ShardFrameType::kCollect;
     collect.shard = 1;
@@ -95,7 +88,9 @@ TEST(ShardWireFuzz, EveryInjectorMutationIsRejectedWithCorruptFrame) {
         const std::vector<std::uint8_t> wire = encode_shard_frame(frame);
         for (const FaultedFrame& out : injector.apply(round % 8, wire)) {
           const auto decoded = try_decode_shard_frame(out.bytes);
-          if (!out.mutated) {
+          // Two flips of one bit cancel: the injector still flags the copy
+          // as mutated, but its bytes are the original frame's.
+          if (!out.mutated || out.bytes == wire) {
             // An unmutated copy must still decode to the original.
             ASSERT_TRUE(decoded.ok());
             EXPECT_EQ(decoded.value(), frame);
@@ -147,7 +142,22 @@ TEST(ShardWireFuzz, DuplicatedFramesDecodeToTheOriginal) {
   }
 }
 
-/// Configures `worker` (shard 1 of 2) with a populated session ledger —
+/// A kSetDemand frame for shard 1 carrying `groups`.
+ShardFrame set_demand(const std::vector<ShardGroup>& groups) {
+  ShardFrame frame;
+  frame.type = ShardFrameType::kSetDemand;
+  frame.shard = 1;
+  frame.payload = encode_shard_groups(groups);
+  return frame;
+}
+
+/// A demand group on `city` with the given bitrate.
+ShardGroup group_on(std::uint32_t id, std::uint32_t city, double bitrate) {
+  return ShardGroup{id, broker::ClientGroup{broker::ShareId{id}, geo::CityId{city}, 0,
+                                            bitrate, 4.0}};
+}
+
+/// Configures `worker` (shard 1 of 2) with a populated demand slice —
 /// state worth protecting from partial application.
 void configure_worker(market::ShardWorker& worker) {
   ShardFrame hello;
@@ -162,13 +172,9 @@ void configure_worker(market::ShardWorker& worker) {
   hello.payload = encode_shard_hello(payload);
   EXPECT_EQ(worker.handle(hello).type, ShardFrameType::kAck);
 
-  ShardFrame delta;
-  delta.type = ShardFrameType::kSessionDelta;
-  delta.shard = 1;
-  ShardSessionDelta sessions;
-  for (std::uint32_t i = 0; i < 16; ++i) sessions.adds.push_back({i, i % 4, 1.8});
-  delta.payload = encode_session_delta(sessions);
-  EXPECT_EQ(worker.handle(delta).type, ShardFrameType::kAck);
+  std::vector<ShardGroup> slice;
+  for (std::uint32_t i = 0; i < 8; ++i) slice.push_back(group_on(i, i % 4, 1.8));
+  EXPECT_EQ(worker.handle(set_demand(slice)).type, ShardFrameType::kAck);
 }
 
 TEST(ShardWireFuzz, WorkerRejectsMutatedBytesWithoutTouchingState) {
@@ -188,7 +194,7 @@ TEST(ShardWireFuzz, WorkerRejectsMutatedBytesWithoutTouchingState) {
     for (const ShardFrame& frame : corpus()) {
       const std::vector<std::uint8_t> wire = encode_shard_frame(frame);
       for (const FaultedFrame& out : injector.apply(0, wire)) {
-        if (!out.mutated) continue;
+        if (!out.mutated || out.bytes == wire) continue;  // flips cancelled
         bool shutdown = false;
         const auto response_bytes = worker.handle_bytes(out.bytes, &shutdown);
         EXPECT_FALSE(shutdown);
@@ -221,99 +227,132 @@ TEST(ShardWireFuzz, WorkerRejectsWellFormedButInvalidPayloadsAtomically) {
     EXPECT_EQ(worker.save_state(), before);
   };
 
-  // A delta whose LAST add references an unknown city: the valid prefix
-  // must not survive the rejection.
-  ShardFrame bad_city;
-  bad_city.type = ShardFrameType::kSessionDelta;
-  bad_city.shard = 1;
-  ShardSessionDelta payload;
-  payload.adds = {{200, 0, 1.0}, {201, 1, 1.0}, {202, 999, 1.0}};
-  bad_city.payload = encode_session_delta(payload);
-  expect_rejected(bad_city, core::Errc::kInvalidArgument);
+  // A slice whose LAST group references an unknown city: the valid prefix
+  // must not replace the held slice.
+  expect_rejected(set_demand({group_on(0, 0, 1.0), group_on(1, 1, 1.0),
+                              group_on(2, 999, 1.0)}),
+                  core::Errc::kInvalidArgument);
 
-  // Non-finite bitrate.
-  ShardFrame bad_rate = bad_city;
-  payload.adds = {{203, 0, std::numeric_limits<double>::quiet_NaN()}};
-  bad_rate.payload = encode_session_delta(payload);
-  expect_rejected(bad_rate, core::Errc::kInvalidArgument);
-
-  // Re-add of a live session with DIFFERENT attributes.
-  ShardFrame conflict = bad_city;
-  payload.adds = {{0, 2, 9.9}};
-  conflict.payload = encode_session_delta(payload);
-  expect_rejected(conflict, core::Errc::kInvalidArgument);
+  // Non-finite and non-positive bitrates.
+  expect_rejected(
+      set_demand({group_on(0, 0, std::numeric_limits<double>::quiet_NaN())}),
+      core::Errc::kInvalidArgument);
+  expect_rejected(set_demand({group_on(0, 0, -2.0)}), core::Errc::kInvalidArgument);
 
   // A frame addressed to the wrong shard.
   ShardFrame misrouted;
   misrouted.type = ShardFrameType::kCollect;
   misrouted.shard = 3;
   expect_rejected(misrouted, core::Errc::kInvalidArgument);
-
-  // kSetDemand onto a session-fed worker (modes are exclusive).
-  ShardFrame mode_mix;
-  mode_mix.type = ShardFrameType::kSetDemand;
-  mode_mix.shard = 1;
-  mode_mix.payload = encode_shard_groups({});
-  expect_rejected(mode_mix, core::Errc::kInvalidArgument);
 }
 
-// A checksum-valid snapshot whose session set cannot form a ledger (bad
-// bitrate, conflicting duplicate ids) must be rejected with NO partial
-// mutation — rounds/mode/demand/ledger/journal all stay exactly as they
+/// ShardWorker::save_state's core/journal/counters sections (20/21/22)
+/// around an arbitrary demand slice, with the topology configure_worker
+/// pinned; `versioned` adds the version-2 section (19).
+std::vector<std::uint8_t> worker_snapshot_with(const std::vector<ShardGroup>& demand,
+                                               bool versioned) {
+  state::SnapshotWriter writer;
+  if (versioned) {
+    ByteWriter version;
+    version.write_u32(2);
+    writer.add_section(19, version.take());
+  }
+  ByteWriter w;
+  w.write_u32(1);   // shard
+  w.write_u32(2);   // shard_count
+  w.write_u32(4);   // city_count
+  w.write_u64(42);  // plan_hash
+  w.write_u64(3);   // rounds_applied
+  w.write_u64(2);   // last allocation round
+  w.write_u64(2);   // last collect round
+  const auto slice = encode_shard_groups(demand);
+  w.write_u32(static_cast<std::uint32_t>(slice.size()));
+  w.write_bytes(slice);
+  writer.add_section(20, w.take());  // worker core
+  writer.add_section(21, encode_journal_slice({0, 0, {}}));
+  ByteWriter counters;
+  counters.write_u32(0);
+  writer.add_section(22, counters.take());  // counters
+  return writer.finish();
+}
+
+/// The worker's typed rejection of a kRestoreState, or nullopt on success.
+std::optional<core::Errc> restore_error(market::ShardWorker& worker,
+                                        const std::vector<std::uint8_t>& snapshot) {
+  ShardFrame restore;
+  restore.type = ShardFrameType::kRestoreState;
+  restore.shard = 1;
+  restore.payload = snapshot;
+  const ShardFrame response = worker.handle(restore);
+  if (response.type != ShardFrameType::kError) return std::nullopt;
+  const auto error = decode_shard_error(response.payload);
+  return error.ok() ? error.value().code : core::Errc::kCorruptFrame;
+}
+
+// A checksum-valid snapshot whose demand slice no kSetDemand would have
+// been accepted with (unknown city, non-positive bitrate) must be rejected
+// with NO partial mutation — rounds/demand/journal all stay exactly as they
 // were, even though the failure is only discoverable after the envelope
 // and every section decoded cleanly.
-TEST(ShardWireFuzz, WorkerSnapshotWithUnappliableSessionsIsRejectedAtomically) {
+TEST(ShardWireFuzz, WorkerSnapshotWithUnappliableDemandIsRejectedAtomically) {
   market::ShardWorker worker{1};
   configure_worker(worker);
   const std::vector<std::uint8_t> before = worker.save_state();
 
-  // Replicates ShardWorker::save_state's layout (sections 20/21/22) around
-  // an arbitrary session set, with the topology configure_worker pinned.
-  const auto snapshot_with = [](const std::vector<ShardSessionAdd>& sessions) {
-    state::SnapshotWriter writer;
-    ByteWriter w;
-    w.write_u32(1);   // shard
-    w.write_u32(2);   // shard_count
-    w.write_u32(4);   // city_count
-    w.write_u64(42);  // plan_hash
-    w.write_u64(3);   // rounds_applied
-    w.write_u64(2);   // last allocation round
-    w.write_u64(2);   // last collect round
-    w.write_u8(2);    // ShardDemandMode::kSessions
-    const auto demand = encode_shard_groups({});
-    w.write_u32(static_cast<std::uint32_t>(demand.size()));
-    w.write_bytes(demand);
-    w.write_u32(static_cast<std::uint32_t>(sessions.size()));
-    for (const ShardSessionAdd& s : sessions) {
-      w.write_u32(s.id);
-      w.write_u32(s.city);
-      w.write_f64(s.bitrate_mbps);
-    }
-    writer.add_section(20, w.take());  // worker core
-    writer.add_section(21, encode_journal_slice({0, 0, {}}));
-    ByteWriter counters;
-    counters.write_u32(0);
-    writer.add_section(22, counters.take());  // counters
-    return writer.finish();
+  const std::vector<std::vector<ShardGroup>> bad_slices = {
+      {group_on(0, 1, 1.0), group_on(1, 9, 1.0)},  // unknown city
+      {group_on(0, 1, -1.0)},                      // non-positive bitrate
   };
-
-  const std::vector<std::vector<ShardSessionAdd>> bad_sets = {
-      {{900, 0, -1.0}},                    // non-positive bitrate
-      {{901, 0, 1.0}, {901, 1, 1.0}},      // same id, conflicting city
-  };
-  for (const auto& sessions : bad_sets) {
-    ShardFrame restore;
-    restore.type = ShardFrameType::kRestoreState;
-    restore.shard = 1;
-    restore.payload = snapshot_with(sessions);
-    const ShardFrame response = worker.handle(restore);
-    ASSERT_EQ(response.type, ShardFrameType::kError);
-    const auto error = decode_shard_error(response.payload);
-    ASSERT_TRUE(error.ok());
-    EXPECT_EQ(error.value().code, core::Errc::kInvalidArgument);
+  for (const auto& slice : bad_slices) {
+    EXPECT_EQ(restore_error(worker, worker_snapshot_with(slice, true)),
+              core::Errc::kInvalidArgument);
     EXPECT_EQ(worker.save_state(), before)
         << "rejected snapshot partially applied state";
   }
+  // The same layout with a valid slice restores, so the rejections above
+  // were about the slice alone.
+  EXPECT_EQ(restore_error(worker, worker_snapshot_with({group_on(0, 1, 1.0)}, true)),
+            std::nullopt);
+}
+
+// Snapshots from before the session book moved to the coordinator carry no
+// version section: they fail typed instead of being misread.
+TEST(ShardWireFuzz, VersionOneWorkerSnapshotFailsWithVersionMismatch) {
+  market::ShardWorker worker{1};
+  configure_worker(worker);
+  const std::vector<std::uint8_t> before = worker.save_state();
+  EXPECT_EQ(restore_error(worker, worker_snapshot_with({group_on(0, 1, 1.0)}, false)),
+            core::Errc::kVersionMismatch);
+  EXPECT_EQ(worker.save_state(), before);
+}
+
+// Type byte 3 carried per-shard session deltas in protocol version 1. It is
+// retired, not reassigned: a frame using it is corrupt even with a valid
+// checksum, and a worker answers it with kCorruptFrame.
+TEST(ShardWireFuzz, RetiredSessionDeltaTypeByteIsRejected) {
+  ShardFrame collect;
+  collect.type = ShardFrameType::kCollect;
+  collect.shard = 1;
+  std::vector<std::uint8_t> wire = encode_shard_frame(collect);
+  wire[4] = 3;  // the type byte follows the 4-byte magic
+  const std::size_t body = wire.size() - 8;
+  ByteWriter checksum;
+  checksum.write_u64(core::fnv1a64(std::span{wire.data(), body}));
+  std::copy(checksum.data().begin(), checksum.data().end(), wire.begin() + body);
+
+  EXPECT_FALSE(shard_frame_type_known(3));
+  const auto decoded = try_decode_shard_frame(wire);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, core::Errc::kCorruptFrame);
+
+  market::ShardWorker worker{1};
+  configure_worker(worker);
+  const auto response = try_decode_shard_frame(worker.handle_bytes(wire));
+  ASSERT_TRUE(response.ok());
+  ASSERT_EQ(response.value().type, ShardFrameType::kError);
+  const auto error = decode_shard_error(response.value().payload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error.value().code, core::Errc::kCorruptFrame);
 }
 
 // The chaos path delivers EVERY duplicated copy to the worker (no
@@ -323,13 +362,7 @@ TEST(ShardWireFuzz, RedeliveredFramesAreIdempotentAtTheWorker) {
   market::ShardWorker worker{1};
   configure_worker(worker);
 
-  ShardFrame delta;
-  delta.type = ShardFrameType::kSessionDelta;
-  delta.shard = 1;
-  ShardSessionDelta payload;
-  payload.adds = {{500, 0, 2.0}, {501, 1, 4.0}};
-  payload.removes = {0};
-  delta.payload = encode_session_delta(payload);
+  const ShardFrame demand = set_demand({group_on(0, 0, 2.0), group_on(1, 1, 4.0)});
 
   ShardFrame collect;
   collect.type = ShardFrameType::kCollect;
@@ -343,7 +376,7 @@ TEST(ShardWireFuzz, RedeliveredFramesAreIdempotentAtTheWorker) {
   const std::vector<ShardPlacement> placements{{0, 1, 3.0, 0.01, 1.0, 2.0}};
   allocation.payload = encode_allocation(placements);
 
-  for (const ShardFrame& frame : {delta, collect, allocation}) {
+  for (const ShardFrame& frame : {demand, collect, allocation}) {
     const ShardFrame first = worker.handle(frame);
     ASSERT_NE(first.type, ShardFrameType::kError)
         << static_cast<int>(frame.type);
@@ -360,9 +393,9 @@ TEST(ShardWireFuzz, RedeliveredFramesAreIdempotentAtTheWorker) {
 TEST(ShardWireFuzz, UnconfiguredWorkerRefusesEverythingButHello) {
   market::ShardWorker worker{0};
   for (const ShardFrameType type :
-       {ShardFrameType::kSetDemand, ShardFrameType::kSessionDelta,
-        ShardFrameType::kCollect, ShardFrameType::kAllocation,
-        ShardFrameType::kCheckpoint, ShardFrameType::kJournalRequest}) {
+       {ShardFrameType::kSetDemand, ShardFrameType::kCollect,
+        ShardFrameType::kAllocation, ShardFrameType::kCheckpoint,
+        ShardFrameType::kJournalRequest}) {
     ShardFrame frame;
     frame.type = type;
     frame.shard = 0;

@@ -1,13 +1,15 @@
 // SessionStore structural tests: free-list reuse, canonical group order
 // under churn (the erase-on-zero count-map regression), cursor/restore of a
-// store with holes, and an A/B sweep against a map-based reference model of
-// the container this store replaced.
+// store with holes, an A/B sweep against a map-based reference model of
+// the container this store replaced, and the explicit-delta API the shard
+// coordinator's session book uses (slot_of/remove, +inf ends, re-adds).
 #include "sim/session_store.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <tuple>
 #include <vector>
@@ -15,7 +17,16 @@
 namespace vdx::sim {
 namespace {
 
+constexpr double kForever = std::numeric_limits<double>::infinity();
+
 core::CityId city(std::uint32_t c) { return core::CityId{c}; }
+
+/// Ids for_each_live visits, in visiting order.
+std::vector<std::uint32_t> live_ids(const SessionStore& store) {
+  std::vector<std::uint32_t> ids;
+  store.for_each_live([&](std::uint32_t id, std::uint32_t) { ids.push_back(id); });
+  return ids;
+}
 
 /// The container SessionStore replaced: a session map plus a
 /// (city, kbps, isp) count tree, grouped by in-order tree traversal.
@@ -280,6 +291,126 @@ TEST(SessionStore, MatchesMapReferenceModelThroughRandomizedChurn) {
   // The drill must actually have exercised the free list.
   EXPECT_GT(store.free_count() + store.size(), 0u);
   EXPECT_LT(store.slot_capacity(), static_cast<std::size_t>(next_id));
+}
+
+TEST(SessionStore, RemoveThenReAddListsTheIdExactlyOnce) {
+  SessionStore store;
+  for (std::uint32_t id = 0; id < 10; ++id) {
+    ASSERT_TRUE(store.admit(id, city(id % 3), 1.0, kForever, 0.0));
+  }
+  EXPECT_FALSE(store.remove(42));  // unknown id: no-op
+  EXPECT_FALSE(store.slot_of(42).has_value());
+
+  // Same id back into its own (reused) slot: the old order entry must not
+  // come back to life next to the new one.
+  const std::uint32_t slot5 = *store.slot_of(5);
+  ASSERT_TRUE(store.remove(5));
+  EXPECT_FALSE(store.slot_of(5).has_value());
+  EXPECT_FALSE(store.remove(5));
+  ASSERT_TRUE(store.admit(5, city(2), 2.5, kForever, 0.0));
+  EXPECT_EQ(store.slot_of(5), slot5);
+
+  // Same id into a different slot, after a newer id took its old one.
+  ASSERT_TRUE(store.remove(3));
+  ASSERT_TRUE(store.admit(20, city(0), 1.0, kForever, 0.0));
+  ASSERT_TRUE(store.remove(7));
+  ASSERT_TRUE(store.admit(3, city(1), 4.0, kForever, 0.0));
+
+  const std::vector<std::uint32_t> want = {0, 1, 2, 3, 4, 5, 6, 8, 9, 20};
+  EXPECT_EQ(live_ids(store), want);
+  const auto active = store.cursor().active;
+  ASSERT_EQ(active.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(active[i].id, want[i]);
+  EXPECT_EQ(active[3], (state::ActiveSession{3, 1, 4.0, kForever}));
+  EXPECT_EQ(active[5], (state::ActiveSession{5, 2, 2.5, kForever}));
+  EXPECT_EQ(store.size(), want.size());
+}
+
+TEST(SessionStore, ExplicitChurnWithInfiniteEndsNeverGrowsTheDepartureHeap) {
+  SessionStore store;
+  std::uint32_t head = 0;
+  std::uint32_t tail = 0;
+  for (; tail < 500; ++tail) {
+    ASSERT_TRUE(store.admit(tail, city(tail % 9), 1.2, kForever, 0.0));
+  }
+  for (int round = 0; round < 200; ++round) {
+    for (int k = 0; k < 50; ++k) {
+      ASSERT_TRUE(store.admit(tail, city(tail % 9), 3.6, kForever, 0.0));
+      ++tail;
+      ASSERT_TRUE(store.remove(head++));
+    }
+    // Every tenth round one removed id comes back (out-of-order re-add).
+    if (round % 10 == 9) {
+      ASSERT_TRUE(store.admit(head - 7, city(1), 1.2, kForever, 0.0));
+      ASSERT_TRUE(store.remove(head - 7));
+    }
+    EXPECT_EQ(store.drop_until(1e300), 0u);
+  }
+  EXPECT_EQ(store.departure_backlog(), 0u);
+  EXPECT_EQ(store.size(), 500u);
+  EXPECT_EQ(store.slot_capacity(), 501u);  // the free list absorbed the churn
+  EXPECT_EQ(live_ids(store).front(), head);
+}
+
+TEST(SessionStore, CursorRestoreRoundTripsAfterRemoves) {
+  SessionStore store;
+  for (std::uint32_t id = 0; id < 300; ++id) {
+    ASSERT_TRUE(store.admit(id, city(id % 13), 0.8 + (id % 3), kForever, 0.0));
+  }
+  for (std::uint32_t id = 0; id < 300; id += 4) ASSERT_TRUE(store.remove(id));
+  ASSERT_TRUE(store.admit(8, city(5), 6.4, kForever, 0.0));  // a re-add
+
+  const state::StreamCursor snapshot = store.cursor();
+  SessionStore resumed;
+  resumed.restore(snapshot.active);
+  EXPECT_EQ(resumed.cursor().active, snapshot.active);
+  EXPECT_EQ(resumed.departure_backlog(), 0u);
+  {
+    const auto want = store.groups();
+    expect_groups_equal(resumed.groups(),
+                        std::vector<broker::ClientGroup>(want.begin(), want.end()));
+  }
+  // Both must keep evolving identically through further removes/re-adds.
+  for (const std::uint32_t id : {8u, 9u, 12u, 299u}) {
+    EXPECT_EQ(store.remove(id), resumed.remove(id));
+  }
+  EXPECT_EQ(store.admit(12, city(0), 1.0, kForever, 0.0),
+            resumed.admit(12, city(0), 1.0, kForever, 0.0));
+  EXPECT_EQ(store.cursor().active, resumed.cursor().active);
+}
+
+TEST(SessionStore, GroupsEqualGroupSessionsOverTheLiveSet) {
+  std::uint64_t lcg = 0x9E3779B97F4A7C15ull;
+  const auto next = [&lcg](std::uint32_t bound) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>((lcg >> 33) % bound);
+  };
+  SessionStore store;
+  std::map<std::uint32_t, std::pair<std::uint32_t, double>> live;
+  for (int step = 0; step < 3000; ++step) {
+    const std::uint32_t id = next(400);
+    if (live.contains(id)) {
+      ASSERT_TRUE(store.remove(id));
+      live.erase(id);
+    } else {
+      const std::uint32_t c = next(11);
+      const double bitrate = 0.4 * (1 + next(6));
+      ASSERT_TRUE(store.admit(id, city(c), bitrate, kForever, 0.0));
+      live.emplace(id, std::pair{c, bitrate});
+    }
+    if (step % 500 != 499) continue;
+    std::vector<trace::Session> sessions;
+    for (const auto& [sid, data] : live) {
+      trace::Session s;
+      s.id = trace::SessionId{sid};
+      s.city = city(data.first);
+      s.bitrate_mbps = data.second;
+      sessions.push_back(s);
+    }
+    ASSERT_EQ(store.size(), live.size());
+    expect_groups_equal(store.groups(), broker::group_sessions(sessions));
+  }
+  EXPECT_EQ(store.departure_backlog(), 0u);
 }
 
 }  // namespace
