@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 
 #include "core/table.hpp"
-#include "sim/timeline.hpp"
+#include "sim/streaming.hpp"
 
 int main() {
   using namespace vdx;
@@ -22,7 +22,7 @@ int main() {
                      "Mean cost"}};
   table.set_title("Per-epoch assignment churn over the trace hour (5-min rounds)");
   for (const sim::Design design : designs) {
-    sim::TimelineConfig config;
+    sim::StreamingConfig config;
     config.design = design;
     const sim::TimelineResult result = sim::run_timeline(scenario, config);
     double max_switch = 0.0;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "serve/codec.hpp"
-#include "sim/session_store.hpp"
 #include "state/store.hpp"
 
 namespace vdx::serve {
@@ -16,40 +15,6 @@ namespace {
 /// breakers use their shard index; this id cannot collide with one).
 constexpr std::uint32_t kCheckpointerSubject = 0xC4EC;
 }  // namespace
-
-/// The daemon's active population: the same SoA SessionStore the streaming
-/// engine uses, minus the stream coupling — the ArrivalFeed owns the pull
-/// side, the daemon pushes arrivals in and fills the feed position into the
-/// cursor itself.
-class ServeDaemon::ActiveSessions {
- public:
-  /// Ingests one arrival at midpoint t; a session that already ended never
-  /// becomes active (it lived entirely between two samples).
-  void add(const trace::Session& s, double t) {
-    store_.admit(s.id.value(), s.city, s.bitrate_mbps, s.end_s(), t);
-  }
-
-  /// Drops departures with end_s <= t (half-open [arrival, end) activity).
-  void drop_until(double t) { store_.drop_until(t); }
-
-  /// Client groups of the active population — exactly what
-  /// broker::group_sessions would return for it.
-  [[nodiscard]] std::span<const broker::ClientGroup> groups() {
-    return store_.groups();
-  }
-
-  [[nodiscard]] std::size_t count() const noexcept { return store_.size(); }
-
-  /// Active population in id order; the daemon fills in the feed position.
-  [[nodiscard]] state::StreamCursor cursor() const { return store_.cursor(); }
-
-  void restore(const state::StreamCursor& cursor) {
-    store_.restore(cursor.active);
-  }
-
- private:
-  sim::SessionStore store_;
-};
 
 ServeDaemon::ServeDaemon(const sim::Scenario& scenario, ArrivalFeed& feed,
                          ServeConfig config)
@@ -86,7 +51,6 @@ ServeDaemon::ServeDaemon(const sim::Scenario& scenario, ArrivalFeed& feed,
     exchange_ =
         std::make_unique<market::VdxExchange>(scenario_, config_.exchange);
   }
-  active_ = std::make_unique<ActiveSessions>();
   latency_ = std::make_unique<LatencyRecorder>(*obs_.metrics);
   zero_loads_.assign(scenario_.catalog().clusters().size(), 0.0);
 
@@ -128,6 +92,11 @@ core::Result<ServeReport> ServeDaemon::resume(
         "serve resume: the arrival feed cannot seek (live feeds are not "
         "resumable)");
   }
+  // Range-check the cursor first: a rejection must leave the exchange as it
+  // was, and exchange_->restore_state below applies wholesale.
+  const core::Status cursor = sim::check_restorable(
+      cp.feed.active, scenario_.world().cities().size());
+  if (!cursor.ok()) return core::Result<ServeReport>{cursor.error()};
   // Restore order matters: the exchange restore also sets the tracer's
   // logical clock to the exchange's saved value; the daemon's own clock
   // (which may run ahead across skipped rounds) is reapplied after.
@@ -139,7 +108,7 @@ core::Result<ServeReport> ServeDaemon::resume(
     return core::Result<ServeReport>::failure(core::Errc::kCorruptSnapshot,
                                               error.what());
   }
-  active_->restore(cp.feed);
+  sessions_.restore(cp.feed.active);
   if (obs_.journal != nullptr) {
     const core::Status journal = obs_.journal->restore(
         cp.journal.events, cp.journal.total, cp.journal.round);
@@ -166,7 +135,7 @@ state::DaemonCheckpoint ServeDaemon::make_checkpoint(
   state::DaemonCheckpoint cp;
   cp.fingerprint = config_.fingerprint;
   cp.next_round = next_round;
-  cp.feed = active_->cursor();
+  cp.feed = sessions_.cursor();
   cp.feed.consumed = feed_->consumed();
   cp.exchange_state = std::move(exchange_state);
   cp.decision_rounds = decision_rounds_;
@@ -254,7 +223,7 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
         config_.health->set_lifecycle(Lifecycle::kDraining);
       }
       obs_.record(obs::EventKind::kDrain, obs::RunJournal::kNoSubject,
-                  static_cast<double>(active_->count()));
+                  static_cast<double>(sessions_.size()));
       if (store != nullptr) write_checkpoint(r);
       report.drained = true;
       break;
@@ -266,17 +235,19 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
     std::vector<trace::Session> arrivals = feed_->next_until(t);
     std::size_t turned_away = 0;
     if (config_.queue_capacity > 0 &&
-        active_->count() + arrivals.size() > config_.queue_capacity) {
+        sessions_.size() + arrivals.size() > config_.queue_capacity) {
       // Door backpressure: the latest arrivals are rejected outright (they
       // never enter the population the exchange prices).
-      const std::size_t room = config_.queue_capacity > active_->count()
-                                   ? config_.queue_capacity - active_->count()
+      const std::size_t room = config_.queue_capacity > sessions_.size()
+                                   ? config_.queue_capacity - sessions_.size()
                                    : 0;
       turned_away = arrivals.size() - room;
       arrivals.resize(room);
     }
-    for (const trace::Session& s : arrivals) active_->add(s, t);
-    active_->drop_until(t);
+    for (const trace::Session& s : arrivals) {
+      sessions_.admit(s.id.value(), s.city, s.bitrate_mbps, s.end_s(), t);
+    }
+    sessions_.drop_until(t);
     if (!arrivals.empty()) {
       arrivals_counter_.add(static_cast<double>(arrivals.size()));
     }
@@ -286,24 +257,24 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
       obs_.record(obs::EventKind::kAdmit, obs::RunJournal::kNoSubject,
                   static_cast<double>(turned_away));
     }
-    peak_active_ = std::max(peak_active_, static_cast<std::uint64_t>(active_->count()));
+    peak_active_ = std::max(peak_active_, static_cast<std::uint64_t>(sessions_.size()));
     // Brownout step >= 1 sheds non-critical telemetry first: the active-
     // population gauge goes stale while the SLO-critical serve.* histograms
     // keep recording.
     if (!brownout_.skip_noncritical_exports()) {
-      active_gauge_.set(static_cast<double>(active_->count()));
+      active_gauge_.set(static_cast<double>(sessions_.size()));
     }
 
-    if (active_->count() == 0 && feed_->exhausted()) break;
+    if (sessions_.size() == 0 && feed_->exhausted()) break;
 
-    if (active_->count() == 0) {
+    if (sessions_.size() == 0) {
       // Nothing to price: no exchange round, no decision line (the skip is
       // itself deterministic — it depends only on the feed).
       ++skipped_rounds_;
     } else {
-      exchange_->set_active_load(active_->groups(), zero_loads_);
+      exchange_->set_active_load(sessions_.groups(), zero_loads_);
       double demand_mbps = 0.0;
-      for (const broker::ClientGroup& g : active_->groups()) {
+      for (const broker::ClientGroup& g : sessions_.groups()) {
         demand_mbps += g.demand_mbps();
       }
       const std::uint64_t logical_before = obs_.logical_now();
@@ -326,7 +297,7 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
       if (config_.decisions != nullptr) {
         DecisionLine line;
         line.round = r;
-        line.active_sessions = active_->count();
+        line.active_sessions = sessions_.size();
         line.demand_mbps = demand_mbps;
         line.admitted_mbps = demand_mbps - round_report.shed_mbps;
         line.shed_mbps = round_report.shed_mbps;

@@ -35,6 +35,7 @@
 #include "serve/health.hpp"
 #include "serve/latency.hpp"
 #include "sim/scenario.hpp"
+#include "sim/session_store.hpp"
 #include "state/checkpoint.hpp"
 #include "state/fs.hpp"
 
@@ -152,9 +153,11 @@ class ServeDaemon {
   [[nodiscard]] ServeReport run();
 
   /// Resumes from encode(DaemonCheckpoint) bytes: validates the
-  /// fingerprint, seeks the feed (kInvalidArgument when the feed cannot
-  /// seek), restores the exchange/journal/accumulators, then continues the
-  /// loop. The continuation is byte-identical to the uninterrupted run.
+  /// fingerprint and the feed cursor against the scenario (kCorruptSnapshot
+  /// before anything is applied), seeks the feed (kInvalidArgument when the
+  /// feed cannot seek), restores the exchange/journal/accumulators, then
+  /// continues the loop. The continuation is byte-identical to the
+  /// uninterrupted run.
   [[nodiscard]] core::Result<ServeReport> resume(
       std::span<const std::uint8_t> snapshot_bytes);
 
@@ -166,8 +169,6 @@ class ServeDaemon {
   }
 
  private:
-  class ActiveSessions;
-
   [[nodiscard]] ServeReport run_loop(std::uint64_t start_round);
   /// Assembles the checkpoint around an already-captured exchange snapshot
   /// (the caller gathers it via try_save_state so a degraded sharded
@@ -182,7 +183,10 @@ class ServeDaemon {
   /// recorder and the /metrics endpoint need one to exist).
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   std::unique_ptr<market::ExchangeFrontend> exchange_;
-  std::unique_ptr<ActiveSessions> active_;
+  /// Active population (the same SoA store the streaming engine uses; the
+  /// ArrivalFeed owns the pull side, so the daemon admits arrivals itself
+  /// and fills the feed position into checkpoint cursors).
+  sim::SessionStore sessions_;
   std::unique_ptr<LatencyRecorder> latency_;
   std::vector<double> zero_loads_;
   obs::Observer obs_;

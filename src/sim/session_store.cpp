@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace vdx::sim {
 
@@ -252,6 +253,26 @@ void SessionStore::restore(std::span<const state::ActiveSession> active) {
     previous_id = s.id;
     insert(s.id, s.city, 0, s.bitrate_mbps, s.end_s);
   }
+}
+
+core::Status check_restorable(std::span<const state::ActiveSession> active,
+                              std::size_t city_count) {
+  for (const state::ActiveSession& s : active) {
+    const char* bad = nullptr;
+    if (s.city >= city_count) {
+      bad = "city outside the scenario's world";
+    } else if (!std::isfinite(s.bitrate_mbps) || !(s.bitrate_mbps > 0.0)) {
+      bad = "bitrate not finite and positive";
+    } else if (std::isnan(s.end_s)) {
+      bad = "end time is NaN";
+    }
+    if (bad != nullptr) {
+      return core::Status::failure(
+          core::Errc::kCorruptSnapshot,
+          "active session " + std::to_string(s.id) + ": " + bad);
+    }
+  }
+  return core::ok_status();
 }
 
 }  // namespace vdx::sim

@@ -33,6 +33,7 @@
 
 #include "broker/grouping.hpp"
 #include "cdn/cluster.hpp"
+#include "core/result.hpp"
 #include "state/checkpoint.hpp"
 
 namespace vdx::sim {
@@ -188,5 +189,15 @@ class SessionStore {
   std::size_t live_ = 0;
   std::uint32_t assignment_epoch_ = 0;
 };
+
+/// Checks a decoded checkpoint's active list against the scenario before
+/// anything is restored from it: every city must index the world's
+/// `city_count` cities and every bitrate must be finite and > 0 (and no end
+/// time NaN). Snapshot decoders only check grammar and checksums; these are
+/// the values SessionStore and the decision round index or quantize
+/// unchecked. Shared by the timeline and the daemon resume paths so a
+/// rejection is kCorruptSnapshot with nothing applied.
+[[nodiscard]] core::Status check_restorable(std::span<const state::ActiveSession> active,
+                                            std::size_t city_count);
 
 }  // namespace vdx::sim

@@ -107,6 +107,48 @@ class ActiveSet {
   std::size_t pulled_ = 0;
 };
 
+/// Range checks on a decoded checkpoint against the scenario it resumes
+/// into (DESIGN.md §9). decode_timeline only vouches for grammar and
+/// checksums; everything run_impl indexes by a snapshot value is checked
+/// here, before anything is applied.
+core::Status check_checkpoint(const Scenario& scenario,
+                              const state::TimelineCheckpoint& cp) {
+  const std::size_t cities = scenario.world().cities().size();
+  const std::size_t clusters = scenario.catalog().clusters().size();
+  for (const state::StreamCursor* cursor : {&cp.broker, &cp.background}) {
+    const core::Status status = check_restorable(cursor->active, cities);
+    if (!status.ok()) return status;
+  }
+  const auto corrupt = [](const std::string& what) {
+    return core::Status::failure(core::Errc::kCorruptSnapshot, "checkpoint " + what);
+  };
+  for (const auto& [session, cluster] : cp.churn.previous) {
+    if (cluster >= clusters) {
+      return corrupt("churn entry for session " + std::to_string(session) +
+                     " names cluster " + std::to_string(cluster) + " of " +
+                     std::to_string(clusters));
+    }
+  }
+  if (!std::isfinite(cp.churn.sum) || !std::isfinite(cp.churn.weight) ||
+      cp.churn.weight < 0.0) {
+    return corrupt("churn mean state is not finite with weight >= 0");
+  }
+  if (cp.background_loads.empty()) {
+    if (!cp.background_stale) {
+      return corrupt("has no background loads but does not mark them stale");
+    }
+  } else if (cp.background_loads.size() != clusters) {
+    return corrupt("has " + std::to_string(cp.background_loads.size()) +
+                   " background loads for " + std::to_string(clusters) + " clusters");
+  }
+  for (const double load : cp.background_loads) {
+    if (!std::isfinite(load) || load < 0.0) {
+      return corrupt("background load is negative or not finite");
+    }
+  }
+  return core::ok_status();
+}
+
 }  // namespace
 
 StreamingTimeline::StreamingTimeline(const Scenario& scenario, StreamingConfig config)
@@ -125,6 +167,12 @@ StreamingTimeline::StreamingTimeline(const Scenario& scenario, StreamingConfig c
 StreamingResult StreamingTimeline::run(SessionStream& broker,
                                        SessionStream& background) const {
   return run_impl(broker, background, nullptr, 0);
+}
+
+TimelineResult run_timeline(const Scenario& scenario, const StreamingConfig& config) {
+  TraceStream broker{scenario.broker_trace()};
+  TraceStream background{scenario.background_trace()};
+  return StreamingTimeline{scenario, config}.run(broker, background).timeline;
 }
 
 core::Result<StreamingResult> StreamingTimeline::resume(
@@ -148,6 +196,8 @@ core::Result<StreamingResult> StreamingTimeline::resume(
         "checkpoint resumes at epoch " + std::to_string(checkpoint.next_epoch) +
             ", outside the run's " + std::to_string(epochs) + "-epoch horizon");
   }
+  const core::Status in_range = check_checkpoint(*scenario_, checkpoint);
+  if (!in_range.ok()) return core::Result<StreamingResult>{in_range.error()};
   try {
     return run_impl(broker, background, &checkpoint, snapshot.size());
   } catch (const std::invalid_argument& error) {
@@ -168,8 +218,11 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
   const double duration = broker.duration_s();
   const auto epochs = static_cast<std::size_t>(std::ceil(duration / config_.epoch_s));
 
-  // Per-run menu caches, shared by every epoch's round (identical to the
-  // batch engine's — see run_timeline).
+  // Menus are a pure function of the scenario (and the stress state), so
+  // build them once per run and let every epoch's round hit the cache
+  // (cached and uncached menus are byte-identical, DESIGN.md §8).
+  // Background placement needs default-config menus; the design round may
+  // need a trimmed config — share one cache when the two coincide.
   RunConfig base_run = config_.run;
   const std::size_t cities = scenario.world().cities().size();
   std::optional<cdn::CandidateMenuCache> design_cache;

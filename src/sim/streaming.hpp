@@ -1,26 +1,25 @@
 // StreamingTimeline: the timeline simulation as an event-driven engine over
-// a bounded session stream.
+// a bounded session stream — the repo's one timeline engine.
 //
-// run_timeline materializes both traces and rescans every session each
-// epoch (O(trace) per epoch, O(trace) resident), which caps the reachable
-// scale far below the ROADMAP's "millions of users". This engine consumes
-// sessions in arrival order from a SessionStream, maintains the active
-// population incrementally — an arrival cursor plus a departure min-heap
-// delta-update a per-(city, bitrate) group-count map and the per-cluster
-// load inputs — and re-runs the Decision Protocol each epoch over state
-// whose size is the *concurrent* session count, not the horizon total.
-// Background placements are recomputed only when the background population
-// actually changed.
+// The engine consumes sessions in arrival order from a SessionStream,
+// maintains the active population incrementally — an arrival cursor plus a
+// departure min-heap delta-update a per-(city, bitrate) group-count map and
+// the per-cluster load inputs — and re-runs the Decision Protocol each epoch
+// over state whose size is the *concurrent* session count, not the horizon
+// total. Background placements are recomputed only when the background
+// population actually changed. At million-session scale, GeneratorStream
+// feeds it from trace::BrokerTraceGenerator so the full trace never exists
+// in memory; run_timeline feeds it a scenario's materialized traces.
 //
 // Equivalence guarantee (tier-1-checked): driven by TraceStream over a
-// scenario's materialized traces, the engine reproduces run_timeline's
-// epoch reports byte-identically (same groups: the count map mirrors
-// broker::group_sessions' (city, kbps, isp) map order; same assignment:
-// both engines share sim::detail::assign_sessions fed in id order; same
-// rounds: run_design_over with qoe_epoch = e+1 and a per-run
-// CandidateMenuCache, which is byte-identical to uncached menus). At
-// million-session scale, GeneratorStream feeds it from
-// trace::BrokerTraceGenerator so the full trace never exists in memory.
+// scenario's materialized traces, the engine reproduces byte-identically the
+// epoch reports of a from-scratch test oracle (tests/support/
+// reference_timeline.hpp) that rescans both traces at every epoch midpoint,
+// regroups with broker::group_sessions, re-places the background, runs
+// run_design_over with qoe_epoch = e+1 over uncached menus, and assigns
+// sessions through its own (city, kbps) map and quota fill. The engine's
+// incremental bookkeeping and per-run CandidateMenuCache are thus checked
+// against a naive rescan at any thread count and pull size.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +56,8 @@ class SessionStream {
   virtual void seek(std::uint64_t consumed) = 0;
 };
 
-/// Adapter over a materialized trace (seed-scale runs and the equivalence
-/// tests — the sessions fed are exactly the batch engine's).
+/// Adapter over a materialized trace (seed-scale runs, run_timeline and the
+/// equivalence tests).
 class TraceStream final : public SessionStream {
  public:
   explicit TraceStream(const trace::BrokerTrace& trace) : trace_(&trace) {}
@@ -122,7 +121,7 @@ struct OverloadPolicy {
 struct StreamingConfig {
   Design design = Design::kMarketplace;
   RunConfig run;
-  /// Decision Protocol period (matches TimelineConfig::epoch_s).
+  /// Decision Protocol period (paper: every few minutes).
   double epoch_s = 300.0;
   /// Stream pull granularity. Pure mechanics: results are identical for any
   /// value (chunk-boundary determinism), it only trades pull overhead
@@ -158,7 +157,7 @@ struct StreamingResult {
   /// stream batch size, the engine's memory bound (no full-trace residency).
   std::size_t peak_active_sessions = 0;
   /// Epochs that ran a decision round (epochs with no active broker
-  /// sessions are skipped, exactly like run_timeline).
+  /// sessions are skipped and produce no report).
   std::size_t decision_rounds = 0;
   /// Background placements actually recomputed (≤ decision_rounds; the
   /// delta engine reuses the previous placement when no background session
@@ -178,8 +177,11 @@ class StreamingTimeline {
                                     SessionStream& background) const;
 
   /// Resumes a run from a serialized checkpoint: decodes and validates the
-  /// snapshot (typed rejection of corrupt/mismatched-version bytes and of
-  /// fingerprints that disagree with config.checkpoint.fingerprint), seeks
+  /// snapshot (typed rejection of corrupt/mismatched-version bytes, of
+  /// fingerprints that disagree with config.checkpoint.fingerprint, and —
+  /// as kCorruptSnapshot, before anything is applied — of values out of
+  /// range for the scenario: cursor cities/bitrates, churn clusters and
+  /// sums, background loads that are not one per cluster), seeks
   /// both streams, restores the engine/journal state, records a kResume
   /// journal event, and continues from the checkpointed epoch. The epochs
   /// executed after resume are byte-identical — reports, placements,
@@ -199,5 +201,12 @@ class StreamingTimeline {
   const Scenario* scenario_;
   StreamingConfig config_;
 };
+
+/// Plays the scenario's materialized broker and background traces through
+/// the engine (two TraceStreams into StreamingTimeline::run) and returns the
+/// epoch reports. Throws std::invalid_argument on the config errors the
+/// StreamingTimeline constructor rejects.
+[[nodiscard]] TimelineResult run_timeline(const Scenario& scenario,
+                                          const StreamingConfig& config = {});
 
 }  // namespace vdx::sim

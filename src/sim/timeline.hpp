@@ -1,8 +1,8 @@
-// Time-dynamics simulation: re-running the Decision Protocol periodically
-// over the trace hour.
+// Time-dynamics simulation: the result types of re-running the Decision
+// Protocol periodically over a trace.
 //
-// The snapshot evaluation freezes one protocol round; this module plays the
-// hour back in epochs (the paper: decisions re-run "every few minutes",
+// The snapshot evaluation freezes one protocol round; the timeline plays the
+// horizon back in epochs (the paper: decisions re-run "every few minutes",
 // §4.1) with the then-active sessions, and measures *assignment churn* —
 // the fraction of sessions surviving from one epoch to the next whose
 // serving CDN changed. Under today's Brokered interface the broker's QoE
@@ -11,6 +11,10 @@
 // over announced (stable) cluster data, so assignments only move when
 // demand actually moves (§6.2: "traffic unpredictability is greatly reduced
 // in VDX as CDNs are explicitly involved before brokers move any traffic").
+//
+// The one engine producing these reports is sim::StreamingTimeline
+// (sim/streaming.hpp); run_timeline, declared there, is its adapter over a
+// scenario's materialized traces.
 #pragma once
 
 #include <vector>
@@ -19,13 +23,6 @@
 #include "sim/metrics.hpp"
 
 namespace vdx::sim {
-
-struct TimelineConfig {
-  Design design = Design::kMarketplace;
-  RunConfig run;
-  /// Decision Protocol period (paper: every few minutes).
-  double epoch_s = 300.0;
-};
 
 struct EpochReport {
   std::size_t epoch = 0;
@@ -53,9 +50,5 @@ struct TimelineResult {
   /// Time-weighted mean CDN-switch fraction over epochs 1..n.
   double mean_cdn_switch_fraction = 0.0;
 };
-
-/// Plays the scenario's broker trace through repeated decision rounds.
-[[nodiscard]] TimelineResult run_timeline(const Scenario& scenario,
-                                          const TimelineConfig& config = {});
 
 }  // namespace vdx::sim

@@ -2,24 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
-#include <unordered_map>
 
 namespace vdx::sim::detail {
 
-std::uint64_t group_key(geo::CityId city, double bitrate_mbps) {
-  const auto kbps = static_cast<std::uint64_t>(std::llround(bitrate_mbps * 1000.0));
-  return (static_cast<std::uint64_t>(city.value()) << 32) | kbps;
-}
+Assignment assign_sessions(SessionStore& store, const DesignOutcome& outcome) {
+  const auto groups = store.groups();
+  // Sessions of each group in id order.
+  std::vector<std::vector<std::uint32_t>> sessions_of(groups.size());
+  store.for_each_live([&](std::uint32_t id, std::uint32_t slot) {
+    sessions_of[store.group_of_slot(slot)].push_back(id);
+  });
 
-namespace {
-
-/// Shared tail of both assign_sessions overloads: the sequential quota fill
-/// distributing each group's placements (cluster order) over its sessions
-/// (id order), then the canonical id sort.
-Assignment fill_quotas(std::span<const broker::ClientGroup> groups,
-                       const std::vector<std::vector<std::uint32_t>>& sessions_of,
-                       const DesignOutcome& outcome) {
   // Group -> ordered placements.
   std::vector<std::vector<const Placement*>> per_group(groups.size());
   for (const Placement& p : outcome.placements) per_group[p.group].push_back(&p);
@@ -30,9 +23,7 @@ Assignment fill_quotas(std::span<const broker::ClientGroup> groups,
   }
 
   Assignment assignment;
-  assignment.reserve(
-      std::accumulate(sessions_of.begin(), sessions_of.end(), std::size_t{0},
-                      [](std::size_t n, const auto& v) { return n + v.size(); }));
+  assignment.reserve(store.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
     const auto& list = per_group[g];
     if (list.empty()) continue;
@@ -56,34 +47,6 @@ Assignment fill_quotas(std::span<const broker::ClientGroup> groups,
   std::sort(assignment.begin(), assignment.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return assignment;
-}
-
-}  // namespace
-
-Assignment assign_sessions(std::span<const SessionRef> sessions,
-                           std::span<const broker::ClientGroup> groups,
-                           const DesignOutcome& outcome) {
-  std::unordered_map<std::uint64_t, std::size_t> group_of_key;
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    group_of_key.emplace(group_key(groups[g].city, groups[g].bitrate_mbps), g);
-  }
-
-  // Sessions of each group in id order.
-  std::vector<std::vector<std::uint32_t>> sessions_of(groups.size());
-  for (const SessionRef& s : sessions) {
-    const auto it = group_of_key.find(group_key(s.city, s.bitrate_mbps));
-    if (it != group_of_key.end()) sessions_of[it->second].push_back(s.id);
-  }
-  return fill_quotas(groups, sessions_of, outcome);
-}
-
-Assignment assign_sessions(SessionStore& store, const DesignOutcome& outcome) {
-  const auto groups = store.groups();
-  std::vector<std::vector<std::uint32_t>> sessions_of(groups.size());
-  store.for_each_live([&](std::uint32_t id, std::uint32_t slot) {
-    sessions_of[store.group_of_slot(slot)].push_back(id);
-  });
-  return fill_quotas(groups, sessions_of, outcome);
 }
 
 ChurnTracker::Saved ChurnTracker::save() const {

@@ -1,34 +1,17 @@
-// Internals shared by the batch (run_timeline) and streaming
-// (StreamingTimeline) engines.
-//
-// Both engines must produce byte-identical epoch reports on the same
-// scenario (the streaming engine's acceptance invariant), so everything a
-// report depends on — session→cluster assignment, churn bookkeeping — lives
-// here and is used by both. Exposed (under ::detail) for the property and
-// regression tests that pin these semantics.
+// Internals of the timeline engine (sim::StreamingTimeline): the
+// session→cluster assignment and the churn bookkeeping every epoch report
+// depends on. Exposed (under ::detail) for the property and regression
+// tests that pin these semantics, and for the benchmark's stage profile.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
-#include "broker/grouping.hpp"
 #include "sim/session_store.hpp"
 #include "sim/timeline.hpp"
 
 namespace vdx::sim::detail {
-
-/// The per-session fields assignment needs. Both engines hand these over in
-/// session-id order (trace ids are dense in arrival order).
-struct SessionRef {
-  std::uint32_t id = 0;
-  geo::CityId city;
-  double bitrate_mbps = 0.0;
-};
-
-/// Grouping key matching broker::group_sessions (city, quantized bitrate).
-[[nodiscard]] std::uint64_t group_key(geo::CityId city, double bitrate_mbps);
 
 /// session id -> serving cluster for one epoch, as id-ascending pairs (each
 /// id at most once). The flat canonical order makes churn comparison a
@@ -37,15 +20,10 @@ struct SessionRef {
 using Assignment = std::vector<std::pair<std::uint32_t, cdn::ClusterId>>;
 
 /// Distributes each group's winning placements over its individual sessions
-/// deterministically (sessions in id order, placements in cluster order).
-/// Sessions whose group won no placement are absent from the result.
-[[nodiscard]] Assignment assign_sessions(std::span<const SessionRef> sessions,
-                                         std::span<const broker::ClientGroup> groups,
-                                         const DesignOutcome& outcome);
-
-/// Store-aware variant: reads the population straight out of the SoA store
-/// (group membership via its dense (rung, city) cells — no key hashing, no
-/// materialized SessionRef copy). `store.groups()` must be the `groups` the
+/// deterministically (sessions in id order, placements in cluster order),
+/// reading the population straight out of the SoA store (group membership
+/// via its dense (rung, city) cells). Sessions whose group won no placement
+/// are absent from the result. `store.groups()` must be the `groups` the
 /// outcome was computed over, i.e. no mutation in between.
 [[nodiscard]] Assignment assign_sessions(SessionStore& store,
                                          const DesignOutcome& outcome);

@@ -2,8 +2,9 @@
 // summaries.
 //
 // These are the byte-compare surfaces: the golden-snapshot suite commits
-// these lines under tests/golden/, and the streaming-vs-batch equivalence
-// tests diff them byte-for-byte. Doubles are rendered with %.17g (the
+// these lines under tests/golden/, and the equivalence tests diff the
+// timeline engine's against the from-scratch reference oracle's
+// byte-for-byte. Doubles are rendered with %.17g (the
 // repo-wide deterministic export format, same as vdx::obs), so two runs are
 // equal iff every derived quantity is bit-equal.
 #pragma once

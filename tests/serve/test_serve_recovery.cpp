@@ -4,6 +4,7 @@
 // decision stream and journal are byte-identical to an uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -12,6 +13,7 @@
 #include "serve/codec.hpp"
 #include "serve/daemon.hpp"
 #include "serve_util.hpp"
+#include "state/checkpoint.hpp"
 #include "state/store.hpp"
 
 namespace vdx::serve {
@@ -188,6 +190,65 @@ TEST(ServeRecovery, ResumeRejectsCorruptSnapshot) {
   const auto resumed = daemon.resume(bytes);
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.error().code, core::Errc::kCorruptSnapshot);
+}
+
+TEST(ServeRecovery, ResumeRejectsOutOfRangeCursorWithoutApplyingAnything) {
+  TempDir dir{"resume_out_of_range"};
+  HarnessOptions options;
+  options.checkpoint_every = 7;
+  options.checkpoint_dir = dir.path();
+  options.halt_after = 10;
+  (void)run_serve(options);
+
+  const state::CheckpointStore store{dir.path()};
+  auto loaded = store.load_latest(
+      [](std::span<const std::uint8_t>) { return core::ok_status(); });
+  ASSERT_TRUE(loaded.ok());
+  auto decoded = state::decode_daemon(loaded.value().bytes);
+  ASSERT_TRUE(decoded.ok());
+  const state::DaemonCheckpoint checkpoint = decoded.value();
+  ASSERT_FALSE(checkpoint.feed.active.empty());
+
+  options.halt_after = 0;
+  options.checkpoint_every = 0;
+  std::ostringstream clean_decisions;
+  {
+    GeneratorFeed feed = test::make_feed(options);
+    ServeDaemon daemon{test::test_scenario(), feed,
+                       test::config_for(options, {}, &clean_decisions)};
+    (void)daemon.run();
+  }
+
+  const auto cities =
+      static_cast<std::uint32_t>(test::test_scenario().world().cities().size());
+  const struct {
+    const char* what;
+    std::uint32_t city;
+    double bitrate;
+  } cases[] = {
+      {"city far outside the world", 100'000, 1.0},
+      {"city one past the world", cities, 1.0},
+      {"zero bitrate", 0, 0.0},
+      {"NaN bitrate", 0, std::nan("")},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    state::DaemonCheckpoint bad = checkpoint;
+    bad.feed.active.front().city = c.city;
+    bad.feed.active.front().bitrate_mbps = c.bitrate;
+
+    GeneratorFeed feed = test::make_feed(options);
+    std::ostringstream decisions;
+    ServeDaemon daemon{test::test_scenario(), feed,
+                       test::config_for(options, {}, &decisions)};
+    const auto resumed = daemon.resume(state::encode(bad));
+    ASSERT_FALSE(resumed.ok());
+    EXPECT_EQ(resumed.error().code, core::Errc::kCorruptSnapshot);
+    // Nothing was applied — not the exchange state either: the same daemon
+    // then serves from round 0 exactly like one that never saw the snapshot.
+    (void)daemon.run();
+    EXPECT_EQ(decisions.str(), clean_decisions.str());
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Golden-snapshot regression suite (ISSUE 4): canonical JSONL outputs —
-// timeline epoch reports and snapshot placement summaries — for three
-// seeds, diffed byte-for-byte against tests/golden/. Any change to the
-// decision pipeline's numerics shows up here as a reviewable line diff;
+// Golden-snapshot regression suite: canonical JSONL outputs — timeline
+// epoch reports (run_timeline, i.e. the StreamingTimeline engine over the
+// scenario's materialized traces) and snapshot placement summaries — for
+// three seeds, diffed byte-for-byte against tests/golden/. Any change to
+// the decision pipeline's numerics shows up here as a reviewable line diff;
 // intentional changes regenerate with --update-golden.
 #include <gtest/gtest.h>
 
@@ -20,7 +21,7 @@ Scenario golden_scenario(std::uint64_t seed) {
 }
 
 std::string timeline_jsonl(const Scenario& scenario, Design design) {
-  TimelineConfig config;
+  StreamingConfig config;
   config.design = design;
   return epoch_reports_jsonl(run_timeline(scenario, config));
 }
@@ -50,20 +51,6 @@ TEST_P(GoldenTest, PlacementSummaryMatchesSnapshot) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GoldenTest, ::testing::Values(7u, 55u, 2017u));
-
-TEST(GoldenStreamingTest, StreamingEngineMatchesTheSameSnapshots) {
-  // The streaming engine must hit the very same goldens as the batch
-  // engine — a second, independent witness of the equivalence guarantee.
-  const Scenario scenario = golden_scenario(7);
-  StreamingConfig config;
-  config.design = Design::kMarketplace;
-  TraceStream broker{scenario.broker_trace()};
-  TraceStream background{scenario.background_trace()};
-  const StreamingResult result =
-      StreamingTimeline{scenario, config}.run(broker, background);
-  EXPECT_TRUE(test::golden_compare("timeline_marketplace_seed7.jsonl",
-                                   epoch_reports_jsonl(result.timeline)));
-}
 
 }  // namespace
 }  // namespace vdx::sim

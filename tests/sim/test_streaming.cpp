@@ -1,7 +1,7 @@
-// StreamingTimeline acceptance: the streaming engine reproduces the batch
-// engine's epoch reports byte-identically (ISSUE 4 acceptance criterion),
-// at --threads 1 and --threads 8, for several designs; plus the engine's
-// resource-accounting invariants.
+// StreamingTimeline acceptance: the engine reproduces the from-scratch
+// reference timeline's epoch reports byte-identically (DESIGN.md §9), at
+// --threads 1 and --threads 8, for several designs and pull sizes; plus the
+// engine's resource-accounting invariants.
 #include "sim/streaming.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 
 #include "obs/observe.hpp"
 #include "sim/timeline_io.hpp"
+#include "support/reference_timeline.hpp"
 
 namespace vdx::sim {
 namespace {
@@ -23,15 +24,10 @@ std::size_t env_threads(std::size_t fallback) {
   return fallback;
 }
 
-/// Runs batch and streaming over the same scenario and diffs the serialized
-/// epoch reports byte-for-byte.
+/// Runs the engine and the reference oracle over the same scenario and diffs
+/// the serialized epoch reports byte-for-byte.
 void expect_equivalent(const Scenario& scenario, Design design, std::size_t threads,
                        std::size_t batch_sessions) {
-  TimelineConfig batch;
-  batch.design = design;
-  batch.run.threads = threads;
-  const TimelineResult batch_result = run_timeline(scenario, batch);
-
   StreamingConfig streaming;
   streaming.design = design;
   streaming.run.threads = threads;
@@ -42,7 +38,7 @@ void expect_equivalent(const Scenario& scenario, Design design, std::size_t thre
       StreamingTimeline{scenario, streaming}.run(broker, background);
 
   EXPECT_EQ(epoch_reports_jsonl(streamed.timeline),
-            epoch_reports_jsonl(batch_result))
+            epoch_reports_jsonl(test::reference_timeline(scenario, streaming)))
       << "design=" << to_string(design) << " threads=" << threads
       << " batch_sessions=" << batch_sessions;
 }
@@ -69,15 +65,15 @@ class StreamingSeedScaleTest : public ::testing::Test {
 
 Scenario* StreamingSeedScaleTest::scenario_ = nullptr;
 
-TEST_F(StreamingSeedScaleTest, MatchesBatchByteForByteSingleThread) {
+TEST_F(StreamingSeedScaleTest, MatchesReferenceByteForByteSingleThread) {
   expect_equivalent(scenario(), Design::kMarketplace, 1, 512);
 }
 
-TEST_F(StreamingSeedScaleTest, MatchesBatchByteForByteEightThreads) {
+TEST_F(StreamingSeedScaleTest, MatchesReferenceByteForByteEightThreads) {
   expect_equivalent(scenario(), Design::kMarketplace, 8, 512);
 }
 
-TEST_F(StreamingSeedScaleTest, MatchesBatchForBrokeredDesign) {
+TEST_F(StreamingSeedScaleTest, MatchesReferenceForBrokeredDesign) {
   // Brokered exercises the blurred-QoE path (qoe_epoch-dependent scores).
   expect_equivalent(scenario(), Design::kBrokered, 1, 512);
 }
@@ -130,7 +126,7 @@ TEST_F(StreamingSmallTest, PerSessionPullsMatchBulkPullsByteForByte) {
   // Regression for the count-map churn bug: pulling one session at a time
   // maximizes erase-on-zero/reinsert churn in the active population between
   // epochs. With the dense count arrays the export must not depend on that
-  // history at all — byte-identical to one-big-pull, and to the batch engine.
+  // history at all — byte-identical to one-big-pull, and to the reference.
   expect_equivalent(scenario(), Design::kMarketplace, 1, 1);
 
   StreamingConfig config;

@@ -1,4 +1,4 @@
-#include "sim/timeline.hpp"
+#include "sim/streaming.hpp"
 
 #include <gtest/gtest.h>
 
@@ -26,7 +26,7 @@ class TimelineTest : public ::testing::Test {
 Scenario* TimelineTest::scenario_ = nullptr;
 
 TEST_F(TimelineTest, CoversTheFullTraceHour) {
-  TimelineConfig config;
+  StreamingConfig config;
   config.epoch_s = 300.0;
   const TimelineResult result = run_timeline(scenario(), config);
   EXPECT_EQ(result.epochs.size(), 12u);  // 3600 / 300
@@ -41,7 +41,7 @@ TEST_F(TimelineTest, CoversTheFullTraceHour) {
 }
 
 TEST_F(TimelineTest, BrokeredChurnsLikeFigure4) {
-  TimelineConfig config;
+  StreamingConfig config;
   config.design = Design::kBrokered;
   const TimelineResult result = run_timeline(scenario(), config);
   // Fig. 4: ~40% of sessions moved; our per-epoch re-decisions land in a
@@ -51,9 +51,9 @@ TEST_F(TimelineTest, BrokeredChurnsLikeFigure4) {
 }
 
 TEST_F(TimelineTest, MarketplaceIsDramaticallyMoreStable) {
-  TimelineConfig brokered;
+  StreamingConfig brokered;
   brokered.design = Design::kBrokered;
-  TimelineConfig marketplace;
+  StreamingConfig marketplace;
   marketplace.design = Design::kMarketplace;
   const TimelineResult churny = run_timeline(scenario(), brokered);
   const TimelineResult stable = run_timeline(scenario(), marketplace);
@@ -63,13 +63,13 @@ TEST_F(TimelineTest, MarketplaceIsDramaticallyMoreStable) {
 }
 
 TEST_F(TimelineTest, RejectsBadEpoch) {
-  TimelineConfig config;
+  StreamingConfig config;
   config.epoch_s = 0.0;
   EXPECT_THROW((void)run_timeline(scenario(), config), std::invalid_argument);
 }
 
 TEST_F(TimelineTest, DeterministicAcrossRuns) {
-  TimelineConfig config;
+  StreamingConfig config;
   const TimelineResult a = run_timeline(scenario(), config);
   const TimelineResult b = run_timeline(scenario(), config);
   ASSERT_EQ(a.epochs.size(), b.epochs.size());

@@ -1,11 +1,11 @@
-// Property-based invariants of the timeline engines (ISSUE 4): across
-// randomized seeds/configs — conservation (every active session assigned
-// exactly once per epoch), monotone session clocks, churn fractions in
-// [0,1], streaming-vs-batch equivalence — plus the epoch-boundary
-// regression tests pinning the half-open activity convention (the audited
-// "double-counted churn denominator" off-by-one: the audit found the
-// half-open midpoint sampling cannot double-count, and these tests keep it
-// that way).
+// Property-based invariants of the timeline engine: across randomized
+// seeds/configs — conservation (every active session assigned exactly once
+// per epoch), monotone session clocks, churn fractions in [0,1], engine-vs-
+// reference equivalence (the from-scratch oracle, support/
+// reference_timeline.hpp) — plus the epoch-boundary regression tests
+// pinning the half-open activity convention (the audited "double-counted
+// churn denominator" off-by-one: the audit found the half-open midpoint
+// sampling cannot double-count, and these tests keep it that way).
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,6 +13,7 @@
 #include "sim/streaming.hpp"
 #include "sim/timeline_detail.hpp"
 #include "sim/timeline_io.hpp"
+#include "support/reference_timeline.hpp"
 
 namespace vdx::sim {
 namespace {
@@ -73,25 +74,21 @@ TEST(TimelineProperties, HoldAcrossSeedsConfigsAndBothEngines) {
                                       << " design=" << to_string(c.design));
     const Scenario scenario = small_scenario(c.seed, c.sessions);
 
-    TimelineConfig batch;
-    batch.design = c.design;
-    batch.epoch_s = c.epoch_s;
-    const TimelineResult batch_result = run_timeline(scenario, batch);
-    expect_report_invariants(batch_result, c.epoch_s);
-
     StreamingConfig streaming;
     streaming.design = c.design;
     streaming.epoch_s = c.epoch_s;
     streaming.batch_sessions = 128;
+    const TimelineResult reference = test::reference_timeline(scenario, streaming);
+    expect_report_invariants(reference, c.epoch_s);
+
     TraceStream broker{scenario.broker_trace()};
     TraceStream background{scenario.background_trace()};
     const StreamingResult streamed =
         StreamingTimeline{scenario, streaming}.run(broker, background);
     expect_report_invariants(streamed.timeline, c.epoch_s);
 
-    // Streaming-vs-batch equivalence, byte-for-byte.
-    EXPECT_EQ(epoch_reports_jsonl(streamed.timeline),
-              epoch_reports_jsonl(batch_result));
+    // Engine-vs-reference equivalence, byte-for-byte.
+    EXPECT_EQ(epoch_reports_jsonl(streamed.timeline), epoch_reports_jsonl(reference));
   }
 }
 

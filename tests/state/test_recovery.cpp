@@ -342,6 +342,128 @@ TEST(RecoveryDrill, ResumeRejectsOutOfHorizonCheckpoint) {
   EXPECT_EQ(resumed.error().code, core::Errc::kCorruptSnapshot);
 }
 
+/// An epoch-1 checkpoint whose every range-checked value sits just inside
+/// the scenario: the last city and cluster, a positive bitrate, zero churn
+/// weight, one finite background load per cluster. Each cursor has consumed
+/// one session (the decoder requires consumed >= active); the active id lies
+/// past the trace, so it never collides with a session the stream pulls.
+state::TimelineCheckpoint in_range_checkpoint(const Scenario& scenario) {
+  const auto cities = static_cast<std::uint32_t>(scenario.world().cities().size());
+  const auto clusters = static_cast<std::uint32_t>(scenario.catalog().clusters().size());
+  state::TimelineCheckpoint checkpoint;
+  checkpoint.fingerprint = fingerprint_for(11);
+  checkpoint.next_epoch = 1;
+  checkpoint.broker.consumed = 1;
+  checkpoint.broker.active = {{5'000'000, cities - 1, 1.5, 1e9}};
+  checkpoint.background.consumed = 1;
+  checkpoint.background.active = {{5'000'000, cities - 1, 0.8, 1e9}};
+  checkpoint.churn.previous = {{5'000'000, clusters - 1}};
+  checkpoint.background_loads.assign(clusters, 0.0);
+  checkpoint.background_stale = false;
+  return checkpoint;
+}
+
+core::Result<StreamingResult> resume_checkpoint(const Scenario& scenario,
+                                                const state::TimelineCheckpoint& cp) {
+  StreamingConfig config;
+  config.epoch_s = kEpochSeconds;
+  config.checkpoint.fingerprint = fingerprint_for(11);
+  TraceStream broker{scenario.broker_trace()};
+  TraceStream background{scenario.background_trace()};
+  return StreamingTimeline{scenario, config}.resume(broker, background,
+                                                    state::encode(cp));
+}
+
+void expect_corrupt(const Scenario& scenario, const state::TimelineCheckpoint& cp) {
+  const auto resumed = resume_checkpoint(scenario, cp);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.error().code, core::Errc::kCorruptSnapshot)
+      << resumed.error().message;
+}
+
+TEST(RecoveryDrill, ResumeAcceptsCheckpointValuesAtTheEdgeOfTheScenario) {
+  // The control for the out-of-range cases below: each of them breaks one
+  // value of this checkpoint, which resumes and runs to the horizon.
+  const Scenario scenario = build_scenario(11);
+  const auto resumed = resume_checkpoint(scenario, in_range_checkpoint(scenario));
+  ASSERT_TRUE(resumed.ok()) << resumed.error().message;
+  EXPECT_FALSE(resumed.value().timeline.epochs.empty());
+}
+
+TEST(RecoveryDrill, ResumeRejectsCursorSessionOutsideTheWorld) {
+  const Scenario scenario = build_scenario(11);
+  const auto cities = static_cast<std::uint32_t>(scenario.world().cities().size());
+  for (const std::uint32_t city : {cities, std::uint32_t{100'000}}) {
+    SCOPED_TRACE(::testing::Message() << "city=" << city);
+    state::TimelineCheckpoint broker = in_range_checkpoint(scenario);
+    broker.broker.active.front().city = city;
+    expect_corrupt(scenario, broker);
+    state::TimelineCheckpoint background = in_range_checkpoint(scenario);
+    background.background.active.front().city = city;
+    expect_corrupt(scenario, background);
+  }
+}
+
+TEST(RecoveryDrill, ResumeRejectsCursorBitrateThatIsNotFinitePositive) {
+  const Scenario scenario = build_scenario(11);
+  for (const double bitrate : {0.0, -1.5, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(::testing::Message() << "bitrate=" << bitrate);
+    state::TimelineCheckpoint checkpoint = in_range_checkpoint(scenario);
+    checkpoint.broker.active.front().bitrate_mbps = bitrate;
+    expect_corrupt(scenario, checkpoint);
+  }
+}
+
+TEST(RecoveryDrill, ResumeRejectsChurnClusterOutsideTheCatalog) {
+  const Scenario scenario = build_scenario(11);
+  const auto clusters = static_cast<std::uint32_t>(scenario.catalog().clusters().size());
+  for (const std::uint32_t cluster : {clusters, std::uint32_t{999'999}}) {
+    SCOPED_TRACE(::testing::Message() << "cluster=" << cluster);
+    state::TimelineCheckpoint checkpoint = in_range_checkpoint(scenario);
+    checkpoint.churn.previous.front().second = cluster;
+    expect_corrupt(scenario, checkpoint);
+  }
+}
+
+TEST(RecoveryDrill, ResumeRejectsChurnMeanThatIsNotFinite) {
+  const Scenario scenario = build_scenario(11);
+  state::TimelineCheckpoint nan_sum = in_range_checkpoint(scenario);
+  nan_sum.churn.sum = std::nan("");
+  expect_corrupt(scenario, nan_sum);
+  state::TimelineCheckpoint infinite_weight = in_range_checkpoint(scenario);
+  infinite_weight.churn.weight = HUGE_VAL;
+  expect_corrupt(scenario, infinite_weight);
+  state::TimelineCheckpoint negative_weight = in_range_checkpoint(scenario);
+  negative_weight.churn.weight = -1.0;
+  expect_corrupt(scenario, negative_weight);
+}
+
+TEST(RecoveryDrill, ResumeRejectsBackgroundLoadsThatAreNotOnePerCluster) {
+  const Scenario scenario = build_scenario(11);
+  // Three loads marked fresh: the round would index past them.
+  state::TimelineCheckpoint short_fresh = in_range_checkpoint(scenario);
+  short_fresh.background_loads = {1.0, 2.0, 3.0};
+  expect_corrupt(scenario, short_fresh);
+  // A stale mark does not excuse a wrong size either.
+  state::TimelineCheckpoint short_stale = short_fresh;
+  short_stale.background_stale = true;
+  expect_corrupt(scenario, short_stale);
+  // Empty loads are only meaningful when they are to be recomputed.
+  state::TimelineCheckpoint empty_fresh = in_range_checkpoint(scenario);
+  empty_fresh.background_loads.clear();
+  expect_corrupt(scenario, empty_fresh);
+  for (const double load : {-1.0, std::nan(""), HUGE_VAL}) {
+    SCOPED_TRACE(::testing::Message() << "load=" << load);
+    state::TimelineCheckpoint bad_value = in_range_checkpoint(scenario);
+    bad_value.background_loads.back() = load;
+    expect_corrupt(scenario, bad_value);
+  }
+  // Empty and stale is how every run starts: accepted.
+  state::TimelineCheckpoint empty_stale = empty_fresh;
+  empty_stale.background_stale = true;
+  EXPECT_TRUE(resume_checkpoint(scenario, empty_stale).ok());
+}
+
 TEST(RecoveryDrill, ResumeRejectsInternallyInconsistentCursor) {
   const Scenario scenario = build_scenario(11);
   state::TimelineCheckpoint checkpoint;

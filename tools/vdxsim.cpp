@@ -224,13 +224,15 @@ int cmd_timeline(Flags& flags) {
   if (hours > 0.0) scenario_config.trace.duration_s = hours * 3600.0;
   const double epoch_s = flags.positive("epoch", 300.0);
 
+  // Both paths run sim::StreamingTimeline; --stream only picks the source.
+  // Without it the engine replays the scenario's materialized traces.
   if (!flags.boolean("stream")) {
     for (const char* checkpoint_flag :
          {"checkpoint-every", "checkpoint-dir", "keep", "resume-from"}) {
       if (flags.has(checkpoint_flag)) {
         throw std::invalid_argument{std::string{"--"} + checkpoint_flag +
-                                    " requires --stream (checkpointing is a "
-                                    "streaming-engine feature)"};
+                                    " requires --stream (checkpoints fingerprint "
+                                    "the generator-fed run)"};
       }
     }
     for (const char* stress_flag : {"scenario", "spike-city", "spike-factor",
@@ -238,12 +240,12 @@ int cmd_timeline(Flags& flags) {
                                     "shed-budget"}) {
       if (flags.has(stress_flag)) {
         throw std::invalid_argument{std::string{"--"} + stress_flag +
-                                    " requires --stream (stress scenarios run "
-                                    "on the streaming engine)"};
+                                    " requires --stream (stress scenarios are "
+                                    "wired to the generator-fed run)"};
       }
     }
     const sim::Scenario scenario = sim::Scenario::build(scenario_config);
-    sim::TimelineConfig config;
+    sim::StreamingConfig config;
     config.design = *design;
     config.run = run_config_from(flags);
     config.epoch_s = epoch_s;
