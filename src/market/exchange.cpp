@@ -402,13 +402,10 @@ void write_f64_vector(proto::ByteWriter& out, std::span<const double> values) {
 }
 
 std::vector<double> read_f64_vector(proto::ByteReader& in) {
-  const std::uint64_t count = in.read_u64();
-  if (count * 8 > in.remaining()) {
-    throw std::invalid_argument{"f64 vector count overruns the section"};
-  }
+  const std::size_t count = in.read_count(8);
   std::vector<double> values;
-  values.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) values.push_back(in.read_f64());
+  values.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) values.push_back(in.read_f64());
   return values;
 }
 
@@ -567,12 +564,9 @@ core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes) {
     }
     {
       proto::ByteReader in{broker_section->bytes};
-      const std::uint64_t reputation_count = in.read_u64();
-      if (reputation_count * 17 > in.remaining()) {
-        return corrupt("reputation row count overruns the section");
-      }
-      broker.reputation.reserve(static_cast<std::size_t>(reputation_count));
-      for (std::uint64_t i = 0; i < reputation_count; ++i) {
+      const std::size_t reputation_count = in.read_count(17);
+      broker.reputation.reserve(reputation_count);
+      for (std::size_t i = 0; i < reputation_count; ++i) {
         broker::ReputationSystem::State state;
         state.error = in.read_f64();
         state.strikes = static_cast<std::size_t>(in.read_u64());
@@ -581,12 +575,9 @@ core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes) {
       }
       broker.optimize_round = in.read_u64();
       broker.has_demand_override = in.read_u8() != 0;
-      const std::uint64_t demand_count = in.read_u64();
-      if (demand_count * 28 > in.remaining()) {
-        return corrupt("demand group count overruns the section");
-      }
-      broker.demand.reserve(static_cast<std::size_t>(demand_count));
-      for (std::uint64_t i = 0; i < demand_count; ++i) {
+      const std::size_t demand_count = in.read_count(28);
+      broker.demand.reserve(demand_count);
+      for (std::size_t i = 0; i < demand_count; ++i) {
         const std::uint32_t id = in.read_u32();
         const std::uint32_t city = in.read_u32();
         broker::ClientGroup group{broker::ShareId{id}, geo::CityId{city}, in.read_u32(),
@@ -595,12 +586,9 @@ core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes) {
         group.client_count = in.read_f64();
         broker.demand.push_back(group);
       }
-      const std::uint64_t stale_count = in.read_u64();
-      if (stale_count * 52 > in.remaining()) {
-        return corrupt("stale bid count overruns the section");
-      }
-      broker.stale_bids.reserve(static_cast<std::size_t>(stale_count));
-      for (std::uint64_t i = 0; i < stale_count; ++i) {
+      const std::size_t stale_count = in.read_count(52);
+      broker.stale_bids.reserve(stale_count);
+      for (std::size_t i = 0; i < stale_count; ++i) {
         VdxBrokerAgent::SavedStale stale;
         stale.cdn = in.read_u32();
         stale.share = in.read_u32();
@@ -612,19 +600,13 @@ core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes) {
     }
     {
       proto::ByteReader in{strategy_section->bytes};
-      const std::uint64_t strategy_count = in.read_u64();
-      if (strategy_count * 8 > in.remaining()) {
-        return corrupt("strategy count overruns the section");
-      }
-      strategy_entries.reserve(static_cast<std::size_t>(strategy_count));
-      for (std::uint64_t s = 0; s < strategy_count; ++s) {
-        const std::uint64_t entry_count = in.read_u64();
-        if (entry_count * 24 > in.remaining()) {
-          return corrupt("strategy entry count overruns the section");
-        }
+      const std::size_t strategy_count = in.read_count(8);
+      strategy_entries.reserve(strategy_count);
+      for (std::size_t s = 0; s < strategy_count; ++s) {
+        const std::size_t entry_count = in.read_count(24);
         std::vector<cdn::BiddingStrategy::SavedEntry> entries;
-        entries.reserve(static_cast<std::size_t>(entry_count));
-        for (std::uint64_t i = 0; i < entry_count; ++i) {
+        entries.reserve(entry_count);
+        for (std::size_t i = 0; i < entry_count; ++i) {
           cdn::BiddingStrategy::SavedEntry entry;
           entry.key = in.read_u64();
           entry.win_rate = in.read_f64();
@@ -636,12 +618,9 @@ core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes) {
     }
     {
       proto::ByteReader in{agent_section->bytes};
-      const std::uint64_t agent_count = in.read_u64();
-      if (agent_count * 26 > in.remaining()) {
-        return corrupt("CDN agent count overruns the section");
-      }
-      agent_saved.reserve(static_cast<std::size_t>(agent_count));
-      for (std::uint64_t i = 0; i < agent_count; ++i) {
+      const std::size_t agent_count = in.read_count(26);
+      agent_saved.reserve(agent_count);
+      for (std::size_t i = 0; i < agent_count; ++i) {
         VdxCdnAgent::Saved saved;
         saved.failed = in.read_u8() != 0;
         saved.fraudulent = in.read_u8() != 0;
@@ -655,12 +634,9 @@ core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes) {
       proto::ByteReader in{injector_section->bytes};
       has_injector = in.read_u8() != 0;
       if (has_injector) {
-        const std::uint64_t link_count = in.read_u64();
-        if (link_count * 44 > in.remaining()) {
-          return corrupt("fault link count overruns the section");
-        }
-        injector_saved.links.reserve(static_cast<std::size_t>(link_count));
-        for (std::uint64_t i = 0; i < link_count; ++i) {
+        const std::size_t link_count = in.read_count(44);
+        injector_saved.links.reserve(link_count);
+        for (std::size_t i = 0; i < link_count; ++i) {
           proto::FaultInjector::Saved::Link link;
           for (std::uint64_t& word : link.rng.state) word = in.read_u64();
           link.rng.spare_normal = in.read_f64();
@@ -678,10 +654,8 @@ core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes) {
         injector_saved.counters.corrupted = static_cast<std::size_t>(in.read_u64());
       }
     }
-  } catch (const proto::WireError&) {
-    return corrupt("exchange snapshot section truncated");
-  } catch (const std::invalid_argument& error) {
-    return corrupt(error.what());
+  } catch (const proto::WireError& error) {
+    return corrupt(std::string{"exchange snapshot section: "} + error.what());
   }
 
   // Cross-check against this exchange's configuration before mutating

@@ -11,6 +11,7 @@
 #include "proto/wire.hpp"
 #include "sim/designs.hpp"
 #include "sim/scenario.hpp"
+#include "state/snapshot.hpp"
 
 namespace vdx::market {
 namespace {
@@ -40,6 +41,15 @@ constexpr std::uint32_t kCoordinatorSnapshotVersion = 2;
 
 /// Book sessions never depart on their own; push_session_delta removes them.
 constexpr double kForever = std::numeric_limits<double>::infinity();
+
+/// The coordinator core section, decoded before a restore commits it.
+struct CoordinatorCore {
+  bool fed = false;
+  bool session_fed = false;
+  bool dirty = false;
+  std::vector<double> background_loads;
+  std::vector<state::ActiveSession> book;
+};
 
 [[nodiscard]] Status invalid(std::string message) {
   return Status::failure(Errc::kInvalidArgument, std::move(message));
@@ -96,6 +106,29 @@ void add_version(state::SnapshotWriter& writer, std::uint32_t section,
   return core::ok_status();
 }
 
+/// Sorts by global id and checks the dense bijection: global ids restore the
+/// original vector losslessly, so anything else means slices overlap or
+/// lost groups.
+[[nodiscard]] core::Result<std::vector<broker::ClientGroup>> merge_demand_groups(
+    std::vector<proto::ShardGroup> all) {
+  using R = core::Result<std::vector<broker::ClientGroup>>;
+  std::sort(all.begin(), all.end(),
+            [](const proto::ShardGroup& a, const proto::ShardGroup& b) {
+              return a.global_id < b.global_id;
+            });
+  std::vector<broker::ClientGroup> merged;
+  merged.reserve(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (all[i].global_id != i || all[i].group.id.value() != i) {
+      return R::failure(Errc::kCorruptFrame,
+                        "merged demand ids are not dense — shard slices "
+                        "overlap or lost groups");
+    }
+    merged.push_back(all[i].group);
+  }
+  return merged;
+}
+
 /// Validates one kBidCandidates response to a collect of `round`.
 [[nodiscard]] core::Result<std::vector<proto::ShardGroup>> parse_candidates(
     std::size_t shard, const ShardFrame& frame, std::uint64_t round) {
@@ -106,6 +139,48 @@ void add_version(state::SnapshotWriter& writer, std::uint32_t section,
                           std::to_string(shard));
   }
   return proto::decode_shard_groups(frame.payload);
+}
+
+/// Decodes a worker's response bytes. A malformed frame or error payload
+/// fails kCorruptFrame; a kError frame fails with the worker's own code as
+/// "shard s: message".
+[[nodiscard]] core::Result<ShardFrame> decode_response(
+    std::size_t shard, std::span<const std::uint8_t> bytes) {
+  auto decoded = proto::try_decode_shard_frame(bytes);
+  if (!decoded.ok() || decoded.value().type != ShardFrameType::kError) {
+    return decoded;
+  }
+  auto err = proto::decode_shard_error(decoded.value().payload);
+  if (!err.ok()) return core::Result<ShardFrame>{err.error()};
+  return core::Result<ShardFrame>::failure(
+      err.value().code, "shard " + std::to_string(shard) + ": " + err.value().message);
+}
+
+/// kCorruptSnapshot unless `slices` is a cache a coordinator on `plan`
+/// could have built: every group valid, on its own shard's slice, and the
+/// ids dense across all slices.
+[[nodiscard]] Status check_restored_slices(
+    const ShardPlan& plan, const std::vector<std::vector<proto::ShardGroup>>& slices) {
+  const auto city_count = static_cast<std::uint32_t>(plan.shard_of_city.size());
+  std::vector<proto::ShardGroup> all;
+  for (std::size_t s = 0; s < slices.size(); ++s) {
+    if (auto status = validate_slice(slices[s], city_count); !status.ok()) {
+      return corrupt_snapshot("coordinator snapshot: " + status.error().message);
+    }
+    for (const proto::ShardGroup& g : slices[s]) {
+      if (plan.shard_of(g.group.city) != s) {
+        return corrupt_snapshot("coordinator snapshot: slice " + std::to_string(s) +
+                                " holds city " + std::to_string(g.group.city.value()) +
+                                " of shard " +
+                                std::to_string(plan.shard_of(g.group.city)));
+      }
+      all.push_back(g);
+    }
+  }
+  if (auto merged = merge_demand_groups(std::move(all)); !merged.ok()) {
+    return corrupt_snapshot("coordinator snapshot: " + merged.error().message);
+  }
+  return core::ok_status();
 }
 
 }  // namespace
@@ -223,10 +298,6 @@ proto::ShardFrame ShardWorker::on_hello(const proto::ShardFrame& request) {
   context_ = hello;
   journal_ = obs::RunJournal{static_cast<std::size_t>(
       std::max<std::uint64_t>(hello.journal_capacity, 1))};
-  if (!hello.checkpoint_dir.empty()) {
-    store_.emplace(std::filesystem::path{hello.checkpoint_dir},
-                   std::max<std::size_t>(hello.checkpoint_keep, 1));
-  }
   configured_ = true;
   return ack(request, 0);
 }
@@ -305,41 +376,6 @@ proto::ShardFrame ShardWorker::on_allocation(const proto::ShardFrame& request) {
   return ack(request, request.round);
 }
 
-proto::ShardFrame ShardWorker::on_checkpoint(const proto::ShardFrame& request) {
-  if (!store_.has_value()) {
-    return fail(request, Errc::kInvalidArgument,
-                "worker has no checkpoint store configured");
-  }
-  const auto bytes = save_state();
-  if (auto status = store_->write(request.round, bytes); !status.ok()) {
-    return fail(request, status.error().code, status.error().message);
-  }
-  return ack(request, request.round);
-}
-
-proto::ShardFrame ShardWorker::on_resume_from_store(const proto::ShardFrame& request) {
-  if (!store_.has_value()) {
-    return fail(request, Errc::kInvalidArgument,
-                "worker has no checkpoint store configured");
-  }
-  auto loaded = store_->load_latest([this](std::span<const std::uint8_t> bytes) {
-    // Probe on a sibling so a corrupt newest checkpoint falls back to the
-    // next-oldest instead of wedging this worker half-restored.
-    ShardWorker probe{shard_};
-    probe.configured_ = true;
-    probe.context_ = context_;
-    probe.journal_ = obs::RunJournal{journal_.capacity()};
-    return probe.restore_state(bytes);
-  });
-  if (!loaded.ok()) {
-    return fail(request, loaded.error().code, loaded.error().message);
-  }
-  if (auto status = restore_state(loaded.value().bytes); !status.ok()) {
-    return fail(request, status.error().code, status.error().message);
-  }
-  return ack(request, rounds_applied_);
-}
-
 proto::ShardFrame ShardWorker::handle(const proto::ShardFrame& request) {
   counters_.frames.add();
   if (request.type == ShardFrameType::kHello) return on_hello(request);
@@ -368,8 +404,6 @@ proto::ShardFrame ShardWorker::handle(const proto::ShardFrame& request) {
       }
       return ack(request, rounds_applied_);
     }
-    case ShardFrameType::kCheckpoint: return on_checkpoint(request);
-    case ShardFrameType::kResumeFromStore: return on_resume_from_store(request);
     case ShardFrameType::kJournalRequest: {
       proto::ShardJournalSlice slice;
       slice.total_recorded = journal_.total_recorded();
@@ -593,15 +627,6 @@ ShardedExchange::ShardedExchange(const sim::Scenario& scenario, ShardedConfig co
   if (config_.link_faults.any()) {
     link_injector_ = std::make_unique<proto::FaultInjector>(config_.link_faults);
   }
-  if (!config_.checkpoint_dir.empty()) {
-    coordinator_store_.emplace(config_.checkpoint_dir / "coordinator",
-                               std::max<std::size_t>(config_.checkpoint_keep, 1));
-    worker_store_dirs_.reserve(plan_.shard_count);
-    for (std::size_t s = 0; s < plan_.shard_count; ++s) {
-      worker_store_dirs_.push_back(config_.checkpoint_dir /
-                                   ("shard-" + std::to_string(s)));
-    }
-  }
   if (config_.backend == ShardBackend::kProcess) {
     // The WorkerMain runs post-fork: it must capture nothing and touch no
     // coordinator state (the child shares nothing but the socket).
@@ -630,7 +655,6 @@ ShardedExchange::ShardedExchange(const sim::Scenario& scenario, ShardedConfig co
   counters_.retries = shard_metrics_.counter("exchange.shard.retries");
   counters_.rejects = shard_metrics_.counter("exchange.shard.rejects");
   counters_.restarts = shard_metrics_.counter("exchange.shard.restarts");
-  counters_.checkpoints = shard_metrics_.counter("exchange.shard.checkpoints");
   counters_.stale_collects = shard_metrics_.counter("exchange.shard.stale_collects");
   counters_.skipped_pushes = shard_metrics_.counter("exchange.shard.skipped_pushes");
   counters_.shards = shard_metrics_.gauge("exchange.shard.shards");
@@ -691,11 +715,6 @@ proto::ShardHello ShardedExchange::hello_for(std::size_t shard) const {
     hello.cdn_of_cluster.push_back(cluster.cdn.value());
   }
   hello.journal_capacity = config_.worker_journal_capacity;
-  hello.checkpoint_dir = worker_store_dirs_.empty()
-                             ? std::string{}
-                             : worker_store_dirs_[shard].string();
-  hello.checkpoint_keep = static_cast<std::uint32_t>(
-      std::max<std::size_t>(config_.checkpoint_keep, 1));
   return hello;
 }
 
@@ -724,16 +743,7 @@ ShardedExchange::FrameResult ShardedExchange::direct_call(
     raw = transport_->roundtrip(shard, bytes);
   }
   if (!raw.ok()) return FrameResult{raw.error()};
-  auto decoded = proto::try_decode_shard_frame(raw.value());
-  if (!decoded.ok()) return FrameResult{decoded.error()};
-  if (decoded.value().type == ShardFrameType::kError) {
-    auto err = proto::decode_shard_error(decoded.value().payload);
-    if (!err.ok()) return FrameResult{err.error()};
-    return FrameResult::failure(
-        err.value().code, "shard " + std::to_string(shard) + ": " +
-                              err.value().message);
-  }
-  return decoded;
+  return decode_response(shard, raw.value());
 }
 
 ShardedExchange::FrameResult ShardedExchange::chaotic_call(
@@ -770,23 +780,15 @@ ShardedExchange::FrameResult ShardedExchange::chaotic_call(
     auto rx_copies = link_injector_->apply(rx_link, raw.value());
     if (rx_copies.empty()) continue;  // response dropped
     // A duplicated response doesn't re-execute anything — the receiving end
-    // simply consumes the last copy delivered.
-    auto decoded = proto::try_decode_shard_frame(rx_copies.back().bytes);
-    if (!decoded.ok()) {
-      counters_.rejects.add();  // response mutated in flight
+    // simply consumes the last copy delivered. kCorruptFrame means either
+    // leg was mutated in flight (the response here, or the request at the
+    // worker): retry intact.
+    auto response = decode_response(shard, rx_copies.back().bytes);
+    if (!response.ok() && response.error().code == Errc::kCorruptFrame) {
+      counters_.rejects.add();
       continue;
     }
-    if (decoded.value().type == ShardFrameType::kError) {
-      auto err = proto::decode_shard_error(decoded.value().payload);
-      if (!err.ok() || err.value().code == Errc::kCorruptFrame) {
-        counters_.rejects.add();  // our request arrived mutated: retry intact
-        continue;
-      }
-      return FrameResult::failure(
-          err.value().code, "shard " + std::to_string(shard) + ": " +
-                                err.value().message);
-    }
-    return decoded;
+    return response;
   }
   return FrameResult::failure(
       Errc::kTimeout, "shard " + std::to_string(shard) +
@@ -830,15 +832,9 @@ core::Result<std::vector<proto::ShardFrame>> ShardedExchange::data_broadcast(
       raw[s] = transport_->roundtrip(s, encoded[s]);
     }
     if (!raw[s].ok()) return R{raw[s].error()};
-    auto decoded = proto::try_decode_shard_frame(raw[s].value());
-    if (!decoded.ok()) return R{decoded.error()};
-    if (decoded.value().type == ShardFrameType::kError) {
-      auto err = proto::decode_shard_error(decoded.value().payload);
-      if (!err.ok()) return R{err.error()};
-      return R::failure(err.value().code, "shard " + std::to_string(s) + ": " +
-                                              err.value().message);
-    }
-    out.push_back(std::move(decoded).value());
+    auto response = decode_response(s, raw[s].value());
+    if (!response.ok()) return R{response.error()};
+    out.push_back(std::move(response).value());
   }
   return out;
 }
@@ -877,19 +873,8 @@ core::Status ShardedExchange::try_recover_worker(std::size_t shard) const {
   ++worker_restarts_;
   counters_.restarts.add();
   if (auto status = send_hello(shard); !status.ok()) return status;
-
-  if (!worker_store_dirs_.empty()) {
-    // The store brings back the worker's journal and counters. A worker
-    // with no checkpoint yet simply starts empty: settlement depends only
-    // on the slice pushed below.
-    ShardFrame resume;
-    resume.type = ShardFrameType::kResumeFromStore;
-    resume.shard = static_cast<std::uint32_t>(shard);
-    (void)direct_call(shard, resume, /*recover=*/false);
-  }
-  // The cached slice is authoritative and replace-semantics make the push
-  // idempotent, so re-push even over a store-restored worker: a stale
-  // checkpoint then costs journal history, never settlement bytes.
+  // The cached slice is authoritative: the respawned worker starts with an
+  // empty journal, and settlement depends only on the slice pushed here.
   ShardFrame push;
   push.type = ShardFrameType::kSetDemand;
   push.shard = static_cast<std::uint32_t>(shard);
@@ -1086,13 +1071,13 @@ core::Result<std::vector<broker::ClientGroup>> ShardedExchange::collect_and_merg
     requests[s].round = round;
   }
 
+  std::vector<proto::ShardGroup> all;
   if (breaker_active()) {
     // Under the breaker a quarantined shard's groups are synthesized from
     // the coordinator's cached slice — byte-identical to a live answer,
     // because workers only echo the slice the coordinator pushed. Live
     // shards that fail here trip their breaker and fall back to the cache
     // in the same round, so collect cannot fail.
-    std::vector<proto::ShardGroup> all;
     bool any_stale = false;
     for (std::size_t s = 0; s < plan_.shard_count; ++s) {
       bool stale = needs_resync_[s] != 0;
@@ -1115,40 +1100,20 @@ core::Result<std::vector<broker::ClientGroup>> ShardedExchange::collect_and_merg
       for (const proto::ShardGroup& g : last_slices_[s]) all.push_back(g);
     }
     if (any_stale) ++stale_rounds_;
-    return merge_demand_groups(std::move(all));
-  }
-
-  auto responses = data_broadcast(requests);
-  if (!responses.ok()) return R{responses.error()};
-  std::vector<proto::ShardGroup> all;
-  for (std::size_t s = 0; s < responses.value().size(); ++s) {
-    auto groups = parse_candidates(s, responses.value()[s], round);
-    if (!groups.ok()) return R{groups.error()};
-    for (proto::ShardGroup& g : groups.value()) all.push_back(std::move(g));
-  }
-  return merge_demand_groups(std::move(all));
-}
-
-core::Result<std::vector<broker::ClientGroup>> ShardedExchange::merge_demand_groups(
-    std::vector<proto::ShardGroup> all) const {
-  using R = core::Result<std::vector<broker::ClientGroup>>;
-  // Global ids restore the original vector losslessly — the merge must be
-  // a bijection onto 0..n-1 or a worker lied.
-  std::sort(all.begin(), all.end(),
-            [](const proto::ShardGroup& a, const proto::ShardGroup& b) {
-              return a.global_id < b.global_id;
-            });
-  std::vector<broker::ClientGroup> merged;
-  merged.reserve(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (all[i].global_id != i || all[i].group.id.value() != i) {
-      return R::failure(Errc::kCorruptFrame,
-                        "collect: merged demand ids are not dense — shard "
-                        "slices overlap or lost groups");
+  } else {
+    auto responses = data_broadcast(requests);
+    if (!responses.ok()) return R{responses.error()};
+    for (std::size_t s = 0; s < responses.value().size(); ++s) {
+      auto groups = parse_candidates(s, responses.value()[s], round);
+      if (!groups.ok()) return R{groups.error()};
+      for (proto::ShardGroup& g : groups.value()) all.push_back(std::move(g));
     }
-    merged.push_back(all[i].group);
   }
-  counters_.merged_groups.set(static_cast<double>(merged.size()));
+  auto merged = merge_demand_groups(std::move(all));
+  if (!merged.ok()) {
+    return R::failure(merged.error().code, "collect: " + merged.error().message);
+  }
+  counters_.merged_groups.set(static_cast<double>(merged.value().size()));
   return merged;
 }
 
@@ -1251,11 +1216,6 @@ core::Result<RoundReport> ShardedExchange::try_run_round() {
     return R{status.error()};
   }
   counters_.rounds.add();
-
-  if (config_.checkpoint_every_rounds > 0 && coordinator_store_.has_value() &&
-      (round + 1) % config_.checkpoint_every_rounds == 0) {
-    if (auto status = checkpoint_now(); !status.ok()) return R{status.error()};
-  }
   return report;
 }
 
@@ -1377,164 +1337,13 @@ std::vector<std::uint8_t> ShardedExchange::encode_slices() const {
   return w.take();
 }
 
-state::SnapshotWriter ShardedExchange::coordinator_snapshot() const {
+core::Result<std::vector<std::uint8_t>> ShardedExchange::try_save_state() const {
+  using R = core::Result<std::vector<std::uint8_t>>;
   state::SnapshotWriter writer;
   add_version(writer, kCoordVersionSection, kCoordinatorSnapshotVersion);
   writer.add_section(kCoordCoreSection, encode_coordinator_core());
   writer.add_section(kCoordSettlementSection, settlement_->save_state());
   writer.add_section(kCoordSlicesSection, encode_slices());
-  return writer;
-}
-
-struct ShardedExchange::CoordinatorCore {
-  std::uint64_t rounds = 0;
-  bool fed = false;
-  bool session_fed = false;
-  bool dirty = false;
-  std::vector<double> background_loads;
-  std::vector<state::ActiveSession> book;
-};
-
-core::Status ShardedExchange::restore_from_snapshot(const state::SnapshotView& view,
-                                                    bool embedded_workers) {
-  if (auto status = check_version(view, kCoordVersionSection,
-                                  kCoordinatorSnapshotVersion, "coordinator");
-      !status.ok()) {
-    return status;
-  }
-  const state::Section* core_section = view.find(kCoordCoreSection);
-  const state::Section* settlement_section = view.find(kCoordSettlementSection);
-  const state::Section* slices_section = view.find(kCoordSlicesSection);
-  const state::Section* workers_section = view.find(kCoordWorkersSection);
-  if (core_section == nullptr || settlement_section == nullptr ||
-      slices_section == nullptr ||
-      (embedded_workers && workers_section == nullptr)) {
-    return corrupt_snapshot("coordinator snapshot: missing section");
-  }
-
-  // Decode everything into locals before mutating anything.
-  CoordinatorCore core;
-  try {
-    proto::ByteReader r{core_section->bytes};
-    core.rounds = r.read_u64();
-    const std::uint32_t shard_count = r.read_u32();
-    const std::uint64_t plan_hash = r.read_u64();
-    if (shard_count != plan_.shard_count || plan_hash != plan_.hash()) {
-      return invalid("coordinator snapshot: taken under a different shard plan");
-    }
-    core.fed = r.read_u8() != 0;
-    core.session_fed = r.read_u8() != 0;
-    core.dirty = r.read_u8() != 0;
-    const std::uint32_t load_count = r.read_u32();
-    if (load_count != scenario_.catalog().clusters().size()) {
-      return invalid("coordinator snapshot: cluster arity mismatch");
-    }
-    core.background_loads.reserve(load_count);
-    for (std::uint32_t i = 0; i < load_count; ++i) {
-      core.background_loads.push_back(r.read_f64());
-    }
-    const std::uint32_t book_count = r.read_u32();
-    if (book_count > r.remaining() / 16) {
-      return corrupt_snapshot("coordinator snapshot: session count lie");
-    }
-    core.book.reserve(book_count);
-    for (std::uint32_t i = 0; i < book_count; ++i) {
-      state::ActiveSession session;
-      session.id = r.read_u32();
-      session.city = r.read_u32();
-      session.bitrate_mbps = r.read_f64();
-      session.end_s = kForever;
-      // Exactly what push_session_delta could have admitted, in id order.
-      if ((i > 0 && session.id <= core.book.back().id) || session.id == UINT32_MAX ||
-          session.city >= plan_.shard_of_city.size() ||
-          !std::isfinite(session.bitrate_mbps) || session.bitrate_mbps <= 0.0) {
-        return corrupt_snapshot("coordinator snapshot: invalid session " +
-                                std::to_string(session.id));
-      }
-      core.book.push_back(session);
-    }
-    if (!r.exhausted()) {
-      return corrupt_snapshot("coordinator snapshot: trailing core bytes");
-    }
-  } catch (const proto::WireError& e) {
-    return corrupt_snapshot(std::string{"coordinator snapshot: "} + e.what());
-  }
-
-  std::vector<std::vector<proto::ShardGroup>> slices;
-  try {
-    proto::ByteReader r{slices_section->bytes};
-    const std::uint32_t count = r.read_u32();
-    if (count != plan_.shard_count) {
-      return invalid("coordinator snapshot: slice arity mismatch");
-    }
-    slices.resize(count);
-    for (std::uint32_t s = 0; s < count; ++s) {
-      const std::uint32_t len = r.read_u32();
-      auto decoded = proto::decode_shard_groups(r.read_bytes(len));
-      if (!decoded.ok()) return Status{decoded.error()};
-      slices[s] = std::move(decoded).value();
-    }
-    if (!r.exhausted()) {
-      return corrupt_snapshot("coordinator snapshot: trailing slice bytes");
-    }
-  } catch (const proto::WireError& e) {
-    return corrupt_snapshot(std::string{"coordinator snapshot: "} + e.what());
-  }
-
-  std::vector<std::vector<std::uint8_t>> worker_states;
-  if (embedded_workers) {
-    try {
-      proto::ByteReader r{workers_section->bytes};
-      const std::uint32_t count = r.read_u32();
-      if (count != plan_.shard_count) {
-        return invalid("coordinator snapshot: worker state arity mismatch");
-      }
-      worker_states.reserve(count);
-      for (std::uint32_t s = 0; s < count; ++s) {
-        const std::uint32_t len = r.read_u32();
-        const auto bytes = r.read_bytes(len);
-        worker_states.emplace_back(bytes.begin(), bytes.end());
-      }
-      if (!r.exhausted()) {
-        return corrupt_snapshot("coordinator snapshot: trailing worker bytes");
-      }
-    } catch (const proto::WireError& e) {
-      return corrupt_snapshot(std::string{"coordinator snapshot: "} + e.what());
-    }
-  }
-
-  // The settlement exchange restores atomically (its own contract); commit
-  // the coordinator state only after it succeeded.
-  if (auto status = settlement_->restore_state(settlement_section->bytes);
-      !status.ok()) {
-    return status;
-  }
-  fed_ = core.fed;
-  session_fed_ = core.session_fed;
-  demand_dirty_ = core.dirty;
-  background_loads_ = std::move(core.background_loads);
-  book_.restore(core.book);
-  last_slices_ = std::move(slices);
-  // Whatever slice each worker ends up holding, the next round re-pushes the
-  // restored cache before it collects.
-  std::fill(needs_resync_.begin(), needs_resync_.end(), 1);
-
-  if (embedded_workers) {
-    for (std::size_t s = 0; s < worker_states.size(); ++s) {
-      ShardFrame frame;
-      frame.type = ShardFrameType::kRestoreState;
-      frame.shard = static_cast<std::uint32_t>(s);
-      frame.payload = std::move(worker_states[s]);
-      auto response = direct_call(s, frame, /*recover=*/true);
-      if (!response.ok()) return Status{response.error()};
-    }
-  }
-  return core::ok_status();
-}
-
-core::Result<std::vector<std::uint8_t>> ShardedExchange::try_save_state() const {
-  using R = core::Result<std::vector<std::uint8_t>>;
-  state::SnapshotWriter writer = coordinator_snapshot();
   {
     proto::ByteWriter w;
     w.write_u32(static_cast<std::uint32_t>(plan_.shard_count));
@@ -1573,59 +1382,126 @@ std::vector<std::uint8_t> ShardedExchange::save_state() const {
 core::Status ShardedExchange::restore_state(std::span<const std::uint8_t> bytes) {
   auto parsed = state::SnapshotView::parse(bytes);
   if (!parsed.ok()) return Status{parsed.error()};
-  return restore_from_snapshot(parsed.value(), /*embedded_workers=*/true);
-}
-
-core::Status ShardedExchange::checkpoint_now() {
-  if (!coordinator_store_.has_value()) {
-    return invalid("ShardedExchange::checkpoint_now: no checkpoint_dir configured");
-  }
-  const std::uint64_t epoch = settlement_->rounds_completed();
-  if (auto status = coordinator_store_->write(epoch, coordinator_snapshot().finish());
+  const state::SnapshotView& view = parsed.value();
+  if (auto status = check_version(view, kCoordVersionSection,
+                                  kCoordinatorSnapshotVersion, "coordinator");
       !status.ok()) {
     return status;
   }
-  for (std::size_t s = 0; s < plan_.shard_count; ++s) {
-    ShardFrame frame;
-    frame.type = ShardFrameType::kCheckpoint;
-    frame.shard = static_cast<std::uint32_t>(s);
-    frame.round = epoch;
-    auto response = direct_call(s, frame, /*recover=*/true);
-    if (!response.ok()) return Status{response.error()};
-    if (response.value().type != ShardFrameType::kAck) {
-      return Status::failure(Errc::kCorruptFrame,
-                             "checkpoint: unexpected response type");
+  const state::Section* core_section = view.find(kCoordCoreSection);
+  const state::Section* settlement_section = view.find(kCoordSettlementSection);
+  const state::Section* slices_section = view.find(kCoordSlicesSection);
+  const state::Section* workers_section = view.find(kCoordWorkersSection);
+  if (core_section == nullptr || settlement_section == nullptr ||
+      slices_section == nullptr || workers_section == nullptr) {
+    return corrupt_snapshot("coordinator snapshot: missing section");
+  }
+
+  // Decode and check everything into locals before mutating anything.
+  CoordinatorCore core;
+  std::vector<std::vector<proto::ShardGroup>> slices;
+  std::vector<std::vector<std::uint8_t>> worker_states;
+  try {
+    proto::ByteReader r{core_section->bytes};
+    (void)r.read_u64();  // rounds: the settlement section carries its own
+    const std::uint32_t shard_count = r.read_u32();
+    const std::uint64_t plan_hash = r.read_u64();
+    if (shard_count != plan_.shard_count || plan_hash != plan_.hash()) {
+      return invalid("coordinator snapshot: taken under a different shard plan");
     }
-  }
-  counters_.checkpoints.add();
-  return core::ok_status();
-}
+    core.fed = r.read_u8() != 0;
+    core.session_fed = r.read_u8() != 0;
+    core.dirty = r.read_u8() != 0;
+    const std::uint32_t load_count = r.read_u32();
+    if (load_count != scenario_.catalog().clusters().size()) {
+      return invalid("coordinator snapshot: cluster arity mismatch");
+    }
+    core.background_loads.reserve(load_count);
+    for (std::uint32_t i = 0; i < load_count; ++i) {
+      core.background_loads.push_back(r.read_f64());
+      if (!finite_nonneg(core.background_loads.back())) {
+        return corrupt_snapshot("coordinator snapshot: background load of cluster " +
+                                std::to_string(i) + " is not finite and >= 0");
+      }
+    }
+    const std::size_t book_count = r.read_count_u32(16);
+    core.book.reserve(book_count);
+    for (std::size_t i = 0; i < book_count; ++i) {
+      state::ActiveSession session;
+      session.id = r.read_u32();
+      session.city = r.read_u32();
+      session.bitrate_mbps = r.read_f64();
+      session.end_s = kForever;
+      // Exactly what push_session_delta could have admitted, in id order.
+      if ((i > 0 && session.id <= core.book.back().id) || session.id == UINT32_MAX ||
+          session.city >= plan_.shard_of_city.size() ||
+          !std::isfinite(session.bitrate_mbps) || session.bitrate_mbps <= 0.0) {
+        return corrupt_snapshot("coordinator snapshot: invalid session " +
+                                std::to_string(session.id));
+      }
+      core.book.push_back(session);
+    }
+    if (!r.exhausted()) {
+      return corrupt_snapshot("coordinator snapshot: trailing core bytes");
+    }
 
-core::Status ShardedExchange::resume_from_stores() {
-  if (!coordinator_store_.has_value()) {
-    return invalid(
-        "ShardedExchange::resume_from_stores: no checkpoint_dir configured");
+    proto::ByteReader slice_reader{slices_section->bytes};
+    if (slice_reader.read_u32() != plan_.shard_count) {
+      return invalid("coordinator snapshot: slice arity mismatch");
+    }
+    slices.resize(plan_.shard_count);
+    for (auto& slice : slices) {
+      const std::uint32_t len = slice_reader.read_u32();
+      auto decoded = proto::decode_shard_groups(slice_reader.read_bytes(len));
+      if (!decoded.ok()) return Status{decoded.error()};
+      slice = std::move(decoded).value();
+    }
+    if (!slice_reader.exhausted()) {
+      return corrupt_snapshot("coordinator snapshot: trailing slice bytes");
+    }
+
+    proto::ByteReader worker_reader{workers_section->bytes};
+    if (worker_reader.read_u32() != plan_.shard_count) {
+      return invalid("coordinator snapshot: worker state arity mismatch");
+    }
+    worker_states.reserve(plan_.shard_count);
+    for (std::size_t s = 0; s < plan_.shard_count; ++s) {
+      const std::uint32_t len = worker_reader.read_u32();
+      const auto state_bytes = worker_reader.read_bytes(len);
+      worker_states.emplace_back(state_bytes.begin(), state_bytes.end());
+    }
+    if (!worker_reader.exhausted()) {
+      return corrupt_snapshot("coordinator snapshot: trailing worker bytes");
+    }
+  } catch (const proto::WireError& e) {
+    return corrupt_snapshot(std::string{"coordinator snapshot: "} + e.what());
   }
-  auto loaded =
-      coordinator_store_->load_latest([](std::span<const std::uint8_t> bytes) {
-        auto parsed = state::SnapshotView::parse(bytes);
-        return parsed.ok() ? core::ok_status() : Status{parsed.error()};
-      });
-  if (!loaded.ok()) return Status{loaded.error()};
-  auto parsed = state::SnapshotView::parse(loaded.value().bytes);
-  if (!parsed.ok()) return Status{parsed.error()};
-  if (auto status =
-          restore_from_snapshot(parsed.value(), /*embedded_workers=*/false);
+  // A checksum-valid snapshot can still carry slices no round could settle;
+  // refuse them here rather than at the next collect (or, under the
+  // breaker, not at all: a quarantined shard settles from this cache).
+  if (auto status = check_restored_slices(plan_, slices); !status.ok()) return status;
+
+  // The settlement exchange restores atomically (its own contract); commit
+  // the coordinator state only after it succeeded.
+  if (auto status = settlement_->restore_state(settlement_section->bytes);
       !status.ok()) {
     return status;
   }
-  // Workers reload their journals and counters from their own per-shard
-  // stores; the coordinator's restored slices, re-pushed before the next
-  // collect, are authoritative over whatever age of checkpoint each found.
-  for (std::size_t s = 0; s < plan_.shard_count; ++s) {
+  fed_ = core.fed;
+  session_fed_ = core.session_fed;
+  demand_dirty_ = core.dirty;
+  background_loads_ = std::move(core.background_loads);
+  book_.restore(core.book);
+  last_slices_ = std::move(slices);
+  // Whatever slice each worker ends up holding, the next round re-pushes the
+  // restored cache before it collects.
+  std::fill(needs_resync_.begin(), needs_resync_.end(), 1);
+
+  for (std::size_t s = 0; s < worker_states.size(); ++s) {
     ShardFrame frame;
-    frame.type = ShardFrameType::kResumeFromStore;
+    frame.type = ShardFrameType::kRestoreState;
     frame.shard = static_cast<std::uint32_t>(s);
+    frame.payload = std::move(worker_states[s]);
     auto response = direct_call(s, frame, /*recover=*/true);
     if (!response.ok()) return Status{response.error()};
   }

@@ -4,11 +4,10 @@
 // Topology. The marketplace is partitioned by city across N worker shards
 // (farthest-point region seeding, the federation idiom). Each worker holds
 // one demand slice — the broker groups of its cities, tagged with their
-// global ids — plus its own journal, metrics, and per-shard
-// CheckpointStore. There is one session book, and it lives at the
-// coordinator: push_session_delta folds adds/removes into a
-// sim::SessionStore and re-slices its groups through the same path
-// set_active_load uses, so workers never see a session.
+// global ids — plus its own journal and metrics. There is one session
+// book, and it lives at the coordinator: push_session_delta folds
+// adds/removes into a sim::SessionStore and re-slices its groups through
+// the same path set_active_load uses, so workers never see a session.
 // A coordinator drives every settlement round on the shared logical clock:
 //
 //   collect per-shard candidate groups  ->  merge into the canonical global
@@ -29,22 +28,21 @@
 // retries — never settlement bytes. Faults are injected at the coordinator
 // on both legs, which keeps the in-process and process backends on the
 // identical fault sequence. Control-plane frames (hello, state transfer,
-// checkpoints, journal export) bypass injection: chaos drills target the
-// data path, and checkpoint cadence must not perturb the fault streams.
+// journal export) bypass injection: chaos drills target the data path, and
+// checkpoint cadence must not perturb the fault streams.
 //
 // Crash tolerance. The coordinator's cached slices are authoritative and
 // workers only echo them, so a worker that dies mid-run (real SIGKILL under
-// the process backend) is respawned — restored from its per-shard store
-// when one is configured, for its journal and counters — and re-sent its
-// slice, without losing settlement bytes. A killed coordinator rebuilds
-// from its own store with resume_from_stores(); its snapshot carries the
-// session book. The embedded save_state()/restore_state() path
-// additionally bundles every worker's state into one snapshot so the
-// serving daemon's checkpoint/resume works unchanged at --shards N.
+// the process backend) is respawned with a fresh journal and re-sent its
+// slice, without losing settlement bytes. There is one checkpoint path:
+// save_state() bundles the coordinator core (with the session book), the
+// settlement exchange and every worker's state into one snapshot, and
+// restore_state() on a fresh exchange continues from it. Whoever persists
+// those bytes (the serving daemon's CheckpointStore, at --shards N) owns
+// the filesystem; the exchange never writes a file.
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <optional>
 #include <span>
@@ -57,8 +55,6 @@
 #include "resilience/breaker.hpp"
 #include "resilience/supervisor.hpp"
 #include "sim/session_store.hpp"
-#include "state/snapshot.hpp"
-#include "state/store.hpp"
 
 namespace vdx::market {
 
@@ -98,7 +94,7 @@ struct ShardPlan {
 
 /// One worker shard: a self-contained frame server over the shard codec.
 /// It is constructed knowing only its shard id — everything else (topology,
-/// cluster->CDN table, checkpoint store) arrives in the kHello frame, so a
+/// cluster->CDN table, journal capacity) arrives in the kHello frame, so a
 /// fork()ed process worker needs no Scenario and no shared memory.
 ///
 /// Contract for every mutating frame: decode and validate the COMPLETE
@@ -147,8 +143,6 @@ class ShardWorker {
   [[nodiscard]] proto::ShardFrame on_set_demand(const proto::ShardFrame& request);
   [[nodiscard]] proto::ShardFrame on_collect(const proto::ShardFrame& request);
   [[nodiscard]] proto::ShardFrame on_allocation(const proto::ShardFrame& request);
-  [[nodiscard]] proto::ShardFrame on_checkpoint(const proto::ShardFrame& request);
-  [[nodiscard]] proto::ShardFrame on_resume_from_store(const proto::ShardFrame& request);
 
   void refresh_gauges();
 
@@ -165,7 +159,6 @@ class ShardWorker {
 
   obs::MetricsRegistry metrics_;
   obs::RunJournal journal_;
-  std::optional<state::CheckpointStore> store_;
 
   struct Counters {
     obs::Counter frames, errors;                     // volatile (not saved)
@@ -192,11 +185,6 @@ struct ShardedConfig {
   /// coordinator always walks shards serially — the injector streams are
   /// ordered state.
   std::size_t collect_threads = 1;
-  /// Root for per-shard stores: <dir>/coordinator plus <dir>/shard-<s>.
-  /// Empty disables store-backed recovery (embedded snapshots still work).
-  std::filesystem::path checkpoint_dir;
-  std::size_t checkpoint_every_rounds = 0;
-  std::size_t checkpoint_keep = 3;
   std::size_t worker_journal_capacity = 4096;
   /// Restart budget + deterministic backoff for worker respawns, on the
   /// settlement round clock. The default policy (unbounded, immediate) is
@@ -258,29 +246,25 @@ class ShardedExchange final : public ExchangeFrontend {
   void set_failed(cdn::CdnId cdn, bool failed);
   void set_fraudulent(cdn::CdnId cdn, bool fraudulent);
 
-  /// Embedded snapshot: coordinator core + settlement exchange + every
-  /// worker's state in one envelope (the daemon checkpoint path).
-  /// try_save_state returns the typed error when a worker's state is
-  /// unavailable (dead and unrecoverable); save_state throws on it.
+  /// The one checkpoint: coordinator core + settlement exchange + every
+  /// worker's state in one envelope. try_save_state returns the typed error
+  /// when a worker's state is unavailable (dead and unrecoverable);
+  /// save_state throws on it.
   [[nodiscard]] core::Result<std::vector<std::uint8_t>> try_save_state()
       const override;
   [[nodiscard]] std::vector<std::uint8_t> save_state() const override;
+  /// Restores a save_state() image, typically on a freshly built exchange
+  /// after a coordinator crash. The coordinator's sections are decoded and
+  /// checked before anything is applied: slices that could never settle (an
+  /// invalid group, a city on another shard's slice, ids that do not merge
+  /// densely) or background loads that are not one finite non-negative
+  /// value per cluster fail with kCorruptSnapshot and change nothing.
   [[nodiscard]] core::Status restore_state(
       std::span<const std::uint8_t> bytes) override;
 
-  /// Store-backed checkpoint: coordinator snapshot into <dir>/coordinator
-  /// plus a kCheckpoint command to every worker's own store. Requires
-  /// checkpoint_dir.
-  [[nodiscard]] core::Status checkpoint_now();
-  /// Coordinator-driven resume on a freshly built exchange: restores the
-  /// coordinator from its store, then commands every worker to reload from
-  /// its per-shard store and verifies the rounds line up.
-  [[nodiscard]] core::Status resume_from_stores();
-
   /// Crash drills: hard-kills a worker (SIGKILL under the process backend).
   /// The next round detects the dead shard and recovers it automatically:
-  /// respawn, reload its per-shard store when one is configured, and
-  /// re-push the cached demand slice.
+  /// respawn, hello, and a re-push of the cached demand slice.
   void kill_worker(std::size_t shard);
   [[nodiscard]] bool worker_alive(std::size_t shard) const noexcept;
 
@@ -372,24 +356,15 @@ class ShardedExchange final : public ExchangeFrontend {
   [[nodiscard]] core::Result<std::vector<proto::ShardGroup>> collect_live(
       std::size_t shard, const proto::ShardFrame& request,
       std::uint64_t round) const;
-  /// Sorts by global id and checks the dense bijection.
-  [[nodiscard]] core::Result<std::vector<broker::ClientGroup>> merge_demand_groups(
-      std::vector<proto::ShardGroup> all) const;
   /// Slices the settlement's placements by owning shard and broadcasts
   /// kAllocation (every shard gets a frame — empty slices close the round).
   [[nodiscard]] core::Status broadcast_allocation(std::uint64_t round);
 
-  struct CoordinatorCore;
   /// Checks a push_session_delta batch against the book without mutating.
   [[nodiscard]] core::Status validate_delta(
       std::span<const proto::ShardSessionAdd> adds) const;
   [[nodiscard]] std::vector<std::uint8_t> encode_coordinator_core() const;
   [[nodiscard]] std::vector<std::uint8_t> encode_slices() const;
-  /// Version, core, settlement and slice sections: the store checkpoint,
-  /// and the embedded snapshot minus its worker states.
-  [[nodiscard]] state::SnapshotWriter coordinator_snapshot() const;
-  [[nodiscard]] core::Status restore_from_snapshot(const state::SnapshotView& view,
-                                                   bool embedded_workers);
 
   const sim::Scenario& scenario_;
   ShardedConfig config_;
@@ -417,9 +392,6 @@ class ShardedExchange final : public ExchangeFrontend {
   /// The session book of a session-fed exchange (empty otherwise).
   sim::SessionStore book_;
 
-  std::optional<state::CheckpointStore> coordinator_store_;
-  std::vector<std::filesystem::path> worker_store_dirs_;
-
   /// Gates worker respawns (restart budget + deterministic backoff on the
   /// settlement round clock).
   mutable resilience::Supervisor supervisor_;
@@ -434,7 +406,7 @@ class ShardedExchange final : public ExchangeFrontend {
   mutable std::size_t worker_restarts_ = 0;
   mutable obs::MetricsRegistry shard_metrics_;
   struct Counters {
-    obs::Counter rounds, frames, retries, rejects, restarts, checkpoints;
+    obs::Counter rounds, frames, retries, rejects, restarts;
     obs::Counter stale_collects, skipped_pushes;
     obs::Gauge shards, merged_groups;
   };

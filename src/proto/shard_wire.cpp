@@ -1,6 +1,5 @@
 #include "proto/shard_wire.hpp"
 
-#include <limits>
 #include <utility>
 
 #include "core/fnv1a.hpp"
@@ -11,8 +10,16 @@ namespace {
 
 constexpr std::uint8_t kFirstType = static_cast<std::uint8_t>(ShardFrameType::kHello);
 constexpr std::uint8_t kLastType = static_cast<std::uint8_t>(ShardFrameType::kError);
-/// The version-1 session-delta frame; never reassigned.
-constexpr std::uint8_t kRetiredType = 3;
+/// Retired type bytes (see ShardFrameType); never reassigned.
+constexpr std::uint8_t kRetiredSessionDelta = 3;
+constexpr std::uint8_t kRetiredCheckpoint = 10;
+constexpr std::uint8_t kRetiredResumeFromStore = 11;
+
+/// Encoded sizes of one element of each counted payload list.
+constexpr std::size_t kGroupBytes = 32;
+constexpr std::size_t kPlacementBytes = 40;
+constexpr std::size_t kCdnBytes = 4;
+constexpr std::size_t kEventBytes = 33;
 
 /// Largest payload the decoder will allocate for. Anything bigger than this
 /// is a length-field lie, not a real frame (worker state snapshots are the
@@ -37,16 +44,17 @@ template <typename T, typename Body>
           std::string{what} + ": trailing bytes after payload");
     }
     return value;
-  } catch (const WireError&) {
+  } catch (const WireError& e) {
     return core::Result<T>::failure(core::Errc::kCorruptFrame,
-                                    std::string{what} + ": truncated payload");
+                                    std::string{what} + ": " + e.what());
   }
 }
 
 }  // namespace
 
 bool shard_frame_type_known(std::uint8_t raw) noexcept {
-  return raw >= kFirstType && raw <= kLastType && raw != kRetiredType;
+  return raw >= kFirstType && raw <= kLastType && raw != kRetiredSessionDelta &&
+         raw != kRetiredCheckpoint && raw != kRetiredResumeFromStore;
 }
 
 std::vector<std::uint8_t> encode_shard_frame(const ShardFrame& frame) {
@@ -142,13 +150,10 @@ core::Result<std::vector<ShardGroup>> decode_shard_groups(
     std::span<const std::uint8_t> payload) {
   return decode_payload<std::vector<ShardGroup>>(
       payload, "shard groups", [](ByteReader& reader) {
-        const std::uint64_t count = reader.read_u64();
-        if (count > std::numeric_limits<std::uint32_t>::max()) {
-          throw WireError{"group count lie"};
-        }
+        const std::size_t count = reader.read_count(kGroupBytes);
         std::vector<ShardGroup> groups;
-        groups.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i) groups.push_back(read_group(reader));
+        groups.reserve(count);
+        for (std::size_t i = 0; i < count; ++i) groups.push_back(read_group(reader));
         return groups;
       });
 }
@@ -171,13 +176,10 @@ core::Result<std::vector<ShardPlacement>> decode_allocation(
     std::span<const std::uint8_t> payload) {
   return decode_payload<std::vector<ShardPlacement>>(
       payload, "shard allocation", [](ByteReader& reader) {
-        const std::uint64_t count = reader.read_u64();
-        if (count > std::numeric_limits<std::uint32_t>::max()) {
-          throw WireError{"placement count lie"};
-        }
+        const std::size_t count = reader.read_count(kPlacementBytes);
         std::vector<ShardPlacement> placements;
-        placements.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
+        placements.reserve(count);
+        for (std::size_t i = 0; i < count; ++i) {
           ShardPlacement p;
           p.global_group = reader.read_u32();
           p.cluster = reader.read_u32();
@@ -200,8 +202,6 @@ std::vector<std::uint8_t> encode_shard_hello(const ShardHello& hello) {
   writer.write_u64(hello.cdn_of_cluster.size());
   for (std::uint32_t cdn : hello.cdn_of_cluster) writer.write_u32(cdn);
   writer.write_u64(hello.journal_capacity);
-  writer.write_string(hello.checkpoint_dir);
-  writer.write_u32(hello.checkpoint_keep);
   return writer.take();
 }
 
@@ -212,17 +212,12 @@ core::Result<ShardHello> decode_shard_hello(std::span<const std::uint8_t> payloa
     hello.shard_count = reader.read_u32();
     hello.city_count = reader.read_u32();
     hello.plan_hash = reader.read_u64();
-    const std::uint64_t clusters = reader.read_u64();
-    if (clusters > std::numeric_limits<std::uint32_t>::max()) {
-      throw WireError{"cluster count lie"};
-    }
-    hello.cdn_of_cluster.reserve(static_cast<std::size_t>(clusters));
-    for (std::uint64_t i = 0; i < clusters; ++i) {
+    const std::size_t clusters = reader.read_count(kCdnBytes);
+    hello.cdn_of_cluster.reserve(clusters);
+    for (std::size_t i = 0; i < clusters; ++i) {
       hello.cdn_of_cluster.push_back(reader.read_u32());
     }
     hello.journal_capacity = reader.read_u64();
-    hello.checkpoint_dir = reader.read_string();
-    hello.checkpoint_keep = reader.read_u32();
     return hello;
   });
 }
@@ -250,12 +245,9 @@ core::Result<ShardJournalSlice> decode_journal_slice(
         ShardJournalSlice slice;
         slice.total_recorded = reader.read_u64();
         slice.round = reader.read_u32();
-        const std::uint64_t count = reader.read_u64();
-        if (count > std::numeric_limits<std::uint32_t>::max()) {
-          throw WireError{"event count lie"};
-        }
-        slice.events.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t i = 0; i < count; ++i) {
+        const std::size_t count = reader.read_count(kEventBytes);
+        slice.events.reserve(count);
+        for (std::size_t i = 0; i < count; ++i) {
           obs::Event e;
           const std::uint8_t kind = reader.read_u8();
           if (kind > static_cast<std::uint8_t>(obs::EventKind::kCustom)) {

@@ -6,12 +6,16 @@
 // slices, collect per-shard candidate groups, broadcast the global
 // allocation. Workers only ever hold an explicit demand slice; session
 // deltas are folded into the coordinator's own book and never cross the
-// wire. Frames follow the repo's envelope idiom
+// wire. A worker keeps no store of its own: its state leaves and returns
+// only inside the coordinator's embedded snapshot (kStateRequest /
+// kRestoreState), so no frame names a path on the worker's host. Frames
+// follow the repo's envelope idiom
 // ([magic][type][version][shard][round][payload][checksum]) and the decoder
 // never throws across the trust boundary: a truncated, bit-flipped,
-// wrong-magic, wrong-version, or trailing-bytes frame is rejected with a
-// typed core::Result error (Errc::kCorruptFrame) — which is exactly what the
-// chaos drills feed it via proto::FaultInjector.
+// wrong-magic, wrong-version, or trailing-bytes frame, or a payload whose
+// element count overruns its bytes, is rejected with a typed core::Result
+// error (Errc::kCorruptFrame) — which is exactly what the chaos drills feed
+// it via proto::FaultInjector.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +32,13 @@ namespace vdx::proto {
 /// "VDSH" read as a little-endian u32.
 inline constexpr std::uint32_t kShardMagic = 0x48534456u;
 /// Version 2 retired the session-delta frame and the demand-mode byte of
-/// kBidCandidates; a version-1 peer is rejected at the frame header.
-inline constexpr std::uint16_t kShardProtocolVersion = 2;
+/// kBidCandidates; version 3 retired the per-shard checkpoint-store frames
+/// and their two kHello fields. An older peer is rejected at the frame
+/// header.
+inline constexpr std::uint16_t kShardProtocolVersion = 3;
 
+/// Every value is explicit and a retired one is never reused: a frame that
+/// carries a retired type byte is rejected as unknown.
 enum class ShardFrameType : std::uint8_t {
   /// Coordinator -> worker: shard topology + per-worker context. First frame
   /// on every (re)connected link; everything else is rejected until it lands.
@@ -38,35 +46,32 @@ enum class ShardFrameType : std::uint8_t {
   /// Coordinator -> worker: replace the worker's demand slice (explicit
   /// broker groups tagged with their global ids).
   kSetDemand = 2,
-  // 3 carried per-shard session deltas in protocol version 1. The value
-  // stays retired: a frame with that type byte is rejected as unknown.
+  // 3 carried per-shard session deltas in protocol version 1 (retired).
   /// Coordinator -> worker: request this round's candidate groups.
   kCollect = 4,
   /// Worker -> coordinator: the shard's current demand slice (a
   /// shard-groups payload).
-  kBidCandidates,
+  kBidCandidates = 5,
   /// Coordinator -> worker: the slice of the globally settled allocation
   /// that lands on this shard's cities.
-  kAllocation,
+  kAllocation = 6,
   /// Coordinator -> worker: serialize your full state (embedded snapshot).
-  kStateRequest,
-  kStateResponse,
+  kStateRequest = 7,
+  kStateResponse = 8,
   /// Coordinator -> worker: restore from embedded snapshot bytes.
-  kRestoreState,
-  /// Coordinator -> worker: write a checkpoint into your per-shard store.
-  kCheckpoint,
-  /// Coordinator -> worker: load the newest checkpoint from your store.
-  kResumeFromStore,
+  kRestoreState = 9,
+  // 10 and 11 wrote to and reloaded from a per-shard checkpoint store in
+  // protocol version 2 (retired).
   /// Coordinator -> worker: export your journal window for merging.
-  kJournalRequest,
-  kJournalSlice,
-  kShutdown,
+  kJournalRequest = 12,
+  kJournalSlice = 13,
+  kShutdown = 14,
   /// Worker -> coordinator: generic success acknowledgement.
-  kAck,
+  kAck = 15,
   /// Worker -> coordinator: typed failure (payload: Errc + message). A
   /// corrupt request never partially applies — the worker validates the
   /// whole payload before touching any state.
-  kError,
+  kError = 16,
 };
 
 /// True for the values the current protocol version defines.
@@ -96,7 +101,8 @@ struct ShardFrame {
 // ---------------------------------------------------------------------------
 // Payload codecs. Each decoder validates the complete payload (including
 // exhaustion) before returning, so a caller that commits the result never
-// commits a half-read frame.
+// commits a half-read frame. An element count larger than the rest of the
+// payload could hold is rejected before anything is allocated for it.
 // ---------------------------------------------------------------------------
 
 /// One broker demand group tagged with its index in the coordinator's
@@ -151,9 +157,6 @@ struct ShardHello {
   /// Owning CDN per cluster id (for worker-side journal attribution).
   std::vector<std::uint32_t> cdn_of_cluster;
   std::uint64_t journal_capacity = 4096;
-  /// Per-shard checkpoint directory ("" = no store).
-  std::string checkpoint_dir;
-  std::uint32_t checkpoint_keep = 3;
 
   friend bool operator==(const ShardHello&, const ShardHello&) = default;
 };
@@ -186,7 +189,7 @@ struct ShardError {
     std::span<const std::uint8_t> payload);
 
 /// kAck payload: a single u64 the responder wants echoed back (the applied
-/// round for allocation acks, rounds_applied for resume acks, 0 otherwise).
+/// round for allocation acks, rounds_applied for restore acks, 0 otherwise).
 [[nodiscard]] std::vector<std::uint8_t> encode_shard_ack(std::uint64_t value);
 [[nodiscard]] core::Result<std::uint64_t> decode_shard_ack(
     std::span<const std::uint8_t> payload);

@@ -98,4 +98,21 @@ std::span<const std::uint8_t> ByteReader::read_bytes(std::size_t n) {
   return out;
 }
 
+std::size_t ByteReader::bounded(std::uint64_t count, std::size_t record_size) const {
+  if (count > remaining() / record_size) {
+    throw WireError{"element count overruns the message"};
+  }
+  return static_cast<std::size_t>(count);
+}
+
+std::size_t ByteReader::read_count(std::size_t record_size) {
+  const std::uint64_t count = read_u64();
+  return bounded(count, record_size);
+}
+
+std::size_t ByteReader::read_count_u32(std::size_t record_size) {
+  const std::uint32_t count = read_u32();
+  return bounded(count, record_size);
+}
+
 }  // namespace vdx::proto

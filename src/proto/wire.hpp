@@ -55,12 +55,19 @@ class ByteReader {
   [[nodiscard]] std::string read_string();
   /// Reads exactly n bytes.
   [[nodiscard]] std::span<const std::uint8_t> read_bytes(std::size_t n);
+  /// Reads a u64 (or u32) element count and throws WireError unless that
+  /// many records of at least `record_size` bytes fit in what is left, so a
+  /// lying count can neither drive reserve() nor wrap a `count * size`
+  /// product.
+  [[nodiscard]] std::size_t read_count(std::size_t record_size);
+  [[nodiscard]] std::size_t read_count_u32(std::size_t record_size);
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] bool exhausted() const noexcept { return remaining() == 0; }
 
  private:
   void require(std::size_t n) const;
+  [[nodiscard]] std::size_t bounded(std::uint64_t count, std::size_t record_size) const;
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -70,15 +70,11 @@ std::vector<std::uint8_t> encode_cursor(const StreamCursor& cursor) {
 core::Result<StreamCursor> decode_cursor(proto::ByteReader& in) {
   StreamCursor cursor;
   cursor.consumed = in.read_u64();
-  const std::uint64_t count = in.read_u64();
-  // Each active session occupies 24 bytes on the wire; bound before
-  // reserving so a corrupted count cannot trigger a huge allocation.
-  if (count * 24 > in.remaining()) {
-    return malformed<StreamCursor>("stream cursor session count overruns the section");
-  }
-  cursor.active.reserve(static_cast<std::size_t>(count));
+  // Each active session occupies 24 bytes on the wire.
+  const std::size_t count = in.read_count(24);
+  cursor.active.reserve(count);
   std::uint64_t previous_id = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < count; ++i) {
     ActiveSession session;
     session.id = in.read_u32();
     session.city = in.read_u32();
@@ -142,15 +138,12 @@ core::Result<JournalState> decode_journal(proto::ByteReader& in) {
   JournalState journal;
   journal.total = in.read_u64();
   journal.round = in.read_u32();
-  const std::uint64_t count = in.read_u64();
-  if (count * 33 > in.remaining()) {
-    return malformed<JournalState>("journal event count overruns the section");
-  }
+  const std::size_t count = in.read_count(33);
   if (count > journal.total) {
     return malformed<JournalState>("journal retains more events than were recorded");
   }
-  journal.events.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  journal.events.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     obs::Event event;
     const std::uint8_t kind = in.read_u8();
     if (kind > static_cast<std::uint8_t>(obs::EventKind::kCustom)) {
@@ -272,8 +265,8 @@ core::Result<DaemonCheckpoint> decode_daemon(std::span<const std::uint8_t> bytes
     auto journal_state = decode_journal(journal.value());
     if (!journal_state.ok()) return core::Result<DaemonCheckpoint>{journal_state.error()};
     checkpoint.journal = std::move(journal_state).value();
-  } catch (const proto::WireError&) {
-    return malformed<DaemonCheckpoint>("checkpoint section truncated");
+  } catch (const proto::WireError& e) {
+    return malformed<DaemonCheckpoint>(std::string{"checkpoint section: "} + e.what());
   }
   return checkpoint;
 }
@@ -300,13 +293,9 @@ core::Result<TimelineCheckpoint> decode_timeline(std::span<const std::uint8_t> b
       checkpoint.logical_clock = in.read_u64();
       checkpoint.background_stale = in.read_u8() != 0;
       checkpoint.shed_sessions = in.read_u64();
-      const std::uint64_t loads = in.read_u64();
-      if (loads * 8 > in.remaining()) {
-        return malformed<TimelineCheckpoint>(
-            "background load count overruns the section");
-      }
-      checkpoint.background_loads.reserve(static_cast<std::size_t>(loads));
-      for (std::uint64_t i = 0; i < loads; ++i) {
+      const std::size_t loads = in.read_count(8);
+      checkpoint.background_loads.reserve(loads);
+      for (std::size_t i = 0; i < loads; ++i) {
         checkpoint.background_loads.push_back(in.read_f64());
       }
     }
@@ -331,13 +320,9 @@ core::Result<TimelineCheckpoint> decode_timeline(std::span<const std::uint8_t> b
       proto::ByteReader& in = churn.value();
       checkpoint.churn.sum = in.read_f64();
       checkpoint.churn.weight = in.read_f64();
-      const std::uint64_t count = in.read_u64();
-      if (count * 8 > in.remaining()) {
-        return malformed<TimelineCheckpoint>(
-            "churn assignment count overruns the section");
-      }
-      checkpoint.churn.previous.reserve(static_cast<std::size_t>(count));
-      for (std::uint64_t i = 0; i < count; ++i) {
+      const std::size_t count = in.read_count(8);
+      checkpoint.churn.previous.reserve(count);
+      for (std::size_t i = 0; i < count; ++i) {
         const std::uint32_t id = in.read_u32();
         const std::uint32_t cluster = in.read_u32();
         checkpoint.churn.previous.emplace_back(id, cluster);
@@ -349,8 +334,8 @@ core::Result<TimelineCheckpoint> decode_timeline(std::span<const std::uint8_t> b
     auto journal_state = decode_journal(journal.value());
     if (!journal_state.ok()) return core::Result<TimelineCheckpoint>{journal_state.error()};
     checkpoint.journal = std::move(journal_state).value();
-  } catch (const proto::WireError&) {
-    return malformed<TimelineCheckpoint>("checkpoint section truncated");
+  } catch (const proto::WireError& e) {
+    return malformed<TimelineCheckpoint>(std::string{"checkpoint section: "} + e.what());
   }
   return checkpoint;
 }

@@ -13,6 +13,9 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x58444276;  // "vBDX"
 constexpr std::uint16_t kVersion = 1;
+/// Encoded sizes: a session without switches, and one switch event.
+constexpr std::size_t kSessionBytes = 46;
+constexpr std::size_t kSwitchBytes = 10;
 
 void write_session(proto::ByteWriter& w, const Session& s) {
   w.write_u32(s.id.value());
@@ -45,9 +48,9 @@ Session read_session(proto::ByteReader& r) {
   const std::uint8_t initial = r.read_u8();
   if (initial >= kTraceCdnCount) throw proto::WireError{"trace: bad CDN label"};
   s.initial_cdn = static_cast<TraceCdn>(initial);
-  const std::uint32_t switch_count = r.read_u32();
+  const std::size_t switch_count = r.read_count_u32(kSwitchBytes);
   s.switches.reserve(switch_count);
-  for (std::uint32_t i = 0; i < switch_count; ++i) {
+  for (std::size_t i = 0; i < switch_count; ++i) {
     SwitchEvent e;
     e.time_s = r.read_f64();
     const std::uint8_t from = r.read_u8();
@@ -91,10 +94,10 @@ BrokerTrace load_trace(std::istream& in) {
     if (r.read_u32() != kMagic) throw proto::WireError{"trace: bad magic"};
     if (r.read_u16() != kVersion) throw proto::WireError{"trace: bad version"};
     const double duration = r.read_f64();
-    const std::uint32_t count = r.read_u32();
+    const std::size_t count = r.read_count_u32(kSessionBytes);
     std::vector<Session> sessions;
     sessions.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) sessions.push_back(read_session(r));
+    for (std::size_t i = 0; i < count; ++i) sessions.push_back(read_session(r));
     if (!r.exhausted()) throw proto::WireError{"trace: trailing bytes"};
     return BrokerTrace{std::move(sessions), duration};
   } catch (const proto::WireError& error) {

@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "proto/wire.hpp"
 #include "state/checkpoint.hpp"
+#include "state/snapshot.hpp"
 
 namespace vdx::market {
 namespace {
@@ -137,7 +139,25 @@ TEST_F(ExchangeStateTest, CorruptBytesAreRejectedAndLeaveTheExchangeUnchanged) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, core::Errc::kCorruptSnapshot);
 
-  // All three rejections left the restored state intact.
+  // A checksum-valid envelope whose core section (id 10: rounds, logical
+  // clock, then the background-load count) claims 2^61 + 1 loads: times 8
+  // bytes that wraps u64 to 8, and 8 bytes follow.
+  proto::ByteWriter core_section;
+  core_section.write_u64(2);
+  core_section.write_u64(0);
+  core_section.write_u64((std::uint64_t{1} << 61) + 1);
+  core_section.write_f64(0.0);
+  const auto view = state::SnapshotView::parse(bytes);
+  ASSERT_TRUE(view.ok());
+  state::SnapshotWriter wrapped;
+  for (const state::Section& section : view.value().sections()) {
+    wrapped.add_section(section.id, section.id == 10 ? core_section.data() : section.bytes);
+  }
+  status = subject.restore_state(wrapped.finish());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, core::Errc::kCorruptSnapshot);
+
+  // All four rejections left the restored state intact.
   expect_reports_identical(subject.run_round(), reference.run_round());
 }
 

@@ -1,20 +1,22 @@
-// Kill-and-resume drill (DESIGN.md §14): hard-kill every worker shard (a
-// real SIGKILL under the process backend) after every settlement round,
-// resume from the per-shard checkpoint stores, and byte-compare the
-// settlement against the monolithic reference. A killed coordinator
-// rebuilds from its own store with resume_from_stores(). Crash tolerance
-// must cost restarts — never settlement bytes.
+// Kill-and-resume drill (DESIGN.md §14): hard-kill worker shards (a real
+// SIGKILL under the process backend) after settlement rounds, let the
+// coordinator respawn them and re-push their cached slices, and
+// byte-compare the settlement against the monolithic reference. A killed
+// coordinator is rebuilt from the one embedded snapshot (save_state() ->
+// fresh exchange -> restore_state()). Crash tolerance must cost restarts —
+// never settlement bytes.
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <algorithm>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <utility>
 #include <vector>
 
 #include "market/shard.hpp"
+#include "proto/wire.hpp"
 #include "shard/shard_test_util.hpp"
 #include "sim/designs.hpp"
 #include "state/snapshot.hpp"
@@ -24,23 +26,6 @@ namespace {
 
 using shard_test::RoundAction;
 using shard_test::RunCapture;
-
-class TempDir {
- public:
-  explicit TempDir(const std::string& tag)
-      : path_(std::filesystem::temp_directory_path() / ("vdx_shard_" + tag)) {
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~TempDir() {
-    std::error_code ignored;
-    std::filesystem::remove_all(path_, ignored);
-  }
-  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
-
- private:
-  std::filesystem::path path_;
-};
 
 class ShardRecovery : public ::testing::Test {
  protected:
@@ -79,8 +64,8 @@ std::vector<double>* ShardRecovery::background_ = nullptr;
 
 constexpr std::size_t kRounds = 5;
 
-// Demand mode needs no store at all: the coordinator's cached slice is
-// authoritative, so a storeless worker death costs one respawn + re-push.
+// The coordinator's cached slice is authoritative, so a worker death costs
+// one respawn + re-push and nothing else.
 TEST_F(ShardRecovery, StorelessWorkerDeathInDemandModeIsInvisible) {
   const auto script = shard_test::make_script(
       scenario(), sim::StressScenario::kFlashCrowd, kRounds);
@@ -122,62 +107,7 @@ TEST_F(ShardRecovery, StorelessWorkerDeathInDemandModeIsInvisible) {
   }
 }
 
-// Session mode with per-shard stores: with checkpoint_every_rounds=1 a
-// SIGKILL after every settlement round is byte-invisible — the respawned
-// worker reloads its journal from its store and the coordinator re-pushes
-// its slice of the one session book.
-TEST_F(ShardRecovery, SessionModeResumesFromPerShardStoresAfterEveryRoundKill) {
-  const std::size_t cities = scenario().world().cities().size();
-  const auto add_of = [&](std::uint32_t id) {
-    return proto::ShardSessionAdd{id, id % static_cast<std::uint32_t>(cities),
-                                  id % 2 == 0 ? 1.2 : 3.6};
-  };
-
-  // Monolithic reference over the same deltas (live sessions, regrouped).
-  std::vector<RoundReport> mono_reports;
-  {
-    VdxExchange mono{scenario()};
-    shard_test::HeldSessions global;
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      std::vector<proto::ShardSessionAdd> adds;
-      for (std::uint32_t k = 0; k < 300; ++k) {
-        adds.push_back(add_of(static_cast<std::uint32_t>(r) * 300 + k));
-      }
-      global.apply(adds, {});
-      mono.set_active_load(global.groups(), background());
-      mono_reports.push_back(mono.run_round());
-    }
-  }
-
-  for (const ShardBackend backend :
-       {ShardBackend::kInproc, ShardBackend::kProcess}) {
-    TempDir dir{std::string{"sessions_"} + std::string{to_string(backend)}};
-    ShardedConfig config;
-    config.shards = 4;
-    config.backend = backend;
-    config.checkpoint_dir = dir.path();
-    config.checkpoint_every_rounds = 1;
-    ShardedExchange exchange{scenario(), config};
-
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      std::vector<proto::ShardSessionAdd> adds;
-      for (std::uint32_t k = 0; k < 300; ++k) {
-        adds.push_back(add_of(static_cast<std::uint32_t>(r) * 300 + k));
-      }
-      ASSERT_TRUE(exchange.push_session_delta(adds, {}).ok());
-      const RoundReport report = exchange.run_round();
-      EXPECT_EQ(mono_reports[r].awarded_mbps, report.awarded_mbps)
-          << to_string(backend) << " round " << r;
-      EXPECT_EQ(mono_reports[r].mean_score, report.mean_score)
-          << to_string(backend) << " round " << r;
-      // The auto-checkpoint has landed; now the shard dies for real.
-      exchange.kill_worker(r % config.shards);
-    }
-    EXPECT_GT(exchange.worker_restarts(), 0u);
-  }
-}
-
-/// Session deltas for the storeless and failed-push drills: round r admits
+/// Session deltas for the worker-kill and failed-push drills: round r admits
 /// 250 sessions and retires the oldest 100 of round r - 1.
 std::pair<std::vector<proto::ShardSessionAdd>, std::vector<std::uint32_t>>
 churn_delta(const sim::Scenario& scenario, std::size_t r) {
@@ -229,8 +159,8 @@ RunCapture capture_of(const ShardedExchange& exchange, std::vector<RoundReport> 
 }
 
 // The session book lives at the coordinator, so a session-fed worker holds
-// nothing that cannot be re-pushed: a storeless kill after every round is
-// as invisible as in demand mode.
+// nothing that cannot be re-pushed: a kill after every round is as
+// invisible as in demand mode.
 TEST_F(ShardRecovery, StorelessWorkerDeathInSessionModeIsInvisible) {
   const RunCapture mono = session_fed_mono(scenario(), background(), kRounds);
   for (const ShardBackend backend :
@@ -369,10 +299,10 @@ TEST_F(ShardRecovery, UnrecoverableResyncFailsTheRoundTyped) {
   EXPECT_EQ(exchange.rounds_completed(), 1u);
 }
 
-// Coordinator crash: a FRESH ShardedExchange over the same stores resumes
-// via resume_from_stores() and the tail is byte-identical to the
-// uninterrupted run — for both backends, killing a worker mid-tail too.
-TEST_F(ShardRecovery, CoordinatorResumesFromStoreWithIdenticalTail) {
+// Coordinator crash: a FRESH ShardedExchange restored from the crashed
+// coordinator's save_state() bytes continues with a tail byte-identical to
+// the uninterrupted run — for both backends, killing a worker mid-tail too.
+TEST_F(ShardRecovery, CoordinatorResumesFromSnapshotWithIdenticalTail) {
   const auto script = shard_test::make_script(
       scenario(), sim::StressScenario::kPerfectStorm, kRounds);
   const RunCapture uninterrupted = run_mono(script);
@@ -380,14 +310,12 @@ TEST_F(ShardRecovery, CoordinatorResumesFromStoreWithIdenticalTail) {
 
   for (const ShardBackend backend :
        {ShardBackend::kInproc, ShardBackend::kProcess}) {
-    TempDir dir{std::string{"coord_"} + std::string{to_string(backend)}};
     ShardedConfig config;
     config.shards = 4;
     config.backend = backend;
-    config.checkpoint_dir = dir.path();
-    config.checkpoint_every_rounds = 1;
 
     std::vector<RoundReport> head;
+    std::vector<std::uint8_t> snapshot;
     {
       ShardedExchange first{scenario(), config};
       for (std::size_t r = 0; r < kCrashAfter; ++r) {
@@ -397,11 +325,12 @@ TEST_F(ShardRecovery, CoordinatorResumesFromStoreWithIdenticalTail) {
         first.set_active_load(action.groups, background());
         head.push_back(first.run_round());
       }
-      // ~first: the coordinator process "dies" (stores survive on disk).
+      snapshot = first.save_state();
+      // ~first: the coordinator process "dies" (its last snapshot survives).
     }
 
     ShardedExchange resumed{scenario(), config};
-    ASSERT_TRUE(resumed.resume_from_stores().ok()) << to_string(backend);
+    ASSERT_TRUE(resumed.restore_state(snapshot).ok()) << to_string(backend);
     ASSERT_EQ(resumed.rounds_completed(), kCrashAfter);
     // The resumed coordinator must re-learn the failure/budget knobs the
     // script had applied before the crash (external control state, exactly
@@ -440,7 +369,7 @@ TEST_F(ShardRecovery, CoordinatorResumesFromStoreWithIdenticalTail) {
   }
 }
 
-// The embedded snapshot path (the daemon's checkpoint file): save_state()
+// The snapshot the daemon persists in its checkpoint file: save_state()
 // bundles coordinator + settlement + every worker; restore_state() on a
 // fresh exchange continues byte-identically.
 TEST_F(ShardRecovery, EmbeddedSnapshotRoundTripsAcrossAFreshExchange) {
@@ -504,6 +433,130 @@ TEST_F(ShardRecovery, VersionOneCoordinatorSnapshotFailsWithVersionMismatch) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, core::Errc::kVersionMismatch);
   EXPECT_EQ(resumed.save_state(), before);
+}
+
+/// `snapshot` with section `id` swapped for `bytes`, in a fresh envelope:
+/// every checksum is valid, so only the section's content is wrong.
+std::vector<std::uint8_t> with_section(std::span<const std::uint8_t> snapshot,
+                                       std::uint32_t id,
+                                       const std::vector<std::uint8_t>& bytes) {
+  const auto view = state::SnapshotView::parse(snapshot);
+  EXPECT_TRUE(view.ok());
+  state::SnapshotWriter writer;
+  for (const state::Section& section : view.value().sections()) {
+    writer.add_section(section.id, section.id == id ? bytes : section.bytes);
+  }
+  return writer.finish();
+}
+
+// Coordinator snapshot sections (shard.cpp): the core and the slice cache.
+constexpr std::uint32_t kCoreSection = 30;
+constexpr std::uint32_t kSlicesSection = 32;
+/// The first background load follows rounds, shard count, plan hash, three
+/// flags and the load count in the core section.
+constexpr std::size_t kFirstLoadOffset = 8 + 4 + 8 + 3 + 4;
+
+using Slices = std::vector<std::vector<proto::ShardGroup>>;
+
+Slices decode_slices(std::span<const std::uint8_t> snapshot) {
+  const auto view = state::SnapshotView::parse(snapshot);
+  EXPECT_TRUE(view.ok());
+  proto::ByteReader r{view.value().find(kSlicesSection)->bytes};
+  Slices slices(r.read_u32());
+  for (auto& slice : slices) {
+    const std::uint32_t len = r.read_u32();
+    slice = proto::decode_shard_groups(r.read_bytes(len)).value();
+  }
+  return slices;
+}
+
+std::vector<std::uint8_t> encode_slices(const Slices& slices) {
+  proto::ByteWriter w;
+  w.write_u32(static_cast<std::uint32_t>(slices.size()));
+  for (const auto& slice : slices) {
+    const auto bytes = proto::encode_shard_groups(slice);
+    w.write_u32(static_cast<std::uint32_t>(bytes.size()));
+    w.write_bytes(bytes);
+  }
+  return w.take();
+}
+
+// A checksum-valid snapshot can still carry a slice cache no coordinator
+// could have built. Restore refuses it before applying anything: with the
+// link breaker on, a quarantined shard would otherwise settle the bad
+// group straight from the cache and the round would report ok.
+TEST_F(ShardRecovery, RestoreRejectsSlicesThatCanNeverSettle) {
+  ShardedConfig config;
+  config.shards = 2;
+  config.link_breaker.failure_threshold = 2;
+  std::vector<std::uint8_t> good;
+  {
+    ShardedExchange first{scenario(), config};
+    first.set_active_load(scenario().broker_groups(), background());
+    (void)first.run_round();
+    good = first.save_state();
+  }
+  const Slices slices = decode_slices(good);
+  ASSERT_EQ(slices.size(), 2u);
+  ASSERT_FALSE(slices[0].empty());
+  ASSERT_FALSE(slices[1].empty());
+
+  const auto with_slices = [&](const Slices& changed) {
+    return with_section(good, kSlicesSection, encode_slices(changed));
+  };
+  const auto with_first_load = [&](double load) {
+    const auto view = state::SnapshotView::parse(good);
+    std::vector<std::uint8_t> core_bytes = view.value().find(kCoreSection)->bytes;
+    proto::ByteWriter w;
+    w.write_f64(load);
+    std::copy(w.data().begin(), w.data().end(), core_bytes.begin() + kFirstLoadOffset);
+    return with_section(good, kCoreSection, core_bytes);
+  };
+
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases;
+  {
+    Slices s = slices;
+    s[0][0].group.city = geo::CityId{9999};
+    cases.emplace_back("unknown city", with_slices(s));
+  }
+  {
+    Slices s = slices;
+    s[0][0].group.bitrate_mbps = std::numeric_limits<double>::quiet_NaN();
+    cases.emplace_back("non-finite bitrate", with_slices(s));
+  }
+  {
+    Slices s = slices;
+    s[1].push_back(s[0].front());
+    s[0].erase(s[0].begin());
+    cases.emplace_back("group on another shard's slice", with_slices(s));
+  }
+  {
+    Slices s = slices;
+    s[0].push_back(s[0].back());
+    cases.emplace_back("duplicated group id", with_slices(s));
+  }
+  {
+    Slices s = slices;
+    for (auto& slice : s) {
+      std::erase_if(slice, [](const proto::ShardGroup& g) { return g.global_id == 0; });
+    }
+    cases.emplace_back("lost group id", with_slices(s));
+  }
+  cases.emplace_back("non-finite background load",
+                     with_first_load(std::numeric_limits<double>::infinity()));
+  cases.emplace_back("negative background load", with_first_load(-1.0));
+
+  ShardedExchange resumed{scenario(), config};
+  const auto before = resumed.save_state();
+  for (const auto& [what, bytes] : cases) {
+    const core::Status status = resumed.restore_state(bytes);
+    ASSERT_FALSE(status.ok()) << what;
+    EXPECT_EQ(status.error().code, core::Errc::kCorruptSnapshot) << what;
+    EXPECT_EQ(resumed.save_state(), before) << what;
+  }
+  // The untouched snapshot restores, so each rejection was about its one
+  // change.
+  EXPECT_TRUE(resumed.restore_state(good).ok());
 }
 
 }  // namespace

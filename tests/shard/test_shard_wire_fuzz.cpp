@@ -326,33 +326,103 @@ TEST(ShardWireFuzz, VersionOneWorkerSnapshotFailsWithVersionMismatch) {
   EXPECT_EQ(worker.save_state(), before);
 }
 
-// Type byte 3 carried per-shard session deltas in protocol version 1. It is
-// retired, not reassigned: a frame using it is corrupt even with a valid
+/// The worker's error code for raw request bytes, or nullopt unless the
+/// reply is a well-formed kError frame.
+std::optional<core::Errc> worker_error_for(market::ShardWorker& worker,
+                                           std::span<const std::uint8_t> bytes) {
+  const auto response = try_decode_shard_frame(worker.handle_bytes(bytes));
+  if (!response.ok() || response.value().type != ShardFrameType::kError) {
+    return std::nullopt;
+  }
+  const auto error = decode_shard_error(response.value().payload);
+  if (!error.ok()) return std::nullopt;
+  return error.value().code;
+}
+
+// Type byte 3 carried per-shard session deltas in protocol version 1, and
+// 10/11 drove the per-shard checkpoint stores in version 2. They are
+// retired, not reassigned: a frame using one is corrupt even with a valid
 // checksum, and a worker answers it with kCorruptFrame.
 TEST(ShardWireFuzz, RetiredSessionDeltaTypeByteIsRejected) {
-  ShardFrame collect;
-  collect.type = ShardFrameType::kCollect;
-  collect.shard = 1;
-  std::vector<std::uint8_t> wire = encode_shard_frame(collect);
-  wire[4] = 3;  // the type byte follows the 4-byte magic
-  const std::size_t body = wire.size() - 8;
-  ByteWriter checksum;
-  checksum.write_u64(core::fnv1a64(std::span{wire.data(), body}));
-  std::copy(checksum.data().begin(), checksum.data().end(), wire.begin() + body);
+  for (const std::uint8_t retired : {3, 10, 11}) {
+    ShardFrame collect;
+    collect.type = ShardFrameType::kCollect;
+    collect.shard = 1;
+    std::vector<std::uint8_t> wire = encode_shard_frame(collect);
+    wire[4] = retired;  // the type byte follows the 4-byte magic
+    const std::size_t body = wire.size() - 8;
+    ByteWriter checksum;
+    checksum.write_u64(core::fnv1a64(std::span{wire.data(), body}));
+    std::copy(checksum.data().begin(), checksum.data().end(), wire.begin() + body);
 
-  EXPECT_FALSE(shard_frame_type_known(3));
-  const auto decoded = try_decode_shard_frame(wire);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.error().code, core::Errc::kCorruptFrame);
+    EXPECT_FALSE(shard_frame_type_known(retired)) << int{retired};
+    const auto decoded = try_decode_shard_frame(wire);
+    ASSERT_FALSE(decoded.ok()) << int{retired};
+    EXPECT_EQ(decoded.error().code, core::Errc::kCorruptFrame);
+
+    market::ShardWorker worker{1};
+    configure_worker(worker);
+    EXPECT_EQ(worker_error_for(worker, wire), core::Errc::kCorruptFrame)
+        << int{retired};
+  }
+}
+
+// A u32-sized element count with nothing behind it must be rejected typed
+// before anything is reserved for it — by every counted payload decoder,
+// and by a worker that receives one inside a checksum-valid frame.
+TEST(ShardWireFuzz, LyingElementCountsAreRejectedWithoutAllocating) {
+  constexpr std::uint64_t kLie = std::numeric_limits<std::uint32_t>::max();
+  ByteWriter groups;
+  groups.write_u64(kLie);
+  ByteWriter placements;
+  placements.write_u64(kLie);
+  ByteWriter hello;
+  hello.write_u32(1);  // shard
+  hello.write_u32(2);  // shard_count
+  hello.write_u32(4);  // city_count
+  hello.write_u64(42);  // plan_hash
+  hello.write_u64(kLie);  // clusters
+  hello.write_u64(4096);  // journal_capacity
+  ByteWriter journal;
+  journal.write_u64(0);  // total_recorded
+  journal.write_u32(0);  // round
+  journal.write_u64(kLie);
+
+  const auto expect_corrupt = [](const auto& decoded, const char* what) {
+    ASSERT_FALSE(decoded.ok()) << what;
+    EXPECT_EQ(decoded.error().code, core::Errc::kCorruptFrame) << what;
+  };
+  expect_corrupt(decode_shard_groups(groups.data()), "groups");
+  expect_corrupt(decode_allocation(placements.data()), "allocation");
+  expect_corrupt(decode_shard_hello(hello.data()), "hello");
+  expect_corrupt(decode_journal_slice(journal.data()), "journal slice");
+
+  ShardFrame lying_hello;
+  lying_hello.type = ShardFrameType::kHello;
+  lying_hello.shard = 1;
+  lying_hello.payload = hello.data();
+  market::ShardWorker fresh{1};
+  EXPECT_EQ(worker_error_for(fresh, encode_shard_frame(lying_hello)),
+            core::Errc::kCorruptFrame);
+  EXPECT_FALSE(fresh.configured());
 
   market::ShardWorker worker{1};
   configure_worker(worker);
-  const auto response = try_decode_shard_frame(worker.handle_bytes(wire));
-  ASSERT_TRUE(response.ok());
-  ASSERT_EQ(response.value().type, ShardFrameType::kError);
-  const auto error = decode_shard_error(response.value().payload);
-  ASSERT_TRUE(error.ok());
-  EXPECT_EQ(error.value().code, core::Errc::kCorruptFrame);
+  const std::vector<std::uint8_t> before = worker.save_state();
+  ShardFrame demand;
+  demand.type = ShardFrameType::kSetDemand;
+  demand.shard = 1;
+  demand.payload = groups.data();
+  ShardFrame allocation;
+  allocation.type = ShardFrameType::kAllocation;
+  allocation.shard = 1;
+  allocation.payload = placements.data();
+  for (const ShardFrame& frame : {demand, allocation}) {
+    EXPECT_EQ(worker_error_for(worker, encode_shard_frame(frame)),
+              core::Errc::kCorruptFrame)
+        << static_cast<int>(frame.type);
+    EXPECT_EQ(worker.save_state(), before);
+  }
 }
 
 // The chaos path delivers EVERY duplicated copy to the worker (no
@@ -394,7 +464,7 @@ TEST(ShardWireFuzz, UnconfiguredWorkerRefusesEverythingButHello) {
   market::ShardWorker worker{0};
   for (const ShardFrameType type :
        {ShardFrameType::kSetDemand, ShardFrameType::kCollect,
-        ShardFrameType::kAllocation, ShardFrameType::kCheckpoint,
+        ShardFrameType::kAllocation, ShardFrameType::kStateRequest,
         ShardFrameType::kJournalRequest}) {
     ShardFrame frame;
     frame.type = type;

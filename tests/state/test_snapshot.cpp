@@ -9,9 +9,12 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/observe.hpp"
+#include "proto/wire.hpp"
+#include "state/checkpoint.hpp"
 #include "state/store.hpp"
 
 namespace vdx::state {
@@ -127,6 +130,77 @@ TEST(Snapshot, TrailingBytesAreRejected) {
   parsed = SnapshotView::parse(doubled);
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.error().code, core::Errc::kCorruptSnapshot);
+}
+
+/// `bytes` with section `id` swapped for `payload`, in a fresh envelope:
+/// every checksum is valid, so only the section's content is wrong.
+std::vector<std::uint8_t> with_section(std::span<const std::uint8_t> bytes,
+                                       std::uint32_t id,
+                                       const std::vector<std::uint8_t>& payload) {
+  const auto view = SnapshotView::parse(bytes);
+  EXPECT_TRUE(view.ok());
+  SnapshotWriter writer;
+  for (const Section& section : view.value().sections()) {
+    writer.add_section(section.id, section.id == id ? payload : section.bytes);
+  }
+  return writer.finish();
+}
+
+// Checkpoint element counts whose `count * record size` wraps u64 to a
+// small value once passed the overrun guards and threw from reserve()
+// (std::length_error) instead of failing typed. Each counted list of both
+// checkpoint kinds gets one: the cursor (24-byte sessions), the journal
+// (33-byte events), the background loads and the churn assignments (8
+// bytes each).
+TEST(Snapshot, WrappedCheckpointCountsAreCorruptSnapshot) {
+  constexpr std::uint64_t kWrapsTo8For8 = (std::uint64_t{1} << 61) + 1;
+  constexpr std::uint64_t kWrapsTo8For24 = 768614336404564651ULL;
+  constexpr std::uint64_t kWrapsTo17For33 = 558992244657865201ULL;
+  const auto section = [](auto&& write) {
+    proto::ByteWriter w;
+    write(w);
+    return w.take();
+  };
+  const auto cursor = section([&](proto::ByteWriter& w) {
+    w.write_u64(0);  // consumed
+    w.write_u64(kWrapsTo8For24);
+    w.write_u64(0);
+  });
+  const auto journal = section([&](proto::ByteWriter& w) {
+    w.write_u64(UINT64_MAX);  // total: no smaller than any count
+    w.write_u32(0);
+    w.write_u64(kWrapsTo17For33);
+    w.write_bytes(std::vector<std::uint8_t>(17, 0));
+  });
+  const auto progress = section([&](proto::ByteWriter& w) {
+    for (int i = 0; i < 5; ++i) w.write_u64(0);
+    w.write_u8(0);  // background_stale
+    w.write_u64(0);  // shed_sessions
+    w.write_u64(kWrapsTo8For8);
+    w.write_f64(0.0);
+  });
+  const auto churn = section([&](proto::ByteWriter& w) {
+    w.write_f64(0.0);
+    w.write_f64(0.0);
+    w.write_u64(kWrapsTo8For8);
+    w.write_u64(0);
+  });
+
+  const auto daemon = encode(DaemonCheckpoint{});
+  for (const auto& [id, payload] :
+       {std::pair{7u, cursor}, std::pair{6u, journal}}) {
+    const auto decoded = decode_daemon(with_section(daemon, id, payload));
+    ASSERT_FALSE(decoded.ok()) << "daemon section " << id;
+    EXPECT_EQ(decoded.error().code, core::Errc::kCorruptSnapshot);
+  }
+  const auto timeline = encode(TimelineCheckpoint{});
+  for (const auto& [id, payload] :
+       {std::pair{2u, progress}, std::pair{3u, cursor}, std::pair{4u, cursor},
+        std::pair{5u, churn}, std::pair{6u, journal}}) {
+    const auto decoded = decode_timeline(with_section(timeline, id, payload));
+    ASSERT_FALSE(decoded.ok()) << "timeline section " << id;
+    EXPECT_EQ(decoded.error().code, core::Errc::kCorruptSnapshot);
+  }
 }
 
 TEST(Snapshot, AtomicWriteRoundTripsAndLeavesNoTmp) {

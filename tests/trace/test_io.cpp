@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+
+#include "proto/wire.hpp"
 
 namespace vdx::trace {
 namespace {
@@ -81,6 +84,39 @@ TEST(TraceIo, RejectsTrailingGarbage) {
   std::string bytes = buffer.str() + "junk";
   std::stringstream padded{bytes, std::ios::in | std::ios::binary};
   EXPECT_THROW((void)load_trace(padded), std::runtime_error);
+}
+
+// A session or switch count larger than the bytes behind it is a corrupt
+// trace (std::runtime_error), not an allocation of that many records.
+TEST(TraceIo, RejectsLyingCounts) {
+  proto::ByteWriter sessions;
+  sessions.write_u32(0x58444276);  // magic
+  sessions.write_u16(1);           // version
+  sessions.write_f64(3600.0);      // duration
+  sessions.write_u32(0xFFFFFFFFu);
+  std::string bytes{sessions.data().begin(), sessions.data().end()};
+  std::stringstream lying_sessions{bytes, std::ios::in | std::ios::binary};
+  EXPECT_THROW((void)load_trace(lying_sessions), std::runtime_error);
+
+  // One session whose switch count (its last field) lies.
+  proto::ByteWriter switches;
+  switches.write_u32(0x58444276);
+  switches.write_u16(1);
+  switches.write_f64(3600.0);
+  switches.write_u32(1);
+  switches.write_u32(0);       // id
+  switches.write_f64(0.0);     // arrival
+  switches.write_u32(0);       // video
+  switches.write_f64(1.0);     // bitrate
+  switches.write_f64(10.0);    // duration
+  switches.write_u32(0);       // city
+  switches.write_u32(0);       // as_number
+  switches.write_u8(0);        // abandoned
+  switches.write_u8(0);        // initial CDN
+  switches.write_u32(0xFFFFFFFFu);
+  bytes.assign(switches.data().begin(), switches.data().end());
+  std::stringstream lying_switches{bytes, std::ios::in | std::ios::binary};
+  EXPECT_THROW((void)load_trace(lying_switches), std::runtime_error);
 }
 
 TEST(TraceIo, MissingFileThrows) {
