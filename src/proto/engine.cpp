@@ -18,6 +18,22 @@ T transmit(const T& message, std::size_t& bytes) {
   return std::get<T>(decoded);
 }
 
+/// A fault-free broadcast to `fanout` receivers: the frames are identical on
+/// every link, so each message crosses the codec once and every receiver is
+/// handed the same decoded copy. `sent` and `bytes` count the logical
+/// broadcast (one frame per receiver).
+template <typename T>
+std::vector<T> broadcast(const std::vector<T>& messages, std::size_t fanout,
+                         std::size_t& sent, std::size_t& bytes) {
+  std::vector<T> delivered;
+  delivered.reserve(messages.size());
+  std::size_t frame_bytes = 0;
+  for (const T& message : messages) delivered.push_back(transmit(message, frame_bytes));
+  sent += messages.size() * fanout;
+  bytes += frame_bytes * fanout;
+  return delivered;
+}
+
 /// One message over a faulty link: send, and on presumed loss retry with
 /// exponential backoff until delivery, deadline expiry, or budget exhaustion.
 /// Mutated frames are rejected by try_decode (checksum) and treated as lost.
@@ -228,17 +244,11 @@ RoundStats run_decision_round(BrokerParticipant& broker,
   }
   {
     const obs::SpanTracer::Scoped span{tracer, "decision.share"};
-    for (CdnParticipant* cdn : cdns) {
-      std::vector<ShareMessage> delivered;
-      if (config.share_client_data) {
-        delivered.reserve(shares.size());
-        for (const ShareMessage& share : shares) {
-          delivered.push_back(transmit(share, stats.bytes_on_wire));
-          ++stats.shares_sent;
-        }
-      }
-      cdn->handle_share(delivered);
-    }
+    const std::vector<ShareMessage> delivered =
+        config.share_client_data ? broadcast(shares, cdns.size(), stats.shares_sent,
+                                             stats.bytes_on_wire)
+                                 : std::vector<ShareMessage>{};
+    for (CdnParticipant* cdn : cdns) cdn->handle_share(delivered);
     if (tracer != nullptr) tracer->advance(1);
   }
 
@@ -271,15 +281,9 @@ RoundStats run_decision_round(BrokerParticipant& broker,
   // Step 7: Accept — every CDN hears about every bid's outcome.
   {
     const obs::SpanTracer::Scoped span{tracer, "decision.accept"};
-    for (CdnParticipant* cdn : cdns) {
-      std::vector<AcceptMessage> delivered;
-      delivered.reserve(accepts.size());
-      for (const AcceptMessage& accept : accepts) {
-        delivered.push_back(transmit(accept, stats.bytes_on_wire));
-        ++stats.accepts_sent;
-      }
-      cdn->handle_accept(delivered);
-    }
+    const std::vector<AcceptMessage> delivered =
+        broadcast(accepts, cdns.size(), stats.accepts_sent, stats.bytes_on_wire);
+    for (CdnParticipant* cdn : cdns) cdn->handle_accept(delivered);
     if (tracer != nullptr) tracer->advance(1);
   }
 

@@ -112,7 +112,10 @@ struct DecisionEngineConfig {
 };
 
 /// Runs one Decision Protocol round. Every message is encoded and re-decoded
-/// through the wire codec.
+/// through the wire codec. On the fault-free transport a Share or Accept
+/// broadcast crosses the codec once and every CDN receives the same decoded
+/// span, while `shares_sent`, `accepts_sent` and `bytes_on_wire` still count
+/// one frame per CDN; under chaos every link carries its own frame.
 [[nodiscard]] RoundStats run_decision_round(BrokerParticipant& broker,
                                             std::span<CdnParticipant* const> cdns,
                                             const DecisionEngineConfig& config = {});

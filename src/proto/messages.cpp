@@ -175,9 +175,11 @@ MessageType type_of(const Message& message) noexcept {
 }
 
 std::vector<std::uint8_t> encode(const Message& message) {
+  const auto type = static_cast<std::uint8_t>(type_of(message));
   ByteWriter w;
+  w.reserve(kHeaderSize + payload_size(type) + kChecksumSize);  // one allocation
   w.write_u32(0);  // length placeholder
-  w.write_u8(static_cast<std::uint8_t>(type_of(message)));
+  w.write_u8(type);
   w.write_u16(kProtocolVersion);
   const std::size_t payload_start = w.size();
   std::visit([&w](const auto& m) { write_payload(w, m); }, message);

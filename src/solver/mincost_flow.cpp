@@ -194,7 +194,9 @@ MinCostFlowGraph::FlowResult MinCostFlowGraph::solve(NodeId source, NodeId sink,
   while (result.flow < target_flow) {
     // Dijkstra on reduced costs. Each reached node pops exactly once, in
     // increasing (dist, node) order — the same effective sequence the lazy
-    // heap produced — and scans its CSR block once.
+    // heap produced — and scans its CSR block once. The search stops when the
+    // sink pops: every node on the augmenting path was settled before it, so
+    // its parent arc is already final.
     std::fill(dist_.begin(), dist_.end(), kInf);
     std::fill(parent_pos_.begin(), parent_pos_.end(), kNoPos);
     std::fill(heap_index_.begin(), heap_index_.end(), kNoPos);
@@ -203,6 +205,7 @@ MinCostFlowGraph::FlowResult MinCostFlowGraph::solve(NodeId source, NodeId sink,
     heap_push_or_decrease(source);
     while (!heap_.empty()) {
       const NodeId u = heap_pop_min();
+      if (u == sink) break;
       const double du = dist_[u];
       const double pu = pot[u];
       const std::uint32_t begin = csr_start_[u];
@@ -221,9 +224,11 @@ MinCostFlowGraph::FlowResult MinCostFlowGraph::solve(NodeId source, NodeId sink,
     }
     if (dist_[sink] == kInf) break;  // no augmenting path left
 
-    for (std::size_t v = 0; v < nodes; ++v) {
-      if (dist_[v] < kInf) pot[v] += dist_[v];
-    }
+    // Settled nodes move by their distance; everything else (still queued
+    // or never reached) by the sink's, so every residual arc keeps a
+    // non-negative reduced cost.
+    const double sink_dist = dist_[sink];
+    for (std::size_t v = 0; v < nodes; ++v) pot[v] += std::min(dist_[v], sink_dist);
 
     // Bottleneck along the path.
     std::int64_t push = target_flow - result.flow;

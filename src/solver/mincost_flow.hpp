@@ -12,6 +12,13 @@
 // (newest arc first), so every relaxation — and therefore every tie-break,
 // parent choice, and potential — is byte-identical to the list-based walk;
 // the CSR merely makes the Dijkstra inner loop a contiguous strided sweep.
+//
+// Each augmentation's Dijkstra stops as soon as the sink pops. Under the
+// same potentials the path is the one a full search would return (its nodes
+// are settled before the sink). The potential update
+// `pot[v] += min(dist[v], dist[sink])` — applied to every node, reached or
+// not — keeps every residual reduced cost non-negative without relying on
+// the relax loop's max(0, ·) clamp.
 #pragma once
 
 #include <cstdint>

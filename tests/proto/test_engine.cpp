@@ -39,16 +39,24 @@ class ScriptedCdn final : public CdnParticipant {
   double price_;
 };
 
-/// Scripted broker: one share, accepts the cheapest bid fully.
+/// Scripted broker: `share_count` shares (ids 1..n), accepts the cheapest bid
+/// fully.
 class ScriptedBroker final : public BrokerParticipant {
  public:
+  explicit ScriptedBroker(std::uint32_t share_count = 1) : share_count_(share_count) {}
+
   std::vector<ShareMessage> gather() override {
-    ShareMessage share;
-    share.share_id = 1;
-    share.location = 3;
-    share.data_size_mbps = 2.0;
-    share.client_count = 50;
-    return {share};
+    std::vector<ShareMessage> shares;
+    for (std::uint32_t i = 1; i <= share_count_; ++i) {
+      ShareMessage share;
+      share.share_id = i;
+      share.location = 3 * i;
+      share.data_size_mbps = 2.0 * i;
+      share.client_count = 50 * i;
+      shares.push_back(share);
+    }
+    gathered_ = shares;
+    return shares;
   }
 
   std::vector<AcceptMessage> optimize(std::span<const BidMessage> bids) override {
@@ -69,10 +77,14 @@ class ScriptedBroker final : public BrokerParticipant {
       accept.awarded_mbps = (&bid == cheapest) ? 100.0 : 0.0;
       accepts.push_back(accept);
     }
+    accepted_ = accepts;
     return accepts;
   }
 
+  std::uint32_t share_count_;
+  std::vector<ShareMessage> gathered_;
   std::vector<BidMessage> seen_bids_;
+  std::vector<AcceptMessage> accepted_;
 };
 
 TEST(DecisionEngine, RunsFullRoundWithShares) {
@@ -106,6 +118,46 @@ TEST(DecisionEngine, RunsFullRoundWithShares) {
   EXPECT_EQ(stats.bids_received, 2u);
   EXPECT_EQ(stats.accepts_sent, 4u);  // 2 accepts x 2 CDNs
   EXPECT_GT(stats.bytes_on_wire, 0u);
+}
+
+template <typename T>
+std::vector<std::vector<std::uint8_t>> frames(const std::vector<T>& messages) {
+  std::vector<std::vector<std::uint8_t>> out;
+  for (const T& m : messages) out.push_back(encode(Message{m}));
+  return out;
+}
+
+/// Wire bytes of `messages`, each encoded once.
+template <typename T>
+std::size_t frame_bytes(const std::vector<T>& messages) {
+  std::size_t bytes = 0;
+  for (const auto& frame : frames(messages)) bytes += frame.size();
+  return bytes;
+}
+
+TEST(DecisionEngine, BroadcastsReachEveryCdnAndCountPerReceiver) {
+  ScriptedBroker broker{2};
+  ScriptedCdn first{1, 1.0};
+  ScriptedCdn second{2, 2.0};
+  ScriptedCdn third{3, 3.0};
+  std::vector<CdnParticipant*> cdns{&first, &second, &third};
+  constexpr std::size_t kFanout = 3;
+
+  const RoundStats stats = run_decision_round(broker, cdns);
+
+  ASSERT_EQ(broker.gathered_.size(), 2u);
+  ASSERT_EQ(broker.accepted_.size(), 6u);  // 2 shares x 3 bidding CDNs
+  for (const ScriptedCdn* cdn : {&first, &second, &third}) {
+    EXPECT_EQ(frames(cdn->shares_), frames(broker.gathered_)) << "cdn " << cdn->id_;
+    EXPECT_EQ(frames(cdn->accepts_), frames(broker.accepted_)) << "cdn " << cdn->id_;
+  }
+
+  EXPECT_EQ(stats.shares_sent, broker.gathered_.size() * kFanout);
+  EXPECT_EQ(stats.bids_received, broker.seen_bids_.size());
+  EXPECT_EQ(stats.accepts_sent, broker.accepted_.size() * kFanout);
+  EXPECT_EQ(stats.bytes_on_wire, frame_bytes(broker.gathered_) * kFanout +
+                                     frame_bytes(broker.seen_bids_) +
+                                     frame_bytes(broker.accepted_) * kFanout);
 }
 
 TEST(DecisionEngine, NoShareModeDeliversEmptySpans) {

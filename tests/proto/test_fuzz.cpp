@@ -106,7 +106,9 @@ TEST(WireFuzz, TryDecodeAgreesWithDecodeOnRandomBytes) {
       threw = true;
     }
     EXPECT_EQ(threw, !safe.ok());
-    if (!safe.ok()) EXPECT_EQ(safe.error().code, core::Errc::kCorruptFrame);
+    if (!safe.ok()) {
+      EXPECT_EQ(safe.error().code, core::Errc::kCorruptFrame);
+    }
   }
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "core/rng.hpp"
+#include "support/reference_mincost_flow.hpp"
+
 namespace vdx::solver {
 namespace {
 
@@ -92,6 +98,176 @@ TEST(MinCostFlowGraph, RejectsBadArguments) {
   EXPECT_THROW((void)g.add_arc(s, s, -1, 0.0), std::invalid_argument);
   EXPECT_THROW((void)g.solve(s, 99, 1), std::invalid_argument);
   EXPECT_THROW((void)g.flow_on(MinCostFlowGraph::ArcRef{99}), std::out_of_range);
+}
+
+// Equal-cost routes: s->a->t and s->b->t both cost 2, plus a dearer
+// s->c->t route (cost 4). The sink (id 1) pops before a, b and c are all
+// settled, so each augmentation stops with part of the graph still queued.
+struct ParallelRoutes {
+  MinCostFlowGraph g;
+  MinCostFlowGraph::NodeId s = g.add_node();
+  MinCostFlowGraph::NodeId t = g.add_node();
+  MinCostFlowGraph::NodeId a = g.add_node();
+  MinCostFlowGraph::NodeId b = g.add_node();
+  MinCostFlowGraph::NodeId c = g.add_node();
+  MinCostFlowGraph::ArcRef sa = g.add_arc(s, a, 1, 1.0);
+  MinCostFlowGraph::ArcRef sb = g.add_arc(s, b, 1, 1.0);
+  MinCostFlowGraph::ArcRef at = g.add_arc(a, t, 1, 1.0);
+  MinCostFlowGraph::ArcRef bt = g.add_arc(b, t, 1, 1.0);
+  MinCostFlowGraph::ArcRef sc = g.add_arc(s, c, 2, 4.0);
+  MinCostFlowGraph::ArcRef ct = g.add_arc(c, t, 2, 0.0);
+};
+
+TEST(MinCostFlowEarlyExit, EqualCostRoutesBreakTiesOnNodeId) {
+  // a, b and c all sit at reduced distance 0; (dist, node) order pops a
+  // (id 2) first, a reaches the sink (id 1), and the sink pops next.
+  ParallelRoutes r;
+  const auto result = r.g.solve(r.s, r.t, 1);
+  EXPECT_TRUE(result.reached_target);
+  EXPECT_EQ(result.flow, 1);
+  EXPECT_DOUBLE_EQ(result.cost, 2.0);
+  EXPECT_EQ(r.g.flow_on(r.sa), 1);
+  EXPECT_EQ(r.g.flow_on(r.at), 1);
+  EXPECT_EQ(r.g.flow_on(r.sb), 0);
+  EXPECT_EQ(r.g.flow_on(r.bt), 0);
+  EXPECT_EQ(r.g.flow_on(r.sc), 0);
+  EXPECT_EQ(r.g.flow_on(r.ct), 0);
+}
+
+TEST(MinCostFlowEarlyExit, UnsettledNodesKeepPotentialsValid) {
+  // Second path: b (a's route is saturated). Third: the dear route, with a
+  // and b unreachable — their potentials move by the sink's distance.
+  // Fourth: c's remaining unit. Optimum 2 + 2 + 4 + 4.
+  ParallelRoutes r;
+  const auto three = r.g.solve(r.s, r.t, 3);
+  EXPECT_EQ(three.flow, 3);
+  EXPECT_DOUBLE_EQ(three.cost, 8.0);
+  EXPECT_EQ(r.g.flow_on(r.sa), 1);
+  EXPECT_EQ(r.g.flow_on(r.sb), 1);
+  EXPECT_EQ(r.g.flow_on(r.sc), 1);
+  EXPECT_EQ(r.g.flow_on(r.ct), 1);
+
+  const auto all = r.g.solve(r.s, r.t, 10);
+  EXPECT_FALSE(all.reached_target);
+  EXPECT_EQ(all.flow, 4);
+  EXPECT_DOUBLE_EQ(all.cost, 12.0);
+  EXPECT_EQ(r.g.flow_on(r.at), 1);
+  EXPECT_EQ(r.g.flow_on(r.bt), 1);
+  EXPECT_EQ(r.g.flow_on(r.sc), 2);
+  EXPECT_EQ(r.g.flow_on(r.ct), 2);
+}
+
+TEST(MinCostFlowEarlyExit, GridTiesDecideTheRoute) {
+  // 3x3 grid, unit right/down arcs of capacity 1, source top-left (0), sink
+  // bottom-right (8), plus a dear detour 0 -> 9 -> 8 whose node outranks the
+  // sink and so stays queued when the sink pops. Every monotone path costs
+  // 4, so the route is pure tie-breaking: node ids ascending, each node's
+  // arcs newest first, strict improvement only. The first path takes the
+  // top row and right column; the second enters via the left column, then
+  // 3 -> 4 -> 7 -> 8; the third has only the detour (cost 10) left.
+  MinCostFlowGraph g;
+  std::vector<MinCostFlowGraph::NodeId> n(10);
+  for (auto& node : n) node = g.add_node();
+  std::vector<MinCostFlowGraph::ArcRef> right(9);
+  std::vector<MinCostFlowGraph::ArcRef> down(9);
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      const std::size_t v = 3 * r + c;
+      if (c < 2) right[v] = g.add_arc(n[v], n[v + 1], 1, 1.0);
+      if (r < 2) down[v] = g.add_arc(n[v], n[v + 3], 1, 1.0);
+    }
+  }
+  const auto into_detour = g.add_arc(n[0], n[9], 1, 10.0);
+  const auto out_of_detour = g.add_arc(n[9], n[8], 1, 0.0);
+
+  const auto two = g.solve(n[0], n[8], 2);
+  EXPECT_TRUE(two.reached_target);
+  EXPECT_EQ(two.flow, 2);
+  EXPECT_DOUBLE_EQ(two.cost, 8.0);
+  const std::vector<std::int64_t> right_flow{1, 1, 0, 1, 0, 0, 0, 1, 0};
+  const std::vector<std::int64_t> down_flow{1, 0, 1, 0, 1, 1, 0, 0, 0};
+  for (std::size_t v = 0; v < 9; ++v) {
+    if (v % 3 < 2) {
+      EXPECT_EQ(g.flow_on(right[v]), right_flow[v]) << "right of " << v;
+    }
+    if (v / 3 < 2) {
+      EXPECT_EQ(g.flow_on(down[v]), down_flow[v]) << "down of " << v;
+    }
+  }
+  EXPECT_EQ(g.flow_on(into_detour), 0);
+  EXPECT_EQ(g.flow_on(out_of_detour), 0);
+
+  const auto three = g.solve(n[0], n[8], 3);
+  EXPECT_TRUE(three.reached_target);
+  EXPECT_DOUBLE_EQ(three.cost, 18.0);
+  EXPECT_EQ(g.flow_on(into_detour), 1);
+  EXPECT_EQ(g.flow_on(out_of_detour), 1);
+}
+
+// Seeded differential against the Bellman-Ford successive-shortest-path
+// reference (tests/support/reference_mincost_flow.hpp) over small random
+// graphs: free-form graphs with non-negative costs, degenerate ones where
+// every arc costs the same, and DAGs with negative-cost arcs (acyclic, so no
+// negative cycle). Costs are multiples of 1/4, exact in binary, so both
+// solvers see the same ties.
+TEST(MinCostFlowDifferential, MatchesBellmanFordReferenceOnRandomGraphs) {
+  core::Rng rng{20171212};
+  constexpr int kInstances = 2000;
+  for (int instance = 0; instance < kInstances; ++instance) {
+    SCOPED_TRACE(instance);
+    const int kind = instance % 3;  // 0 free-form, 1 all-equal, 2 negative DAG
+    const auto nodes = static_cast<std::uint32_t>(rng.range(2, 9));
+    const auto sink = static_cast<std::uint32_t>(rng.range(1, nodes - 1));
+    const double equal_cost = static_cast<double>(rng.range(0, 3));
+    const bool quarters = rng.chance(0.5);
+    std::vector<test::ReferenceArc> arcs(
+        static_cast<std::size_t>(rng.range(0, 3 * static_cast<std::int64_t>(nodes))));
+    for (test::ReferenceArc& arc : arcs) {
+      arc.from = static_cast<std::uint32_t>(rng.below(nodes));
+      do {
+        arc.to = static_cast<std::uint32_t>(rng.below(nodes));
+      } while (arc.to == arc.from);
+      if (kind == 2 && arc.from > arc.to) std::swap(arc.from, arc.to);
+      arc.capacity = rng.range(0, 5);
+      const std::int64_t scale = quarters ? 4 : 1;
+      const std::int64_t units = rng.range(kind == 2 ? -5 * scale : 0, 9 * scale);
+      arc.cost = kind == 1 ? equal_cost
+                           : static_cast<double>(units) / static_cast<double>(scale);
+    }
+    const std::int64_t target = rng.chance(0.2) ? 1000 : rng.range(1, 12);
+
+    MinCostFlowGraph g;
+    for (std::uint32_t v = 0; v < nodes; ++v) (void)g.add_node();
+    std::vector<MinCostFlowGraph::ArcRef> refs;
+    for (const test::ReferenceArc& arc : arcs) {
+      refs.push_back(g.add_arc(arc.from, arc.to, arc.capacity, arc.cost));
+    }
+    const auto got = g.solve(0, sink, target);
+    const test::ReferenceFlow want =
+        test::reference_min_cost_flow(nodes, arcs, 0, sink, target);
+
+    ASSERT_EQ(got.flow, want.flow);
+    EXPECT_EQ(got.reached_target, want.flow >= target);
+    ASSERT_NEAR(got.cost, want.cost, 1e-9);
+
+    // Capacity and conservation on every arc and node; the arc flows must
+    // also price out to the reported cost.
+    std::vector<std::int64_t> net_out(nodes, 0);
+    double priced = 0.0;
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+      const std::int64_t f = g.flow_on(refs[i]);
+      ASSERT_GE(f, 0) << "arc " << i;
+      ASSERT_LE(f, arcs[i].capacity) << "arc " << i;
+      net_out[arcs[i].from] += f;
+      net_out[arcs[i].to] -= f;
+      priced += static_cast<double>(f) * arcs[i].cost;
+    }
+    for (std::uint32_t v = 0; v < nodes; ++v) {
+      const std::int64_t expected = v == 0 ? got.flow : (v == sink ? -got.flow : 0);
+      ASSERT_EQ(net_out[v], expected) << "node " << v;
+    }
+    EXPECT_NEAR(priced, got.cost, 1e-9);
+  }
 }
 
 TEST(AssignmentMcf, MatchesHandComputedOptimum) {

@@ -60,7 +60,9 @@ TEST(BrokerTraceGeneratorTest, EmitsTheFullHorizonInArrivalOrderWithDenseIds) {
   EXPECT_EQ(generator.emitted(), 2500u);
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     EXPECT_EQ(sessions[i].id.value(), i);
-    if (i > 0) EXPECT_GE(sessions[i].arrival_s, sessions[i - 1].arrival_s);
+    if (i > 0) {
+      EXPECT_GE(sessions[i].arrival_s, sessions[i - 1].arrival_s);
+    }
     EXPECT_GE(sessions[i].arrival_s, 0.0);
     EXPECT_LT(sessions[i].arrival_s, config.duration_s);
     // Durations are clamped to the horizon.
