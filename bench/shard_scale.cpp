@@ -8,8 +8,8 @@
 // the whole active population (broker::group_sessions over P sessions).
 // The sharded exchange adds the sessionized interface: the coordinator
 // keeps one incremental session book, so a round costs only the churn delta
-// (K adds + K removes), a re-slice of the book's groups, and the
-// slice/collect/merge frames. The differential suite
+// (K adds + K removes), a re-slice of the book's groups, and two frames
+// per shard (the slice push and the allocation). The differential suite
 // under tests/shard/ proves the settlement bytes are identical; this bench
 // measures what the incremental interface buys at scale.
 //

@@ -152,7 +152,7 @@ std::string Flags::one_of(const std::string& key, std::string fallback,
   kind += '>';
   note(key, std::move(kind), fallback);
   const std::string* value = raw(key);
-  if (value == nullptr) return std::move(fallback);
+  if (value == nullptr) return fallback;
   if (value->empty()) throw std::invalid_argument{"--" + key + " needs a value"};
   for (const std::string& candidate : allowed) {
     if (*value == candidate) return *value;

@@ -35,9 +35,11 @@ constexpr std::uint32_t kCoordSettlementSection = 31;
 constexpr std::uint32_t kCoordSlicesSection = 32;
 constexpr std::uint32_t kCoordWorkersSection = 33;
 // Version 1 (per-shard session ledgers, no version section) became version
-// 2 when the session book moved to the coordinator.
-constexpr std::uint32_t kWorkerSnapshotVersion = 2;
-constexpr std::uint32_t kCoordinatorSnapshotVersion = 2;
+// 2 when the session book moved to the coordinator, and version 3 when the
+// collect round trip was retired (the worker's last-collect round and the
+// coordinator's demand-dirty byte went with it).
+constexpr std::uint32_t kWorkerSnapshotVersion = 3;
+constexpr std::uint32_t kCoordinatorSnapshotVersion = 3;
 
 /// Book sessions never depart on their own; push_session_delta removes them.
 constexpr double kForever = std::numeric_limits<double>::infinity();
@@ -46,7 +48,6 @@ constexpr double kForever = std::numeric_limits<double>::infinity();
 struct CoordinatorCore {
   bool fed = false;
   bool session_fed = false;
-  bool dirty = false;
   std::vector<double> background_loads;
   std::vector<state::ActiveSession> book;
 };
@@ -106,41 +107,6 @@ void add_version(state::SnapshotWriter& writer, std::uint32_t section,
   return core::ok_status();
 }
 
-/// Sorts by global id and checks the dense bijection: global ids restore the
-/// original vector losslessly, so anything else means slices overlap or
-/// lost groups.
-[[nodiscard]] core::Result<std::vector<broker::ClientGroup>> merge_demand_groups(
-    std::vector<proto::ShardGroup> all) {
-  using R = core::Result<std::vector<broker::ClientGroup>>;
-  std::sort(all.begin(), all.end(),
-            [](const proto::ShardGroup& a, const proto::ShardGroup& b) {
-              return a.global_id < b.global_id;
-            });
-  std::vector<broker::ClientGroup> merged;
-  merged.reserve(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (all[i].global_id != i || all[i].group.id.value() != i) {
-      return R::failure(Errc::kCorruptFrame,
-                        "merged demand ids are not dense — shard slices "
-                        "overlap or lost groups");
-    }
-    merged.push_back(all[i].group);
-  }
-  return merged;
-}
-
-/// Validates one kBidCandidates response to a collect of `round`.
-[[nodiscard]] core::Result<std::vector<proto::ShardGroup>> parse_candidates(
-    std::size_t shard, const ShardFrame& frame, std::uint64_t round) {
-  using R = core::Result<std::vector<proto::ShardGroup>>;
-  if (frame.type != ShardFrameType::kBidCandidates || frame.round != round) {
-    return R::failure(Errc::kCorruptFrame,
-                      "collect: unexpected response from shard " +
-                          std::to_string(shard));
-  }
-  return proto::decode_shard_groups(frame.payload);
-}
-
 /// Decodes a worker's response bytes. A malformed frame or error payload
 /// fails kCorruptFrame; a kError frame fails with the worker's own code as
 /// "shard s: message".
@@ -158,11 +124,12 @@ void add_version(state::SnapshotWriter& writer, std::uint32_t section,
 
 /// kCorruptSnapshot unless `slices` is a cache a coordinator on `plan`
 /// could have built: every group valid, on its own shard's slice, and the
-/// ids dense across all slices.
+/// ids dense across all slices (each global id 0..n-1 exactly once, equal
+/// to its group's id).
 [[nodiscard]] Status check_restored_slices(
     const ShardPlan& plan, const std::vector<std::vector<proto::ShardGroup>>& slices) {
   const auto city_count = static_cast<std::uint32_t>(plan.shard_of_city.size());
-  std::vector<proto::ShardGroup> all;
+  std::vector<std::uint32_t> ids;
   for (std::size_t s = 0; s < slices.size(); ++s) {
     if (auto status = validate_slice(slices[s], city_count); !status.ok()) {
       return corrupt_snapshot("coordinator snapshot: " + status.error().message);
@@ -174,11 +141,21 @@ void add_version(state::SnapshotWriter& writer, std::uint32_t section,
                                 " of shard " +
                                 std::to_string(plan.shard_of(g.group.city)));
       }
-      all.push_back(g);
+      if (g.global_id != g.group.id.value()) {
+        return corrupt_snapshot("coordinator snapshot: group id " +
+                                std::to_string(g.group.id.value()) +
+                                " under global id " + std::to_string(g.global_id));
+      }
+      ids.push_back(g.global_id);
     }
   }
-  if (auto merged = merge_demand_groups(std::move(all)); !merged.ok()) {
-    return corrupt_snapshot("coordinator snapshot: " + merged.error().message);
+  std::sort(ids.begin(), ids.end());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] != i) {
+      return corrupt_snapshot(
+          "coordinator snapshot: slice ids are not dense — slices overlap or "
+          "lost groups");
+    }
   }
   return core::ok_status();
 }
@@ -316,27 +293,6 @@ proto::ShardFrame ShardWorker::on_set_demand(const proto::ShardFrame& request) {
   return ack(request, static_cast<std::uint64_t>(demand_.size()));
 }
 
-proto::ShardFrame ShardWorker::on_collect(const proto::ShardFrame& request) {
-  // Round-guarded bookkeeping: a chaos retry of the same collect must not
-  // double-record (the journal/counters are part of the deterministic
-  // surface the equivalence suite byte-compares).
-  if (last_collect_logged_round_ == kNoRound ||
-      request.round > last_collect_logged_round_) {
-    journal_.begin_round(static_cast<std::uint32_t>(request.round));
-    journal_.record(obs::EventKind::kRoundStart, shard_,
-                    static_cast<double>(demand_.size()), request.round);
-    counters_.rounds.add();
-    counters_.groups_announced.add(static_cast<double>(demand_.size()));
-    last_collect_logged_round_ = request.round;
-  }
-  ShardFrame out;
-  out.type = ShardFrameType::kBidCandidates;
-  out.shard = shard_;
-  out.round = request.round;
-  out.payload = proto::encode_shard_groups(demand_);
-  return out;
-}
-
 proto::ShardFrame ShardWorker::on_allocation(const proto::ShardFrame& request) {
   auto decoded = proto::decode_allocation(request.payload);
   if (!decoded.ok()) {
@@ -360,8 +316,13 @@ proto::ShardFrame ShardWorker::on_allocation(const proto::ShardFrame& request) {
     }
   }
   // Validated: commit (never before this point — a rejected allocation must
-  // not partially apply).
+  // not partially apply). The round's bookkeeping lives here, behind the
+  // per-round guard above, so a redelivered allocation records nothing.
   journal_.begin_round(static_cast<std::uint32_t>(request.round));
+  journal_.record(obs::EventKind::kRoundStart, shard_,
+                  static_cast<double>(demand_.size()), request.round);
+  counters_.rounds.add();
+  counters_.groups_announced.add(static_cast<double>(demand_.size()));
   double awarded = 0.0;
   for (const proto::ShardPlacement& p : decoded.value()) {
     journal_.record(obs::EventKind::kBid, context_.cdn_of_cluster[p.cluster],
@@ -388,7 +349,6 @@ proto::ShardFrame ShardWorker::handle(const proto::ShardFrame& request) {
   }
   switch (request.type) {
     case ShardFrameType::kSetDemand: return on_set_demand(request);
-    case ShardFrameType::kCollect: return on_collect(request);
     case ShardFrameType::kAllocation: return on_allocation(request);
     case ShardFrameType::kStateRequest: {
       ShardFrame out;
@@ -470,7 +430,6 @@ std::vector<std::uint8_t> ShardWorker::save_state() const {
     w.write_u64(context_.plan_hash);
     w.write_u64(rounds_applied_);
     w.write_u64(last_allocation_round_);
-    w.write_u64(last_collect_logged_round_);
     const auto demand_bytes = proto::encode_shard_groups(demand_);
     w.write_u32(static_cast<std::uint32_t>(demand_bytes.size()));
     w.write_bytes(demand_bytes);
@@ -504,105 +463,102 @@ std::vector<std::uint8_t> ShardWorker::save_state() const {
   return writer.finish();
 }
 
-core::Status ShardWorker::restore_state(std::span<const std::uint8_t> bytes) {
-  if (!configured_) {
-    return Status::failure(Errc::kNotReady, "worker awaits hello before restore");
-  }
+core::Result<ShardWorker::State> ShardWorker::decode_state(
+    std::span<const std::uint8_t> bytes, const proto::ShardHello& context) {
+  using R = core::Result<State>;
   auto parsed = state::SnapshotView::parse(bytes);
-  if (!parsed.ok()) return Status{parsed.error()};
+  if (!parsed.ok()) return R{parsed.error()};
   const state::SnapshotView& view = parsed.value();
   if (auto status = check_version(view, kWorkerVersionSection,
                                   kWorkerSnapshotVersion, "worker");
       !status.ok()) {
-    return status;
+    return R{status.error()};
   }
   const state::Section* core_section = view.find(kWorkerCoreSection);
   const state::Section* journal_section = view.find(kWorkerJournalSection);
   const state::Section* counters_section = view.find(kWorkerCountersSection);
   if (core_section == nullptr || journal_section == nullptr ||
       counters_section == nullptr) {
-    return corrupt_snapshot("worker snapshot: missing section");
+    return R::failure(Errc::kCorruptSnapshot, "worker snapshot: missing section");
   }
 
-  // Decode EVERYTHING into locals before touching any member: a corrupt
-  // snapshot must leave the worker exactly as it was.
-  std::uint64_t rounds_applied = 0;
-  std::uint64_t last_allocation = 0;
-  std::uint64_t last_collect = 0;
-  std::vector<proto::ShardGroup> demand;
+  State out;
   try {
     proto::ByteReader r{core_section->bytes};
     const std::uint32_t shard = r.read_u32();
     const std::uint32_t shard_count = r.read_u32();
     const std::uint32_t city_count = r.read_u32();
     const std::uint64_t plan_hash = r.read_u64();
-    if (shard != shard_ || shard_count != context_.shard_count ||
-        city_count != context_.city_count || plan_hash != context_.plan_hash) {
-      return invalid("worker snapshot: taken under a different shard topology");
+    if (shard != context.shard || shard_count != context.shard_count ||
+        city_count != context.city_count || plan_hash != context.plan_hash) {
+      return R::failure(Errc::kInvalidArgument,
+                        "worker snapshot: taken under a different shard topology");
     }
-    rounds_applied = r.read_u64();
-    last_allocation = r.read_u64();
-    last_collect = r.read_u64();
+    out.rounds_applied = r.read_u64();
+    out.last_allocation_round = r.read_u64();
     const std::uint32_t demand_len = r.read_u32();
     auto decoded = proto::decode_shard_groups(r.read_bytes(demand_len));
-    if (!decoded.ok()) return Status{decoded.error()};
-    demand = std::move(decoded).value();
+    if (!decoded.ok()) return R{decoded.error()};
+    out.demand = std::move(decoded).value();
     if (!r.exhausted()) {
-      return corrupt_snapshot("worker snapshot: trailing core bytes");
+      return R::failure(Errc::kCorruptSnapshot, "worker snapshot: trailing core bytes");
     }
   } catch (const proto::WireError& e) {
-    return corrupt_snapshot(std::string{"worker snapshot: "} + e.what());
+    return R::failure(Errc::kCorruptSnapshot,
+                      std::string{"worker snapshot: "} + e.what());
   }
 
   // A checksum-valid snapshot can still carry a slice no kSetDemand would
-  // have been accepted with; refuse it before the commit starts.
-  if (auto status = validate_slice(demand, context_.city_count); !status.ok()) {
-    return status;
+  // have been accepted with.
+  if (auto status = validate_slice(out.demand, context.city_count); !status.ok()) {
+    return R{status.error()};
   }
 
   auto journal_slice = proto::decode_journal_slice(journal_section->bytes);
-  if (!journal_slice.ok()) return Status{journal_slice.error()};
+  if (!journal_slice.ok()) return R{journal_slice.error()};
 
-  std::vector<std::pair<std::string, double>> counter_values;
   try {
     proto::ByteReader r{counters_section->bytes};
     const std::uint32_t count = r.read_u32();
     for (std::uint32_t i = 0; i < count; ++i) {
       std::string name = r.read_string();
       const double value = r.read_f64();
-      counter_values.emplace_back(std::move(name), value);
+      out.counters.emplace_back(std::move(name), value);
     }
     if (!r.exhausted()) {
-      return corrupt_snapshot("worker snapshot: trailing counter bytes");
+      return R::failure(Errc::kCorruptSnapshot,
+                        "worker snapshot: trailing counter bytes");
     }
   } catch (const proto::WireError& e) {
-    return corrupt_snapshot(std::string{"worker snapshot: "} + e.what());
+    return R::failure(Errc::kCorruptSnapshot,
+                      std::string{"worker snapshot: "} + e.what());
   }
 
-  // Rebuild the journal on a scratch instance so a restore() rejection
-  // (window inconsistent with total) leaves the live journal untouched.
-  obs::RunJournal journal{static_cast<std::size_t>(
-      std::max<std::uint64_t>(context_.journal_capacity, 1))};
-  if (auto status = journal.restore(journal_slice.value().events,
-                                    journal_slice.value().total_recorded,
-                                    journal_slice.value().round);
+  // The journal is rebuilt here too, so its restore() check (window
+  // consistent with total) also runs before anything is committed.
+  out.journal = obs::RunJournal{static_cast<std::size_t>(
+      std::max<std::uint64_t>(context.journal_capacity, 1))};
+  if (auto status = out.journal.restore(journal_slice.value().events,
+                                        journal_slice.value().total_recorded,
+                                        journal_slice.value().round);
       !status.ok()) {
-    return status;
+    return R{status.error()};
   }
+  return out;
+}
 
-  // Commit.
-  rounds_applied_ = rounds_applied;
-  last_allocation_round_ = last_allocation;
-  last_collect_logged_round_ = last_collect;
-  demand_ = std::move(demand);
-  journal_ = std::move(journal);
+void ShardWorker::commit_state(State state) {
+  rounds_applied_ = state.rounds_applied;
+  last_allocation_round_ = state.last_allocation_round;
+  demand_ = std::move(state.demand);
+  journal_ = std::move(state.journal);
   const std::pair<const char*, obs::Counter*> handles[] = {
       {"shard.rounds", &counters_.rounds},
       {"shard.groups_announced", &counters_.groups_announced},
       {"shard.placements", &counters_.placements},
       {"shard.awarded_mbps", &counters_.awarded_mbps},
   };
-  for (const auto& [name, value] : counter_values) {
+  for (const auto& [name, value] : state.counters) {
     for (const auto& [known, handle] : handles) {
       // Delta-add: counters have no set(), and restore may land on a worker
       // that already accumulated (idempotent re-restore).
@@ -610,6 +566,15 @@ core::Status ShardWorker::restore_state(std::span<const std::uint8_t> bytes) {
     }
   }
   refresh_gauges();
+}
+
+core::Status ShardWorker::restore_state(std::span<const std::uint8_t> bytes) {
+  if (!configured_) {
+    return Status::failure(Errc::kNotReady, "worker awaits hello before restore");
+  }
+  auto decoded = decode_state(bytes, context_);
+  if (!decoded.ok()) return Status{decoded.error()};
+  commit_state(std::move(decoded).value());
   return core::ok_status();
 }
 
@@ -655,10 +620,9 @@ ShardedExchange::ShardedExchange(const sim::Scenario& scenario, ShardedConfig co
   counters_.retries = shard_metrics_.counter("exchange.shard.retries");
   counters_.rejects = shard_metrics_.counter("exchange.shard.rejects");
   counters_.restarts = shard_metrics_.counter("exchange.shard.restarts");
-  counters_.stale_collects = shard_metrics_.counter("exchange.shard.stale_collects");
+  counters_.stale_slices = shard_metrics_.counter("exchange.shard.stale_slices");
   counters_.skipped_pushes = shard_metrics_.counter("exchange.shard.skipped_pushes");
   counters_.shards = shard_metrics_.gauge("exchange.shard.shards");
-  counters_.merged_groups = shard_metrics_.gauge("exchange.shard.merged_groups");
   counters_.shards.set(static_cast<double>(plan_.shard_count));
 
   supervisor_ = resilience::Supervisor{config_.worker_restart, resilience_obs()};
@@ -843,8 +807,9 @@ core::Status ShardedExchange::recover_worker(std::size_t shard) const {
   auto status = try_recover_worker(shard);
   if (!status.ok()) {
     // A worker that failed recovery must not linger half-initialized: a
-    // respawned worker without its slice would answer collects with empty
-    // demand. Keep it dead so every subsequent call fails typed instead.
+    // respawned worker without its slice would book allocations against
+    // empty demand. Keep it dead so every subsequent call fails typed
+    // instead.
     transport_->kill(shard);
   }
   return status;
@@ -873,8 +838,8 @@ core::Status ShardedExchange::try_recover_worker(std::size_t shard) const {
   ++worker_restarts_;
   counters_.restarts.add();
   if (auto status = send_hello(shard); !status.ok()) return status;
-  // The cached slice is authoritative: the respawned worker starts with an
-  // empty journal, and settlement depends only on the slice pushed here.
+  // The respawned worker starts with an empty journal and gets its cached
+  // slice back; settlement never reads it.
   ShardFrame push;
   push.type = ShardFrameType::kSetDemand;
   push.shard = static_cast<std::uint32_t>(shard);
@@ -921,38 +886,24 @@ core::Status ShardedExchange::push_demand_slices() const {
   // Every shard owes an ack for the new slices: its flag stays up until its
   // own push lands, so a shard the loop never reached cannot pass for fresh.
   std::fill(needs_resync_.begin(), needs_resync_.end(), 1);
-  const bool breakers = breaker_active();
-  const std::uint64_t now = settlement_->rounds_completed();
-  for (std::size_t s = 0; s < plan_.shard_count; ++s) {
-    if (breakers && !link_breakers_[s].allow(now)) {
-      // Quarantined: leave the shard alone instead of burning the link
-      // retry budget. It settles from the coordinator's cached slice until
-      // a half-open probe lands a fresh push.
-      counters_.skipped_pushes.add();
-      continue;
-    }
-    auto pushed = push_slice_to(s);
-    if (pushed.ok()) {
-      if (breakers) link_breakers_[s].on_success(now);
-      needs_resync_[s] = 0;
-      continue;
-    }
-    if (!breakers) return pushed;
-    link_breakers_[s].on_failure(now);
-  }
-  return core::ok_status();
+  return resync_flagged(settlement_->rounds_completed());
 }
 
-/// A successful re-push of the current slice is the only thing that clears
+/// A successful push of the current slice is the only thing that clears
 /// needs_resync_, because only a push proves the worker's demand matches
 /// the coordinator cache again. Under the breaker this is the half-open
 /// probe; without it a shard that still cannot take its slice fails the
-/// round rather than settle on whatever it held before.
+/// call rather than settle a round it would book against an older slice.
 core::Status ShardedExchange::resync_flagged(std::uint64_t round) const {
   const bool breakers = breaker_active();
   for (std::size_t s = 0; s < plan_.shard_count; ++s) {
     if (needs_resync_[s] == 0) continue;
-    if (breakers && !link_breakers_[s].allow(round)) continue;
+    if (breakers && !link_breakers_[s].allow(round)) {
+      // Quarantined: leave the shard alone instead of burning the link
+      // retry budget, until a half-open probe lands a fresh push.
+      counters_.skipped_pushes.add();
+      continue;
+    }
     auto pushed = push_slice_to(s);
     if (pushed.ok()) {
       if (breakers) link_breakers_[s].on_success(round);
@@ -966,6 +917,21 @@ core::Status ShardedExchange::resync_flagged(std::uint64_t round) const {
   return core::ok_status();
 }
 
+core::Status ShardedExchange::feed(
+    std::span<const broker::ClientGroup> groups,
+    std::vector<std::vector<proto::ShardGroup>> slices) {
+  last_slices_ = std::move(slices);
+  fed_ = true;
+  auto pushed = push_demand_slices();
+  // The settlement takes the demand on every feed, pushed or not, as a
+  // monolith does: its broker keeps the post-shed demand between feeds, so
+  // only a feed may replace it. (The order changes no output; handing the
+  // demand over after the pushes rather than before measured 10-20% faster
+  // shard-churn rounds under the benchmark's fixed address layout.)
+  settlement_->set_active_load(groups, background_loads_);
+  return pushed;
+}
+
 void ShardedExchange::set_active_load(std::span<const broker::ClientGroup> groups,
                                       std::span<const double> background_loads) {
   if (background_loads.size() != scenario_.catalog().clusters().size()) {
@@ -976,11 +942,9 @@ void ShardedExchange::set_active_load(std::span<const broker::ClientGroup> group
     throw std::logic_error{
         "ShardedExchange: exchange is session-fed; set_active_load is exclusive"};
   }
-  last_slices_ = slice_demand(groups);
+  auto slices = slice_demand(groups);
   background_loads_.assign(background_loads.begin(), background_loads.end());
-  fed_ = true;
-  demand_dirty_ = true;
-  if (auto status = push_demand_slices(); !status.ok()) {
+  if (auto status = feed(groups, std::move(slices)); !status.ok()) {
     throw std::runtime_error{"ShardedExchange::set_active_load: " +
                              status.error().message};
   }
@@ -1045,84 +1009,16 @@ core::Status ShardedExchange::push_session_delta(
   }
   for (const std::uint32_t id : removes) (void)book_.remove(id);
   session_fed_ = true;
-  fed_ = true;
-  demand_dirty_ = true;
-  last_slices_ = slice_demand(book_.groups());
-  return push_demand_slices();
+  const auto groups = book_.groups();
+  return feed(groups, slice_demand(groups));
 }
 
 core::Status ShardedExchange::ensure_fed() {
   if (fed_) return core::ok_status();
   // Default demand, exactly like the monolith: the scenario's broker groups
   // against the placed background load.
-  last_slices_ = slice_demand(scenario_.broker_groups());
-  fed_ = true;
-  demand_dirty_ = true;
-  return push_demand_slices();
-}
-
-core::Result<std::vector<broker::ClientGroup>> ShardedExchange::collect_and_merge(
-    std::uint64_t round) {
-  using R = core::Result<std::vector<broker::ClientGroup>>;
-  std::vector<ShardFrame> requests(plan_.shard_count);
-  for (std::size_t s = 0; s < plan_.shard_count; ++s) {
-    requests[s].type = ShardFrameType::kCollect;
-    requests[s].shard = static_cast<std::uint32_t>(s);
-    requests[s].round = round;
-  }
-
-  std::vector<proto::ShardGroup> all;
-  if (breaker_active()) {
-    // Under the breaker a quarantined shard's groups are synthesized from
-    // the coordinator's cached slice — byte-identical to a live answer,
-    // because workers only echo the slice the coordinator pushed. Live
-    // shards that fail here trip their breaker and fall back to the cache
-    // in the same round, so collect cannot fail.
-    bool any_stale = false;
-    for (std::size_t s = 0; s < plan_.shard_count; ++s) {
-      bool stale = needs_resync_[s] != 0;
-      if (!stale && !link_breakers_[s].allow(round)) stale = true;
-      if (!stale) {
-        auto live = collect_live(s, requests[s], round);
-        if (live.ok()) {
-          link_breakers_[s].on_success(round);
-          for (proto::ShardGroup& g : live.value()) all.push_back(std::move(g));
-          continue;
-        }
-        link_breakers_[s].on_failure(round);
-        needs_resync_[s] = 1;
-      }
-      counters_.stale_collects.add();
-      any_stale = true;
-      resilience_obs().record(obs::EventKind::kStaleBid,
-                              static_cast<std::uint32_t>(s),
-                              static_cast<double>(last_slices_[s].size()));
-      for (const proto::ShardGroup& g : last_slices_[s]) all.push_back(g);
-    }
-    if (any_stale) ++stale_rounds_;
-  } else {
-    auto responses = data_broadcast(requests);
-    if (!responses.ok()) return R{responses.error()};
-    for (std::size_t s = 0; s < responses.value().size(); ++s) {
-      auto groups = parse_candidates(s, responses.value()[s], round);
-      if (!groups.ok()) return R{groups.error()};
-      for (proto::ShardGroup& g : groups.value()) all.push_back(std::move(g));
-    }
-  }
-  auto merged = merge_demand_groups(std::move(all));
-  if (!merged.ok()) {
-    return R::failure(merged.error().code, "collect: " + merged.error().message);
-  }
-  counters_.merged_groups.set(static_cast<double>(merged.value().size()));
-  return merged;
-}
-
-core::Result<std::vector<proto::ShardGroup>> ShardedExchange::collect_live(
-    std::size_t shard, const proto::ShardFrame& request, std::uint64_t round) const {
-  using R = core::Result<std::vector<proto::ShardGroup>>;
-  auto response = data_call(shard, request);
-  if (!response.ok()) return R{response.error()};
-  return parse_candidates(shard, response.value(), round);
+  const auto& groups = scenario_.broker_groups();
+  return feed(groups, slice_demand(groups));
 }
 
 core::Status ShardedExchange::broadcast_allocation(std::uint64_t round) {
@@ -1197,18 +1093,27 @@ core::Result<RoundReport> ShardedExchange::try_run_round() {
   if (auto status = ensure_fed(); !status.ok()) return R{status.error()};
   const std::uint64_t round = settlement_->rounds_completed();
 
-  // Shards that missed their current slice are re-pushed first, so the
-  // collect below never reads a slice older than the cache. Under the
-  // breaker this is the half-open probe: a quarantined shard that accepts
-  // the push rejoins the live collect in the same round.
+  // Shards that missed their current slice, or died since their last
+  // push, are re-pushed first (a dead worker is respawned on the way), so
+  // every worker that gets this round's allocation holds the slice the
+  // settlement priced. Under the breaker this is the half-open probe: a
+  // quarantined shard that accepts the push rejoins in the same round.
+  for (std::size_t s = 0; s < plan_.shard_count; ++s) {
+    if (!transport_->alive(s)) needs_resync_[s] = 1;
+  }
   if (auto status = resync_flagged(round); !status.ok()) return R{status.error()};
 
-  auto merged = collect_and_merge(round);
-  if (!merged.ok()) return R{merged.error()};
-  if (demand_dirty_) {
-    settlement_->set_active_load(merged.value(), background_loads_);
-    demand_dirty_ = false;
+  // Settlement reads the coordinator's demand, so a shard still flagged
+  // here (quarantined) changes no settlement byte; the journal records it.
+  bool any_stale = false;
+  for (std::size_t s = 0; s < plan_.shard_count; ++s) {
+    if (needs_resync_[s] == 0) continue;
+    any_stale = true;
+    counters_.stale_slices.add();
+    resilience_obs().record(obs::EventKind::kStaleBid, static_cast<std::uint32_t>(s),
+                            static_cast<double>(last_slices_[s].size()));
   }
+  if (any_stale) ++stale_rounds_;
 
   RoundReport report = settlement_->run_round();
 
@@ -1312,7 +1217,6 @@ std::vector<std::uint8_t> ShardedExchange::encode_coordinator_core() const {
   w.write_u64(plan_.hash());
   w.write_u8(fed_ ? 1 : 0);
   w.write_u8(session_fed_ ? 1 : 0);
-  w.write_u8(demand_dirty_ ? 1 : 0);
   w.write_u32(static_cast<std::uint32_t>(background_loads_.size()));
   for (const double load : background_loads_) w.write_f64(load);
   // The session book in its canonical id order (every end is +inf).
@@ -1411,7 +1315,6 @@ core::Status ShardedExchange::restore_state(std::span<const std::uint8_t> bytes)
     }
     core.fed = r.read_u8() != 0;
     core.session_fed = r.read_u8() != 0;
-    core.dirty = r.read_u8() != 0;
     const std::uint32_t load_count = r.read_u32();
     if (load_count != scenario_.catalog().clusters().size()) {
       return invalid("coordinator snapshot: cluster arity mismatch");
@@ -1476,10 +1379,20 @@ core::Status ShardedExchange::restore_state(std::span<const std::uint8_t> bytes)
   } catch (const proto::WireError& e) {
     return corrupt_snapshot(std::string{"coordinator snapshot: "} + e.what());
   }
-  // A checksum-valid snapshot can still carry slices no round could settle;
-  // refuse them here rather than at the next collect (or, under the
-  // breaker, not at all: a quarantined shard settles from this cache).
+  // A checksum-valid snapshot can still carry slices no worker would take;
+  // refuse them here rather than fail (or, under the breaker, quarantine a
+  // shard) at every later push.
   if (auto status = check_restored_slices(plan_, slices); !status.ok()) return status;
+  // Every worker state must be one its worker would accept, checked before
+  // the settlement is touched: a worker that rejects its state after the
+  // commit would leave the exchange half-restored.
+  for (std::size_t s = 0; s < worker_states.size(); ++s) {
+    auto decoded = ShardWorker::decode_state(worker_states[s], hello_for(s));
+    if (!decoded.ok()) {
+      return Status::failure(decoded.error().code, "shard " + std::to_string(s) +
+                                                       ": " + decoded.error().message);
+    }
+  }
 
   // The settlement exchange restores atomically (its own contract); commit
   // the coordinator state only after it succeeded.
@@ -1489,12 +1402,11 @@ core::Status ShardedExchange::restore_state(std::span<const std::uint8_t> bytes)
   }
   fed_ = core.fed;
   session_fed_ = core.session_fed;
-  demand_dirty_ = core.dirty;
   background_loads_ = std::move(core.background_loads);
   book_.restore(core.book);
   last_slices_ = std::move(slices);
   // Whatever slice each worker ends up holding, the next round re-pushes the
-  // restored cache before it collects.
+  // restored cache before it settles.
   std::fill(needs_resync_.begin(), needs_resync_.end(), 1);
 
   for (std::size_t s = 0; s < worker_states.size(); ++s) {

@@ -8,18 +8,21 @@
 // book, and it lives at the coordinator: push_session_delta folds
 // adds/removes into a sim::SessionStore and re-slices its groups through
 // the same path set_active_load uses, so workers never see a session.
-// A coordinator drives every settlement round on the shared logical clock:
+// Both feeds hand the coordinator's demand straight to an internal
+// VdxExchange, exactly as a monolith is fed, and push each worker its
+// slice. A coordinator drives every settlement round on the shared logical
+// clock:
 //
-//   collect per-shard candidate groups  ->  merge into the canonical global
-//   demand vector  ->  settle globally on an internal VdxExchange  ->
-//   broadcast each shard's slice of the allocation.
+//   re-push the slice of every flagged or dead shard  ->  settle globally
+//   on the internal VdxExchange  ->  broadcast each shard's slice of the
+//   allocation.
 //
-// Byte-identity by construction. The partition is lossless (groups travel
-// with their global ids; the merge restores the exact original vector), and
-// settlement runs on the same VdxExchange machinery a monolithic deployment
-// uses — so the settlement RoundReports, placements, journal, and metrics
-// exports are byte-identical to the monolith at ANY shard count. The
-// differential suite under tests/shard/ pins this at N in {1, 2, 4, 7}.
+// Byte-identity by construction. Settlement reads the coordinator's own
+// demand and runs on the same VdxExchange machinery a monolithic
+// deployment uses — so the settlement RoundReports, placements, journal,
+// and metrics exports are byte-identical to the monolith at ANY shard
+// count. No frame carries demand back from a worker. The differential
+// suite under tests/shard/ pins this at N in {1, 2, 4, 7}.
 //
 // Chaos isolation. Shard links run through their own proto::FaultInjector
 // (separate seed and link streams from the settlement transport's CDN
@@ -31,21 +34,23 @@
 // journal export) bypass injection: chaos drills target the data path, and
 // checkpoint cadence must not perturb the fault streams.
 //
-// Crash tolerance. The coordinator's cached slices are authoritative and
-// workers only echo them, so a worker that dies mid-run (real SIGKILL under
-// the process backend) is respawned with a fresh journal and re-sent its
-// slice, without losing settlement bytes. There is one checkpoint path:
-// save_state() bundles the coordinator core (with the session book), the
-// settlement exchange and every worker's state into one snapshot, and
-// restore_state() on a fresh exchange continues from it. Whoever persists
-// those bytes (the serving daemon's CheckpointStore, at --shards N) owns
-// the filesystem; the exchange never writes a file.
+// Crash tolerance. Settlement never reads a worker, so a worker that dies
+// mid-run (real SIGKILL under the process backend) is respawned with a
+// fresh journal and re-sent its slice, without losing settlement bytes.
+// There is one checkpoint path: save_state() bundles the coordinator core
+// (with the session book), the settlement exchange and every worker's
+// state into one snapshot, and restore_state() on a fresh exchange
+// continues from it. Whoever persists those bytes (the serving daemon's
+// CheckpointStore, at --shards N) owns the filesystem; the exchange never
+// writes a file.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -124,6 +129,15 @@ class ShardWorker {
   [[nodiscard]] const obs::RunJournal& journal() const noexcept { return journal_; }
   [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
+  /// A worker snapshot decoded and checked, not yet applied.
+  struct State {
+    std::uint64_t rounds_applied = 0;
+    std::uint64_t last_allocation_round = 0;
+    std::vector<proto::ShardGroup> demand;
+    obs::RunJournal journal;
+    std::vector<std::pair<std::string, double>> counters;
+  };
+
   /// Checkpointable worker state (demand slice, journal window,
   /// deterministic shard.* counters, round bookkeeping) in a
   /// state::Snapshot envelope. Volatile transport counters (frames seen,
@@ -131,6 +145,14 @@ class ShardWorker {
   /// and restored state must match the uninterrupted run's deterministic
   /// surfaces.
   [[nodiscard]] std::vector<std::uint8_t> save_state() const;
+  /// Decodes a save_state() image and checks it against the hello the
+  /// worker was configured with (`context`), touching no worker: the
+  /// coordinator runs it on every embedded worker state before a restore
+  /// changes anything.
+  [[nodiscard]] static core::Result<State> decode_state(
+      std::span<const std::uint8_t> bytes, const proto::ShardHello& context);
+  /// decode_state against this worker's own hello, then commit; a rejected
+  /// image changes nothing.
   [[nodiscard]] core::Status restore_state(std::span<const std::uint8_t> bytes);
 
  private:
@@ -141,9 +163,9 @@ class ShardWorker {
 
   [[nodiscard]] proto::ShardFrame on_hello(const proto::ShardFrame& request);
   [[nodiscard]] proto::ShardFrame on_set_demand(const proto::ShardFrame& request);
-  [[nodiscard]] proto::ShardFrame on_collect(const proto::ShardFrame& request);
   [[nodiscard]] proto::ShardFrame on_allocation(const proto::ShardFrame& request);
 
+  void commit_state(State state);
   void refresh_gauges();
 
   static constexpr std::uint64_t kNoRound = UINT64_MAX;
@@ -155,7 +177,6 @@ class ShardWorker {
 
   std::uint64_t rounds_applied_ = 0;
   std::uint64_t last_allocation_round_ = kNoRound;
-  std::uint64_t last_collect_logged_round_ = kNoRound;
 
   obs::MetricsRegistry metrics_;
   obs::RunJournal journal_;
@@ -180,8 +201,8 @@ struct ShardedConfig {
   proto::FaultProfile link_faults;
   /// Per-link retry budget before a round fails with kTimeout.
   std::size_t max_link_retries = 64;
-  /// >1 enables ThreadPool fan-out for in-process batch calls on the
-  /// fault-free path (0 = hardware). With link faults configured the
+  /// >1 fans the in-process allocation broadcast out across a ThreadPool
+  /// on the fault-free path (0 = hardware). With link faults configured the
   /// coordinator always walks shards serially — the injector streams are
   /// ordered state.
   std::size_t collect_threads = 1;
@@ -192,10 +213,10 @@ struct ShardedConfig {
   resilience::RestartPolicy worker_restart;
   /// Per shard-link circuit breaker. Disabled by default (failure_threshold
   /// 0): every existing call site keeps its fail-closed semantics. When
-  /// enabled, a tripped shard is quarantined — settled from its cached slice
-  /// (byte-identical: the coordinator cache is authoritative and workers
-  /// only echo it) instead of burning the link retry budget every round —
-  /// until a half-open probe re-pushes its slice.
+  /// enabled, a tripped shard is quarantined — it gets no slice pushes or
+  /// allocations, instead of burning the link retry budget every round —
+  /// until a half-open probe re-pushes its slice. Settlement is unaffected:
+  /// it reads the coordinator's demand, never a worker.
   resilience::BreakerConfig link_breaker;
 };
 
@@ -207,17 +228,18 @@ class ShardedExchange final : public ExchangeFrontend {
   ShardedExchange(const ShardedExchange&) = delete;
   ShardedExchange& operator=(const ShardedExchange&) = delete;
 
-  /// One settlement round: collect -> merge -> settle -> broadcast. Throws
-  /// std::runtime_error when the topology is unrecoverable (try_run_round
-  /// surfaces the typed error instead).
+  /// One settlement round: re-push flagged or dead shards -> settle ->
+  /// broadcast the allocation. Throws std::runtime_error when the topology
+  /// is unrecoverable (try_run_round surfaces the typed error instead).
   RoundReport run_round() override;
   [[nodiscard]] core::Result<RoundReport> try_run_round();
   std::vector<RoundReport> run(std::size_t rounds);
 
-  /// Replaces the global demand: partitions `groups` by city and pushes one
-  /// slice per shard. Ids must be dense (== index), as everywhere else. A
-  /// failed push throws after the new slices are cached; the shards that
-  /// missed theirs are re-pushed before the next collect.
+  /// Replaces the global demand: hands `groups` to the settlement exchange,
+  /// partitions them by city and pushes one slice per shard. Ids must be
+  /// dense (== index), as everywhere else. A failed push throws after the
+  /// settlement and the slice cache took the new demand; the shards that
+  /// missed their slice are re-pushed before the next round settles.
   void set_active_load(std::span<const broker::ClientGroup> groups,
                        std::span<const double> background_loads) override;
 
@@ -229,7 +251,7 @@ class ShardedExchange final : public ExchangeFrontend {
   /// nothing. Re-adding a live session with identical data and removing an
   /// unknown id are no-ops, so a retried batch is harmless. A failed slice
   /// push returns its error with the batch already applied; the shards that
-  /// missed their slice are re-pushed before the next collect. Mutually
+  /// missed their slice are re-pushed before the next round settles. Mutually
   /// exclusive with set_active_load on one exchange (kInvalidArgument here,
   /// logic_error there).
   [[nodiscard]] core::Status push_session_delta(
@@ -254,17 +276,19 @@ class ShardedExchange final : public ExchangeFrontend {
       const override;
   [[nodiscard]] std::vector<std::uint8_t> save_state() const override;
   /// Restores a save_state() image, typically on a freshly built exchange
-  /// after a coordinator crash. The coordinator's sections are decoded and
-  /// checked before anything is applied: slices that could never settle (an
-  /// invalid group, a city on another shard's slice, ids that do not merge
-  /// densely) or background loads that are not one finite non-negative
-  /// value per cluster fail with kCorruptSnapshot and change nothing.
+  /// after a coordinator crash. Every section, each embedded worker state
+  /// included, is decoded and checked before anything is applied: slices
+  /// that could never settle (an invalid group, a city on another shard's
+  /// slice, ids that are not dense across the slices) or background loads
+  /// that are not one finite non-negative value per cluster fail with
+  /// kCorruptSnapshot, and a worker state the worker would reject fails
+  /// with that worker's error; either way nothing changes.
   [[nodiscard]] core::Status restore_state(
       std::span<const std::uint8_t> bytes) override;
 
   /// Crash drills: hard-kills a worker (SIGKILL under the process backend).
-  /// The next round detects the dead shard and recovers it automatically:
-  /// respawn, hello, and a re-push of the cached demand slice.
+  /// The next slice push or round finds the dead shard and recovers it
+  /// before settlement: respawn, hello, and a re-push of the cached slice.
   void kill_worker(std::size_t shard);
   [[nodiscard]] bool worker_alive(std::size_t shard) const noexcept;
 
@@ -288,10 +312,10 @@ class ShardedExchange final : public ExchangeFrontend {
   /// Shard links whose breaker is currently open (ExchangeFrontend hook for
   /// the daemon's brownout signals). Always 0 with the breaker disabled.
   [[nodiscard]] std::size_t open_breakers() const override;
-  /// True while `shard` settles from its cached slice (breaker open, or a
-  /// fresh slice push has not landed since the last failure).
+  /// True while `shard` is quarantined (breaker open, or a fresh slice push
+  /// has not landed since the last failure).
   [[nodiscard]] bool shard_quarantined(std::size_t shard) const noexcept;
-  /// Rounds in which at least one shard settled from its cached slice.
+  /// Rounds that settled while at least one shard was quarantined.
   [[nodiscard]] std::size_t stale_rounds() const noexcept { return stale_rounds_; }
   [[nodiscard]] const resilience::Supervisor& worker_supervisor() const noexcept {
     return supervisor_;
@@ -338,24 +362,21 @@ class ShardedExchange final : public ExchangeFrontend {
   /// ids or unknown cities.
   [[nodiscard]] std::vector<std::vector<proto::ShardGroup>> slice_demand(
       std::span<const broker::ClientGroup> groups) const;
-  /// Sends each shard its slice as kSetDemand and expects acks. Every shard
-  /// is flagged for resync until its push lands. Without the breaker the
-  /// first failure is returned; with it a quarantined/failed shard just
-  /// stays flagged.
+  /// Caches `slices` (slice_demand of `groups`), pushes them and hands
+  /// `groups` to the settlement exchange: the one path behind both feeds
+  /// and the default demand.
+  [[nodiscard]] core::Status feed(std::span<const broker::ClientGroup> groups,
+                                  std::vector<std::vector<proto::ShardGroup>> slices);
+  /// Flags every shard, then resync_flagged: each shard owes an ack for
+  /// the new slices.
   [[nodiscard]] core::Status push_demand_slices() const;
   [[nodiscard]] core::Status push_slice_to(std::size_t shard) const;
-  /// Re-pushes the current slice to every flagged shard before a collect.
-  /// Without the breaker a failed re-push fails the round; with it only
-  /// shards whose breaker admits traffic are probed, and the rest settle
-  /// from the cache.
+  /// Re-pushes the current slice to every flagged shard. Without the
+  /// breaker the first failure is returned; with it only shards whose
+  /// breaker admits traffic are pushed, and a skipped or failed shard just
+  /// stays flagged (quarantined).
   [[nodiscard]] core::Status resync_flagged(std::uint64_t round) const;
   [[nodiscard]] core::Status ensure_fed();
-  [[nodiscard]] core::Result<std::vector<broker::ClientGroup>> collect_and_merge(
-      std::uint64_t round);
-  /// One live collect round-trip to `shard`, fully validated.
-  [[nodiscard]] core::Result<std::vector<proto::ShardGroup>> collect_live(
-      std::size_t shard, const proto::ShardFrame& request,
-      std::uint64_t round) const;
   /// Slices the settlement's placements by owning shard and broadcasts
   /// kAllocation (every shard gets a frame — empty slices close the round).
   [[nodiscard]] core::Status broadcast_allocation(std::uint64_t round);
@@ -380,13 +401,7 @@ class ShardedExchange final : public ExchangeFrontend {
   bool fed_ = false;
   /// Fed through push_session_delta (exclusive with set_active_load).
   bool session_fed_ = false;
-  /// The coordinator's demand changed since it was last pushed into the
-  /// settlement exchange. Crucial for byte-identity under admission control:
-  /// the monolith's post-shed demand PERSISTS in the broker agent between
-  /// rounds, so re-pushing an unchanged merged demand every round would
-  /// reset that and diverge — the settlement only sees demand on change.
-  bool demand_dirty_ = false;
-  /// Current demand slice per shard: authoritative over every worker (the
+  /// Current demand slice per shard: what every worker should hold (the
   /// re-push source for recovery and resync, and a checkpoint payload).
   std::vector<std::vector<proto::ShardGroup>> last_slices_;
   /// The session book of a session-fed exchange (empty otherwise).
@@ -397,9 +412,9 @@ class ShardedExchange final : public ExchangeFrontend {
   mutable resilience::Supervisor supervisor_;
   /// One breaker per shard link; empty when the breaker is disabled.
   mutable std::vector<resilience::CircuitBreaker> link_breakers_;
-  /// Shard must accept a fresh slice push before its live collect output is
-  /// trusted again (set when a push was skipped or failed; cleared by the
-  /// next successful push).
+  /// Shard must accept a fresh slice push before it gets an allocation
+  /// again (set when its slice changed, a push was skipped or failed, or
+  /// it was found dead; cleared by the next successful push).
   mutable std::vector<char> needs_resync_;
   mutable std::size_t stale_rounds_ = 0;
 
@@ -407,8 +422,8 @@ class ShardedExchange final : public ExchangeFrontend {
   mutable obs::MetricsRegistry shard_metrics_;
   struct Counters {
     obs::Counter rounds, frames, retries, rejects, restarts;
-    obs::Counter stale_collects, skipped_pushes;
-    obs::Gauge shards, merged_groups;
+    obs::Counter stale_slices, skipped_pushes;
+    obs::Gauge shards;
   };
   mutable Counters counters_;
 };

@@ -1,5 +1,7 @@
 #include "proto/shard_wire.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "core/fnv1a.hpp"
@@ -10,10 +12,10 @@ namespace {
 
 constexpr std::uint8_t kFirstType = static_cast<std::uint8_t>(ShardFrameType::kHello);
 constexpr std::uint8_t kLastType = static_cast<std::uint8_t>(ShardFrameType::kError);
-/// Retired type bytes (see ShardFrameType); never reassigned.
-constexpr std::uint8_t kRetiredSessionDelta = 3;
-constexpr std::uint8_t kRetiredCheckpoint = 10;
-constexpr std::uint8_t kRetiredResumeFromStore = 11;
+/// Retired type bytes (see ShardFrameType); never reassigned: the session
+/// delta (3), the collect round trip (4, 5) and the checkpoint-store frames
+/// (10, 11).
+constexpr std::uint8_t kRetiredTypes[] = {3, 4, 5, 10, 11};
 
 /// Encoded sizes of one element of each counted payload list.
 constexpr std::size_t kGroupBytes = 32;
@@ -53,8 +55,8 @@ template <typename T, typename Body>
 }  // namespace
 
 bool shard_frame_type_known(std::uint8_t raw) noexcept {
-  return raw >= kFirstType && raw <= kLastType && raw != kRetiredSessionDelta &&
-         raw != kRetiredCheckpoint && raw != kRetiredResumeFromStore;
+  return raw >= kFirstType && raw <= kLastType &&
+         std::ranges::find(kRetiredTypes, raw) == std::end(kRetiredTypes);
 }
 
 std::vector<std::uint8_t> encode_shard_frame(const ShardFrame& frame) {

@@ -2,9 +2,10 @@
 // (DESIGN.md §14).
 //
 // A sharded exchange splits the marketplace by city across N worker shards;
-// the coordinator drives every settlement round over this codec: push demand
-// slices, collect per-shard candidate groups, broadcast the global
-// allocation. Workers only ever hold an explicit demand slice; session
+// the coordinator drives every settlement round over this codec: push each
+// worker its demand slice, settle from the coordinator's own demand, and
+// broadcast each worker its slice of the allocation. Demand only ever flows
+// from the coordinator to the workers: no frame carries it back. Session
 // deltas are folded into the coordinator's own book and never cross the
 // wire. A worker keeps no store of its own: its state leaves and returns
 // only inside the coordinator's embedded snapshot (kStateRequest /
@@ -33,9 +34,10 @@ namespace vdx::proto {
 inline constexpr std::uint32_t kShardMagic = 0x48534456u;
 /// Version 2 retired the session-delta frame and the demand-mode byte of
 /// kBidCandidates; version 3 retired the per-shard checkpoint-store frames
-/// and their two kHello fields. An older peer is rejected at the frame
+/// and their two kHello fields; version 4 retired the collect round trip
+/// (kCollect / kBidCandidates). An older peer is rejected at the frame
 /// header.
-inline constexpr std::uint16_t kShardProtocolVersion = 3;
+inline constexpr std::uint16_t kShardProtocolVersion = 4;
 
 /// Every value is explicit and a retired one is never reused: a frame that
 /// carries a retired type byte is rejected as unknown.
@@ -47,11 +49,8 @@ enum class ShardFrameType : std::uint8_t {
   /// broker groups tagged with their global ids).
   kSetDemand = 2,
   // 3 carried per-shard session deltas in protocol version 1 (retired).
-  /// Coordinator -> worker: request this round's candidate groups.
-  kCollect = 4,
-  /// Worker -> coordinator: the shard's current demand slice (a
-  /// shard-groups payload).
-  kBidCandidates = 5,
+  // 4 and 5 asked a worker for its demand slice and carried the answer back
+  // in protocol version 3 (retired).
   /// Coordinator -> worker: the slice of the globally settled allocation
   /// that lands on this shard's cities.
   kAllocation = 6,

@@ -233,6 +233,9 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
     if (obs_.tracer != nullptr) obs_.tracer->advance(1);
 
     std::vector<trace::Session> arrivals = feed_->next_until(t);
+    // Departures leave before the door bound is applied: a session that
+    // ended by t must not hold a newcomer's place.
+    sessions_.drop_until(t);
     std::size_t turned_away = 0;
     if (config_.queue_capacity > 0 &&
         sessions_.size() + arrivals.size() > config_.queue_capacity) {
@@ -247,6 +250,7 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
     for (const trace::Session& s : arrivals) {
       sessions_.admit(s.id.value(), s.city, s.bitrate_mbps, s.end_s(), t);
     }
+    // Arrivals that already ended by t leave in the same round.
     sessions_.drop_until(t);
     if (!arrivals.empty()) {
       arrivals_counter_.add(static_cast<double>(arrivals.size()));

@@ -110,7 +110,7 @@ TEST(Discrete, ProbabilityOfIsNormalized) {
   DiscreteDistribution dist{std::span<const double>{weights}};
   EXPECT_NEAR(dist.probability_of(0), 0.2, 1e-12);
   EXPECT_NEAR(dist.probability_of(2), 0.6, 1e-12);
-  EXPECT_THROW(dist.probability_of(3), std::out_of_range);
+  EXPECT_THROW((void)dist.probability_of(3), std::out_of_range);
 }
 
 TEST(Discrete, ZeroWeightOutcomeNeverSampled) {

@@ -52,7 +52,7 @@ TEST(Money, ToStringFormatsMicros) {
 }
 
 TEST(Money, OverflowThrows) {
-  EXPECT_THROW(Money::from_dollars(1e300), std::overflow_error);
+  EXPECT_THROW((void)Money::from_dollars(1e300), std::overflow_error);
 }
 
 }  // namespace

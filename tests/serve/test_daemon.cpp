@@ -103,6 +103,37 @@ TEST(ServeDaemon, QueueCapacityTurnsAwayArrivalsAtTheDoor) {
             bounded.report.peak_active_sessions);
 }
 
+// The door bound counts the sessions live at the round midpoint: sessions
+// that left since the last round free their places before newcomers are
+// counted against it.
+TEST(ServeDaemon, QueueCapacityCountsOnlySessionsStillActive) {
+  // 10 s rounds (midpoints 5, 15, ...): 40 sessions end at 11 s, and 40
+  // newcomers arrive at 12 s to an empty population.
+  std::ostringstream script;
+  for (std::uint32_t i = 0; i < 80; ++i) {
+    trace::Session session;
+    session.id = trace::SessionId{i};
+    session.arrival_s = i < 40 ? 1.0 : 12.0;
+    session.duration_s = i < 40 ? 10.0 : 100.0;
+    session.bitrate_mbps = 1.5;
+    session.city = geo::CityId{i % 4};
+    write_arrival(script, session);
+  }
+  std::istringstream in{script.str()};
+  JsonlFeed feed{in};
+
+  HarnessOptions options;
+  options.round_s = 10.0;
+  options.queue_capacity = 40;
+  ServeDaemon daemon{test::test_scenario(), feed, test::config_for(options, {}, nullptr)};
+  const ServeReport report = daemon.run();
+
+  EXPECT_EQ(report.queue_dropped, 0u);
+  EXPECT_EQ(report.peak_active_sessions, 40u);
+  // Midpoints 5 s through 105 s each price 40 live sessions.
+  EXPECT_EQ(report.decision_rounds, 11u);
+}
+
 TEST(ServeDaemon, ReportAccountsEveryRoundAndArrival) {
   HarnessOptions options;
   const RunOutput run = run_serve(options);

@@ -2,15 +2,18 @@
 // N in {1, 2, 4, 7} must be byte-identical to the monolithic VdxExchange —
 // RoundReports, settled placements, journal JSONL, metrics JSONL — for the
 // steady workload and all five adversarial stress scenarios, over both
-// backends, with link chaos on, and with the pooled in-process collect path.
+// backends, with link chaos on, and with the pooled in-process allocation
+// broadcast.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
 #include "market/shard.hpp"
+#include "proto/wire.hpp"
 #include "shard/shard_test_util.hpp"
 #include "sim/designs.hpp"
+#include "state/snapshot.hpp"
 
 namespace vdx::market {
 namespace {
@@ -80,6 +83,27 @@ class ShardEquivalence : public ::testing::Test {
 
 sim::Scenario* ShardEquivalence::scenario_ = nullptr;
 std::vector<double>* ShardEquivalence::background_ = nullptr;
+
+/// Every worker's shard.rounds counter, read from the embedded worker
+/// states (section 33) of the coordinator's snapshot.
+std::vector<double> worker_rounds(const ShardedExchange& exchange) {
+  const auto view = state::SnapshotView::parse(exchange.save_state());
+  EXPECT_TRUE(view.ok());
+  proto::ByteReader workers{view.value().find(33)->bytes};
+  std::vector<double> rounds(workers.read_u32(), 0.0);
+  for (double& value : rounds) {
+    const std::uint32_t len = workers.read_u32();
+    const auto worker = state::SnapshotView::parse(workers.read_bytes(len));
+    EXPECT_TRUE(worker.ok());
+    proto::ByteReader counters{worker.value().find(22)->bytes};  // worker counters
+    for (std::uint32_t n = counters.read_u32(); n > 0; --n) {
+      const std::string name = counters.read_string();
+      const double counted = counters.read_f64();
+      if (name == "shard.rounds") value = counted;
+    }
+  }
+  return rounds;
+}
 
 TEST_F(ShardEquivalence, SteadyMatchesMonolithAtEveryShardCount) {
   expect_scenario_identical(sim::StressScenario::kSteady);
@@ -177,6 +201,56 @@ TEST_F(ShardEquivalence, DuplicatedFramesAreDeliveredWithoutChangingBytes) {
   // Each apply emitted both copies and none were dropped: everything the
   // injector produced really went to (or came back from) a worker.
   EXPECT_EQ(link.delivered, link.frames + link.duplicated);
+
+  // Every allocation reached its worker twice, yet each worker booked each
+  // round once: one shard.rounds count and one round-start event per round.
+  const std::vector<double> rounds = worker_rounds(exchange);
+  ASSERT_EQ(rounds.size(), config.shards);
+  const auto merged = exchange.merged_worker_journal();
+  ASSERT_TRUE(merged.ok());
+  for (std::size_t s = 0; s < rounds.size(); ++s) {
+    EXPECT_EQ(rounds[s], static_cast<double>(kRounds)) << "shard " << s;
+    std::vector<std::uint32_t> starts;
+    for (const obs::Event& e : merged.value()) {
+      if (e.kind == obs::EventKind::kRoundStart && e.subject == s) {
+        starts.push_back(e.round);
+      }
+    }
+    ASSERT_EQ(starts.size(), kRounds) << "shard " << s;
+    for (std::size_t r = 0; r < kRounds; ++r) EXPECT_EQ(starts[r], r) << "shard " << s;
+  }
+}
+
+// Settlement reads the coordinator's own demand: a fault-free round costs
+// each shard one slice push and one allocation, and no frame carries demand
+// back to the coordinator.
+TEST_F(ShardEquivalence, FaultFreeSessionRoundSendsTwoFramesPerShard) {
+  const auto cities = static_cast<std::uint32_t>(scenario().world().cities().size());
+  for (const std::size_t shards : kShardCounts) {
+    ShardedConfig config;
+    config.shards = shards;
+    ShardedExchange exchange{scenario(), config};
+    const auto frames = [&] {
+      return exchange.shard_metrics().find("exchange.shard.frames")->value;
+    };
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      std::vector<proto::ShardSessionAdd> adds;
+      for (std::uint32_t k = 0; k < 200; ++k) {
+        const std::uint32_t id = r * 200 + k;
+        adds.push_back({id, id % cities, k % 2 == 0 ? 1.2 : 3.6});
+      }
+      std::vector<std::uint32_t> removes;
+      for (std::uint32_t k = 0; r > 0 && k < 50; ++k) {
+        removes.push_back((r - 1) * 200 + k);
+      }
+
+      const double before = frames();
+      ASSERT_TRUE(exchange.push_session_delta(adds, removes).ok());
+      (void)exchange.run_round();
+      EXPECT_EQ(frames() - before, 2.0 * static_cast<double>(exchange.plan().shard_count))
+          << "shards=" << shards << " round " << r;
+    }
+  }
 }
 
 // Session-fed mode: the coordinator folds deltas into its one session book

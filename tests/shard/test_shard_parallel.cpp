@@ -1,7 +1,8 @@
-// Pooled in-process collect path (DESIGN.md §14): with collect_threads > 1
-// the coordinator fans batch frames across a ThreadPool — the TSan lane's
-// target for the shard subsystem. Byte-identity must survive the pool, and
-// the pool must be refused whenever the link injector (ordered state) is on.
+// Pooled in-process allocation broadcast (DESIGN.md §14): with
+// collect_threads > 1 the coordinator fans the per-shard allocation frames
+// across a ThreadPool — the TSan lane's target for the shard subsystem.
+// Byte-identity must survive the pool, and the pool must be refused
+// whenever the link injector (ordered state) is on.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -15,7 +16,7 @@ namespace {
 
 using shard_test::RunCapture;
 
-TEST(ShardParallel, PooledCollectMatchesSerialByteForByte) {
+TEST(ShardParallel, PooledBroadcastMatchesSerialByteForByte) {
   sim::ScenarioConfig scenario_config;
   scenario_config.trace.session_count = 900;
   scenario_config.seed = 23;
@@ -38,7 +39,7 @@ TEST(ShardParallel, PooledCollectMatchesSerialByteForByte) {
   const RunCapture serial = run(1);
   const RunCapture pooled = run(4);
   ASSERT_FALSE(serial.placements.empty());
-  shard_test::expect_identical(serial, pooled, "pooled collect");
+  shard_test::expect_identical(serial, pooled, "pooled broadcast");
 }
 
 TEST(ShardParallel, ChaosForcesTheSerialPath) {

@@ -198,12 +198,12 @@ ShardedConfig flaky_links(std::uint64_t seed) {
 }
 
 // A failed slice push leaves the shards it never reached (and the one it
-// failed on) echoing their previous slice. With the same (city, bitrate)
-// cells and only client counts changed, such a stale slice passes the
-// merge's id check, so it must never reach a collect: every shard stays
-// flagged until its push lands, and the round re-pushes flagged shards
-// before it collects.
-TEST_F(ShardRecovery, FailedSlicePushIsRepushedBeforeTheNextCollect) {
+// failed on) holding their previous slice, with the same (city, bitrate)
+// cells and only client counts changed. Every shard stays flagged until its
+// push lands and the round re-pushes flagged shards before it settles, so
+// the settlement matches the monolith and no worker books the round's
+// allocation against the older slice.
+TEST_F(ShardRecovery, FailedSlicePushIsRepushedBeforeTheNextSettlement) {
   const auto script = shard_test::make_script(
       scenario(), sim::StressScenario::kDiurnal, 2);
   ASSERT_EQ(script[0].groups.size(), script[1].groups.size());
@@ -411,8 +411,10 @@ TEST_F(ShardRecovery, EmbeddedSnapshotRoundTripsAcrossAFreshExchange) {
 }
 
 // The session book moved into the coordinator snapshot in format version
-// 2. A version-1 snapshot (no version section) fails typed instead of
-// being misread, and the refused restore leaves the exchange untouched.
+// 2, and version 3 dropped the demand-dirty byte with the collect round
+// trip. A version-1 snapshot (no version section) and a version-2 one fail
+// typed instead of being misread, and the refused restore leaves the
+// exchange untouched.
 TEST_F(ShardRecovery, VersionOneCoordinatorSnapshotFailsWithVersionMismatch) {
   ShardedConfig config;
   config.shards = 2;
@@ -423,16 +425,29 @@ TEST_F(ShardRecovery, VersionOneCoordinatorSnapshotFailsWithVersionMismatch) {
   const auto current = state::SnapshotView::parse(first.save_state());
   ASSERT_TRUE(current.ok());
 
-  state::SnapshotWriter old_format;
-  for (const state::Section& section : current.value().sections()) {
-    if (section.id != 29) old_format.add_section(section.id, section.bytes);
+  // Version 1 has no version section; version 2 says 2 in it.
+  std::vector<std::vector<std::uint8_t>> old_formats;
+  for (const std::uint32_t version : {1u, 2u}) {
+    state::SnapshotWriter old_format;
+    for (const state::Section& section : current.value().sections()) {
+      if (section.id != 29) {
+        old_format.add_section(section.id, section.bytes);
+      } else if (version > 1) {
+        proto::ByteWriter w;
+        w.write_u32(version);
+        old_format.add_section(section.id, w.take());
+      }
+    }
+    old_formats.push_back(old_format.finish());
   }
   ShardedExchange resumed{scenario(), config};
   const auto before = resumed.save_state();
-  const auto status = resumed.restore_state(old_format.finish());
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.error().code, core::Errc::kVersionMismatch);
-  EXPECT_EQ(resumed.save_state(), before);
+  for (std::size_t i = 0; i < old_formats.size(); ++i) {
+    const auto status = resumed.restore_state(old_formats[i]);
+    ASSERT_FALSE(status.ok()) << "version " << i + 1;
+    EXPECT_EQ(status.error().code, core::Errc::kVersionMismatch) << "version " << i + 1;
+    EXPECT_EQ(resumed.save_state(), before) << "version " << i + 1;
+  }
 }
 
 /// `snapshot` with section `id` swapped for `bytes`, in a fresh envelope:
@@ -449,12 +464,14 @@ std::vector<std::uint8_t> with_section(std::span<const std::uint8_t> snapshot,
   return writer.finish();
 }
 
-// Coordinator snapshot sections (shard.cpp): the core and the slice cache.
+// Coordinator snapshot sections (shard.cpp): the core, the slice cache and
+// the embedded worker states.
 constexpr std::uint32_t kCoreSection = 30;
 constexpr std::uint32_t kSlicesSection = 32;
-/// The first background load follows rounds, shard count, plan hash, three
+constexpr std::uint32_t kWorkersSection = 33;
+/// The first background load follows rounds, shard count, plan hash, two
 /// flags and the load count in the core section.
-constexpr std::size_t kFirstLoadOffset = 8 + 4 + 8 + 3 + 4;
+constexpr std::size_t kFirstLoadOffset = 8 + 4 + 8 + 2 + 4;
 
 using Slices = std::vector<std::vector<proto::ShardGroup>>;
 
@@ -557,6 +574,50 @@ TEST_F(ShardRecovery, RestoreRejectsSlicesThatCanNeverSettle) {
   // The untouched snapshot restores, so each rejection was about its one
   // change.
   EXPECT_TRUE(resumed.restore_state(good).ok());
+}
+
+// A worker state its worker would reject fails the whole restore before
+// the settlement or any coordinator field is touched: the refused restore
+// leaves rounds and snapshot bytes exactly as they were.
+TEST_F(ShardRecovery, RestoreRejectsAWorkerStateBeforeChangingAnything) {
+  ShardedConfig config;
+  config.shards = 2;
+  std::vector<std::uint8_t> good;
+  {
+    ShardedExchange first{scenario(), config};
+    first.set_active_load(scenario().broker_groups(), background());
+    for (int r = 0; r < 3; ++r) (void)first.run_round();
+    good = first.save_state();
+  }
+  // Worker 1's embedded state swapped for 16 junk bytes, inside a valid
+  // envelope.
+  const auto view = state::SnapshotView::parse(good);
+  ASSERT_TRUE(view.ok());
+  proto::ByteReader r{view.value().find(kWorkersSection)->bytes};
+  ASSERT_EQ(r.read_u32(), 2u);
+  const auto worker0 = r.read_bytes(r.read_u32());
+  proto::ByteWriter w;
+  w.write_u32(2);
+  w.write_u32(static_cast<std::uint32_t>(worker0.size()));
+  w.write_bytes(worker0);
+  const std::vector<std::uint8_t> junk(16, 0x5A);
+  w.write_u32(static_cast<std::uint32_t>(junk.size()));
+  w.write_bytes(junk);
+  const auto bad = with_section(good, kWorkersSection, w.take());
+
+  ShardedExchange resumed{scenario(), config};
+  resumed.set_active_load(scenario().broker_groups(), background());
+  (void)resumed.run_round();
+  const auto before = resumed.save_state();
+  const core::Status status = resumed.restore_state(bad);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.error().message.find("shard 1"), std::string::npos)
+      << status.error().message;
+  EXPECT_EQ(resumed.rounds_completed(), 1u);
+  EXPECT_EQ(resumed.save_state(), before);
+  // The untouched snapshot restores, so the rejection was about worker 1.
+  EXPECT_TRUE(resumed.restore_state(good).ok());
+  EXPECT_EQ(resumed.rounds_completed(), 3u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Supervisor + circuit-breaker drill for the sharded exchange (DESIGN.md
 // §15): a restart budget turns a crash loop into a typed failure, and the
 // per-link breaker turns it into quarantine — stale-slice settlement that
-// stays byte-identical to the monolith (the coordinator cache is
-// authoritative in demand mode) until a half-open probe re-pushes the slice.
+// stays byte-identical to the monolith (settlement reads the coordinator's
+// own demand, never a worker) until a half-open probe re-pushes the slice.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -91,9 +91,9 @@ TEST_F(ShardResilience, RestartBudgetExhaustionFailsTypedAndKeepsWorkerDead) {
 
 // The tentpole drill: with the link breaker armed, a flapping worker whose
 // restart budget is exhausted is QUARANTINED — rounds keep settling from
-// the coordinator's cached slice, byte-identical to the monolith because
-// set_active_load refreshes the cache before every push — and a half-open
-// probe later respawns the worker and rejoins it to the live collect.
+// the coordinator's own demand, byte-identical to the monolith, while the
+// shard gets no pushes or allocations — and a half-open probe later
+// respawns the worker and re-pushes its slice.
 TEST_F(ShardResilience, BreakerQuarantineSettlesStaleThenProbeRecovers) {
   const auto script = shard_test::make_script(
       scenario(), sim::StressScenario::kFlashCrowd, kRounds);

@@ -52,11 +52,11 @@ std::vector<ShardFrame> corpus() {
     frames.push_back(demand);
   }
   {
-    ShardFrame collect;
-    collect.type = ShardFrameType::kCollect;
-    collect.shard = 1;
-    collect.round = 7;
-    frames.push_back(collect);
+    ShardFrame journal;
+    journal.type = ShardFrameType::kJournalRequest;
+    journal.shard = 1;
+    journal.round = 7;
+    frames.push_back(journal);
   }
   {
     ShardFrame allocation;
@@ -241,21 +241,25 @@ TEST(ShardWireFuzz, WorkerRejectsWellFormedButInvalidPayloadsAtomically) {
 
   // A frame addressed to the wrong shard.
   ShardFrame misrouted;
-  misrouted.type = ShardFrameType::kCollect;
+  misrouted.type = ShardFrameType::kJournalRequest;
   misrouted.shard = 3;
   expect_rejected(misrouted, core::Errc::kInvalidArgument);
 }
 
+/// The current worker snapshot format version.
+constexpr std::uint32_t kWorkerVersion = 3;
+
 /// ShardWorker::save_state's core/journal/counters sections (20/21/22)
 /// around an arbitrary demand slice, with the topology configure_worker
-/// pinned; `versioned` adds the version-2 section (19).
+/// pinned, in format `version`: 1 has no version section (19), and 1 and 2
+/// carry the retired last-collect round in the core section.
 std::vector<std::uint8_t> worker_snapshot_with(const std::vector<ShardGroup>& demand,
-                                               bool versioned) {
+                                               std::uint32_t version) {
   state::SnapshotWriter writer;
-  if (versioned) {
-    ByteWriter version;
-    version.write_u32(2);
-    writer.add_section(19, version.take());
+  if (version > 1) {
+    ByteWriter section;
+    section.write_u32(version);
+    writer.add_section(19, section.take());
   }
   ByteWriter w;
   w.write_u32(1);   // shard
@@ -264,7 +268,7 @@ std::vector<std::uint8_t> worker_snapshot_with(const std::vector<ShardGroup>& de
   w.write_u64(42);  // plan_hash
   w.write_u64(3);   // rounds_applied
   w.write_u64(2);   // last allocation round
-  w.write_u64(2);   // last collect round
+  if (version < 3) w.write_u64(2);  // last collect round
   const auto slice = encode_shard_groups(demand);
   w.write_u32(static_cast<std::uint32_t>(slice.size()));
   w.write_bytes(slice);
@@ -304,26 +308,31 @@ TEST(ShardWireFuzz, WorkerSnapshotWithUnappliableDemandIsRejectedAtomically) {
       {group_on(0, 1, -1.0)},                      // non-positive bitrate
   };
   for (const auto& slice : bad_slices) {
-    EXPECT_EQ(restore_error(worker, worker_snapshot_with(slice, true)),
+    EXPECT_EQ(restore_error(worker, worker_snapshot_with(slice, kWorkerVersion)),
               core::Errc::kInvalidArgument);
     EXPECT_EQ(worker.save_state(), before)
         << "rejected snapshot partially applied state";
   }
   // The same layout with a valid slice restores, so the rejections above
   // were about the slice alone.
-  EXPECT_EQ(restore_error(worker, worker_snapshot_with({group_on(0, 1, 1.0)}, true)),
-            std::nullopt);
+  EXPECT_EQ(
+      restore_error(worker, worker_snapshot_with({group_on(0, 1, 1.0)}, kWorkerVersion)),
+      std::nullopt);
 }
 
 // Snapshots from before the session book moved to the coordinator carry no
-// version section: they fail typed instead of being misread.
+// version section, and version 2 still carried the retired last-collect
+// round: both fail typed instead of being misread.
 TEST(ShardWireFuzz, VersionOneWorkerSnapshotFailsWithVersionMismatch) {
   market::ShardWorker worker{1};
   configure_worker(worker);
   const std::vector<std::uint8_t> before = worker.save_state();
-  EXPECT_EQ(restore_error(worker, worker_snapshot_with({group_on(0, 1, 1.0)}, false)),
-            core::Errc::kVersionMismatch);
-  EXPECT_EQ(worker.save_state(), before);
+  for (const std::uint32_t version : {1u, 2u}) {
+    EXPECT_EQ(restore_error(worker, worker_snapshot_with({group_on(0, 1, 1.0)}, version)),
+              core::Errc::kVersionMismatch)
+        << "version " << version;
+    EXPECT_EQ(worker.save_state(), before) << "version " << version;
+  }
 }
 
 /// The worker's error code for raw request bytes, or nullopt unless the
@@ -339,16 +348,17 @@ std::optional<core::Errc> worker_error_for(market::ShardWorker& worker,
   return error.value().code;
 }
 
-// Type byte 3 carried per-shard session deltas in protocol version 1, and
-// 10/11 drove the per-shard checkpoint stores in version 2. They are
-// retired, not reassigned: a frame using one is corrupt even with a valid
-// checksum, and a worker answers it with kCorruptFrame.
+// Type byte 3 carried per-shard session deltas in protocol version 1,
+// 10/11 drove the per-shard checkpoint stores in version 2, and 4/5 were the
+// collect round trip in version 3. They are retired, not reassigned: a frame
+// using one is corrupt even with a valid checksum, and a worker answers it
+// with kCorruptFrame.
 TEST(ShardWireFuzz, RetiredSessionDeltaTypeByteIsRejected) {
-  for (const std::uint8_t retired : {3, 10, 11}) {
-    ShardFrame collect;
-    collect.type = ShardFrameType::kCollect;
-    collect.shard = 1;
-    std::vector<std::uint8_t> wire = encode_shard_frame(collect);
+  for (const std::uint8_t retired : {3, 4, 5, 10, 11}) {
+    ShardFrame frame;
+    frame.type = ShardFrameType::kJournalRequest;
+    frame.shard = 1;
+    std::vector<std::uint8_t> wire = encode_shard_frame(frame);
     wire[4] = retired;  // the type byte follows the 4-byte magic
     const std::size_t body = wire.size() - 8;
     ByteWriter checksum;
@@ -434,10 +444,10 @@ TEST(ShardWireFuzz, RedeliveredFramesAreIdempotentAtTheWorker) {
 
   const ShardFrame demand = set_demand({group_on(0, 0, 2.0), group_on(1, 1, 4.0)});
 
-  ShardFrame collect;
-  collect.type = ShardFrameType::kCollect;
-  collect.shard = 1;
-  collect.round = 0;
+  ShardFrame journal;
+  journal.type = ShardFrameType::kJournalRequest;
+  journal.shard = 1;
+  journal.round = 0;
 
   ShardFrame allocation;
   allocation.type = ShardFrameType::kAllocation;
@@ -446,7 +456,7 @@ TEST(ShardWireFuzz, RedeliveredFramesAreIdempotentAtTheWorker) {
   const std::vector<ShardPlacement> placements{{0, 1, 3.0, 0.01, 1.0, 2.0}};
   allocation.payload = encode_allocation(placements);
 
-  for (const ShardFrame& frame : {demand, collect, allocation}) {
+  for (const ShardFrame& frame : {demand, journal, allocation}) {
     const ShardFrame first = worker.handle(frame);
     ASSERT_NE(first.type, ShardFrameType::kError)
         << static_cast<int>(frame.type);
@@ -463,7 +473,7 @@ TEST(ShardWireFuzz, RedeliveredFramesAreIdempotentAtTheWorker) {
 TEST(ShardWireFuzz, UnconfiguredWorkerRefusesEverythingButHello) {
   market::ShardWorker worker{0};
   for (const ShardFrameType type :
-       {ShardFrameType::kSetDemand, ShardFrameType::kCollect,
+       {ShardFrameType::kSetDemand, ShardFrameType::kShutdown,
         ShardFrameType::kAllocation, ShardFrameType::kStateRequest,
         ShardFrameType::kJournalRequest}) {
     ShardFrame frame;
