@@ -2,342 +2,357 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace vdx::solver {
 
-MinCostFlowGraph::NodeId MinCostFlowGraph::add_node() {
-  head_.push_back(SIZE_MAX);
-  return static_cast<NodeId>(head_.size() - 1);
-}
+namespace {
 
-MinCostFlowGraph::ArcRef MinCostFlowGraph::add_arc(NodeId from, NodeId to,
-                                                   std::int64_t capacity, double cost) {
-  if (from >= head_.size() || to >= head_.size()) {
-    throw std::invalid_argument{"MinCostFlowGraph::add_arc: unknown node"};
+constexpr std::int8_t kLower = 1;
+constexpr std::int8_t kTree = 0;
+constexpr std::int8_t kUpper = -1;
+constexpr std::int64_t kInfCap = std::numeric_limits<std::int64_t>::max();
+
+// Smallest double above every int64: llround() is defined below it.
+constexpr double kInt64Limit = 0x1p63;
+
+}  // namespace
+
+NetworkSimplex::NetworkSimplex(std::vector<std::int64_t> supply) : supply_(std::move(supply)) {
+  std::int64_t sum = 0;
+  bool overflow = false;
+  for (const std::int64_t s : supply_) {
+    overflow |= s < -kInfCap || __builtin_add_overflow(sum, s, &sum);  // -s must fit too
   }
-  if (capacity < 0) throw std::invalid_argument{"MinCostFlowGraph::add_arc: capacity < 0"};
-  const std::size_t index = arc_to_.size();
-  arc_to_.push_back(to);
-  arc_cost_.push_back(cost);
-  arc_next_.push_back(head_[from]);
-  head_[from] = index;
-  arc_to_.push_back(from);
-  arc_cost_.push_back(-cost);
-  arc_next_.push_back(head_[to]);
-  head_[to] = index + 1;
-  initial_capacity_.push_back(capacity);
-  initial_capacity_.push_back(0);
-  csr_arc_count_ = SIZE_MAX;  // adjacency changed; rebuild on next solve
-  return ArcRef{index};
+  if (overflow || sum != 0) {
+    throw std::invalid_argument{"NetworkSimplex: supplies must sum to 0 within int64"};
+  }
+  for (std::size_t u = 0; u < supply_.size(); ++u) push_arc(0, 0, 0.0, kInfCap);  // artificial
 }
 
-std::int64_t MinCostFlowGraph::flow_on(ArcRef arc) const {
-  if (arc.index >= arc_to_.size()) throw std::out_of_range{"flow_on: bad arc"};
-  if (csr_arc_count_ != arc_to_.size() || residual_.empty()) return 0;  // no solve yet
-  // Flow on the forward arc equals the residual capacity of its twin.
-  return residual_[pos_of_arc_[arc.index ^ 1]];
+NetworkSimplex::ArcId NetworkSimplex::add_arc(NodeId from, NodeId to, std::int64_t capacity,
+                                              double cost) {
+  if (from >= supply_.size() || to >= supply_.size() || capacity < 0 ||
+      capacity == kInfCap || !std::isfinite(cost)) {
+    throw std::invalid_argument{"NetworkSimplex::add_arc: unknown node, bad capacity or cost"};
+  }
+  push_arc(static_cast<std::int32_t>(from), static_cast<std::int32_t>(to), cost, capacity);
+  return static_cast<ArcId>(cost_.size() - supply_.size() - 1);
 }
 
-void MinCostFlowGraph::build_csr() {
-  if (csr_arc_count_ == arc_to_.size()) return;
-  const std::size_t nodes = head_.size();
-  const std::size_t arcs = arc_to_.size();
-  csr_start_.assign(nodes + 1, 0);
-  csr_to_.resize(arcs);
-  csr_cost_.resize(arcs);
-  csr_twin_.resize(arcs);
-  pos_of_arc_.resize(arcs);
-  csr_cap_init_.resize(arcs);
+void NetworkSimplex::push_arc(std::int32_t from, std::int32_t to, double cost,
+                              std::int64_t capacity) {
+  source_.push_back(from);
+  target_.push_back(to);
+  cost_.push_back(cost);
+  state_.push_back(kLower);
+  cap_.push_back(capacity);
+  flow_.push_back(0);
+}
 
-  // Pass 1: lay arcs out per node by walking the newest-first chains, which
-  // is the exact order the list-based relax loop visited them.
-  std::uint32_t pos = 0;
-  for (std::size_t u = 0; u < nodes; ++u) {
-    csr_start_[u] = pos;
-    for (std::size_t e = head_[u]; e != SIZE_MAX; e = arc_next_[e]) {
-      pos_of_arc_[e] = pos++;
+std::int64_t NetworkSimplex::flow(ArcId arc) const {
+  const std::size_t e = supply_.size() + arc;
+  if (e >= flow_.size()) throw std::out_of_range{"NetworkSimplex::flow: bad arc"};
+  return flow_[e];
+}
+
+void NetworkSimplex::solve() {
+  const auto n = static_cast<std::int32_t>(supply_.size());
+  const auto m = static_cast<std::int32_t>(cost_.size()) - n;
+  double max_cost = 0.0;
+  for (std::int32_t e = n; e < n + m; ++e) max_cost = std::max(max_cost, cost_[e]);
+  // Big-M: dearer than any simple path of real arcs.
+  const double art_cost = (max_cost + 1.0) * static_cast<double>(n);
+  std::fill(state_.begin(), state_.end(), kLower);
+  std::fill(flow_.begin(), flow_.end(), 0);
+
+  // Initial tree: a star around the root (index n), threaded 0, 1, ..., n-1.
+  const std::int32_t root = n;
+  const auto tree_nodes = static_cast<std::size_t>(n) + 1;
+  parent_.assign(tree_nodes, root);
+  pred_.assign(tree_nodes, -1);
+  pred_up_.resize(tree_nodes);
+  thread_.resize(tree_nodes);
+  rev_thread_.resize(tree_nodes);
+  succ_num_.assign(tree_nodes, 1);
+  last_succ_.resize(tree_nodes);
+  pi_.assign(tree_nodes, 0.0);
+  parent_[root] = -1;
+  thread_[root] = 0;
+  rev_thread_[0] = root;
+  succ_num_[root] = n + 1;
+  last_succ_[root] = root - 1;
+  for (std::int32_t u = 0; u < n; ++u) {
+    pred_[u] = u;
+    thread_[u] = u + 1;
+    rev_thread_[u + 1] = u;
+    last_succ_[u] = u;
+    const bool source = supply_[u] >= 0;
+    pred_up_[u] = source ? 1 : -1;
+    pi_[u] = source ? 0.0 : art_cost;
+    source_[u] = source ? u : root;
+    target_[u] = source ? root : u;
+    cost_[u] = source ? 0.0 : art_cost;
+    state_[u] = kTree;
+    flow_[u] = source ? supply_[u] : -supply_[u];
+  }
+
+  block_size_ = std::max(10, static_cast<std::int32_t>(std::sqrt(static_cast<double>(m))));
+  next_arc_ = n;
+  while (find_entering_arc()) {
+    const bool change = find_leaving_arc();
+    change_flow(change);
+    if (change) update_tree();
+  }
+  if (!std::all_of(flow_.begin(), flow_.begin() + n, [](std::int64_t f) { return f == 0; })) {
+    throw std::runtime_error{"NetworkSimplex: supplies cannot be routed"};
+  }
+}
+
+// Block search: scan on from where the last search stopped and take the most
+// negative reduced cost within the first block that has one.
+bool NetworkSimplex::find_entering_arc() {
+  const auto first = static_cast<std::int32_t>(supply_.size());
+  const auto end = static_cast<std::int32_t>(cost_.size());
+  double best = -kEnterThreshold;
+  bool found = false;
+  std::int32_t count = block_size_;
+  std::int32_t e = next_arc_;
+  for (std::int32_t scanned = first; scanned < end; ++scanned) {
+    const double reduced = state_[e] * (cost_[e] + pi_[source_[e]] - pi_[target_[e]]);
+    if (reduced < best) {
+      best = reduced;
+      in_arc_ = e;
+      found = true;
+    }
+    if (--count == 0) {
+      if (found) {
+        next_arc_ = e;
+        return true;
+      }
+      count = block_size_;
+    }
+    if (++e == end) e = first;
+  }
+  return found;
+}
+
+// Finds the apex (join) of the cycle the entering arc closes by climbing from
+// the endpoint with the smaller subtree, then applies Cunningham's rule: walk
+// the cycle in flow direction, first the path against the tree (from `first`
+// up to the apex), then the one with it (from `second`); the last blocking
+// arc met wins, which keeps the tree strongly feasible. Returns false when
+// the entering arc blocks itself.
+bool NetworkSimplex::find_leaving_arc() {
+  std::int32_t a = source_[in_arc_];
+  std::int32_t b = target_[in_arc_];
+  while (a != b) {
+    if (succ_num_[a] < succ_num_[b]) {
+      a = parent_[a];
+    } else {
+      b = parent_[b];
     }
   }
-  csr_start_[nodes] = pos;
-
-  // Pass 2: fill the permuted arrays (twin positions need pass 1 complete).
-  for (std::size_t e = 0; e < arcs; ++e) {
-    const std::uint32_t p = pos_of_arc_[e];
-    csr_to_[p] = arc_to_[e];
-    csr_cost_[p] = arc_cost_[e];
-    csr_twin_[p] = pos_of_arc_[e ^ 1];
-    csr_cap_init_[p] = initial_capacity_[e];
-  }
-
-  dist_.resize(nodes);
-  parent_pos_.resize(nodes);
-  heap_index_.resize(nodes);
-  heap_.reserve(nodes);
-  csr_arc_count_ = arcs;
-}
-
-bool MinCostFlowGraph::bellman_ford_potentials(NodeId source,
-                                               std::vector<double>& pot) const {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  pot.assign(head_.size(), kInf);
-  pot[source] = 0.0;
-  std::deque<NodeId> queue{source};
-  std::vector<std::uint8_t> in_queue(head_.size(), 0);
-  std::vector<std::uint32_t> relaxations(head_.size(), 0);
-  in_queue[source] = 1;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    in_queue[u] = 0;
-    const std::uint32_t begin = csr_start_[u];
-    const std::uint32_t end = csr_start_[u + 1];
-    for (std::uint32_t p = begin; p < end; ++p) {
-      if (residual_[p] <= 0) continue;
-      const double candidate = pot[u] + csr_cost_[p];
-      const NodeId to = csr_to_[p];
-      if (candidate < pot[to] - 1e-12) {
-        pot[to] = candidate;
-        if (!in_queue[to]) {
-          if (++relaxations[to] > head_.size() + 1) return false;  // negative cycle
-          in_queue[to] = 1;
-          queue.push_back(to);
-        }
+  join_ = a;
+  const bool lower = state_[in_arc_] == kLower;
+  const std::int32_t first = lower ? source_[in_arc_] : target_[in_arc_];
+  const std::int32_t second = lower ? target_[in_arc_] : source_[in_arc_];
+  delta_ = cap_[in_arc_];
+  int result = 0;
+  // Flow runs down the tree on the first path and up it on the second.
+  const auto scan = [&](std::int32_t start, std::int8_t flow_up, int path) {
+    for (std::int32_t u = start; u != join_; u = parent_[u]) {
+      const std::int32_t e = pred_[u];
+      const std::int64_t room = pred_up_[u] == flow_up ? cap_[e] - flow_[e] : flow_[e];
+      if (room < delta_ || (path == 2 && room == delta_)) {
+        delta_ = room;
+        u_out_ = u;
+        result = path;
       }
     }
-  }
-  // Unreached nodes keep infinite potential; replace with 0 so reduced costs
-  // stay finite (those nodes are unusable anyway).
-  for (auto& p : pot) {
-    if (p == kInf) p = 0.0;
-  }
-  return true;
+  };
+  scan(first, -1, 1);
+  scan(second, 1, 2);
+  u_in_ = result == 1 ? first : second;
+  v_in_ = result == 1 ? second : first;
+  return result != 0;
 }
 
-void MinCostFlowGraph::heap_sift_up(std::uint32_t hole) {
-  while (hole > 0) {
-    const std::uint32_t up = (hole - 1) / 2;
-    if (!heap_less(heap_[hole], heap_[up])) break;
-    std::swap(heap_[hole], heap_[up]);
-    heap_index_[heap_[hole]] = hole;
-    heap_index_[heap_[up]] = up;
-    hole = up;
-  }
-}
-
-void MinCostFlowGraph::heap_sift_down(std::uint32_t hole) {
-  const auto size = static_cast<std::uint32_t>(heap_.size());
-  while (true) {
-    const std::uint32_t left = 2 * hole + 1;
-    if (left >= size) break;
-    std::uint32_t best = left;
-    const std::uint32_t right = left + 1;
-    if (right < size && heap_less(heap_[right], heap_[left])) best = right;
-    if (!heap_less(heap_[best], heap_[hole])) break;
-    std::swap(heap_[best], heap_[hole]);
-    heap_index_[heap_[hole]] = hole;
-    heap_index_[heap_[best]] = best;
-    hole = best;
-  }
-}
-
-void MinCostFlowGraph::heap_push_or_decrease(NodeId node) {
-  const std::uint32_t slot = heap_index_[node];
-  if (slot == kNoPos) {
-    heap_.push_back(node);
-    heap_index_[node] = static_cast<std::uint32_t>(heap_.size() - 1);
-    heap_sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
-  } else {
-    heap_sift_up(slot);  // dist only ever decreases
-  }
-}
-
-MinCostFlowGraph::NodeId MinCostFlowGraph::heap_pop_min() {
-  const NodeId top = heap_[0];
-  heap_index_[top] = kNoPos;
-  const NodeId last = heap_.back();
-  heap_.pop_back();
-  if (!heap_.empty()) {
-    heap_[0] = last;
-    heap_index_[last] = 0;
-    heap_sift_down(0);
-  }
-  return top;
-}
-
-MinCostFlowGraph::FlowResult MinCostFlowGraph::solve(NodeId source, NodeId sink,
-                                                     std::int64_t target_flow) {
-  if (source >= head_.size() || sink >= head_.size()) {
-    throw std::invalid_argument{"MinCostFlowGraph::solve: unknown node"};
-  }
-  build_csr();
-  // Reset residual capacities from any prior run.
-  residual_ = csr_cap_init_;
-
-  FlowResult result;
-  if (target_flow <= 0) {
-    result.reached_target = true;
-    return result;
-  }
-
-  std::vector<double> pot;
-  if (!bellman_ford_potentials(source, pot)) {
-    throw std::runtime_error{"MinCostFlowGraph: negative cycle in costs"};
-  }
-
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const std::size_t nodes = head_.size();
-
-  while (result.flow < target_flow) {
-    // Dijkstra on reduced costs. Each reached node pops exactly once, in
-    // increasing (dist, node) order — the same effective sequence the lazy
-    // heap produced — and scans its CSR block once. The search stops when the
-    // sink pops: every node on the augmenting path was settled before it, so
-    // its parent arc is already final.
-    std::fill(dist_.begin(), dist_.end(), kInf);
-    std::fill(parent_pos_.begin(), parent_pos_.end(), kNoPos);
-    std::fill(heap_index_.begin(), heap_index_.end(), kNoPos);
-    heap_.clear();
-    dist_[source] = 0.0;
-    heap_push_or_decrease(source);
-    while (!heap_.empty()) {
-      const NodeId u = heap_pop_min();
-      if (u == sink) break;
-      const double du = dist_[u];
-      const double pu = pot[u];
-      const std::uint32_t begin = csr_start_[u];
-      const std::uint32_t end = csr_start_[u + 1];
-      for (std::uint32_t p = begin; p < end; ++p) {
-        if (residual_[p] <= 0) continue;
-        const NodeId to = csr_to_[p];
-        const double reduced = csr_cost_[p] + pu - pot[to];
-        const double candidate = du + std::max(0.0, reduced);
-        if (candidate < dist_[to] - 1e-12) {
-          dist_[to] = candidate;
-          parent_pos_[to] = p;
-          heap_push_or_decrease(to);
-        }
-      }
+void NetworkSimplex::change_flow(bool change) {
+  if (delta_ > 0) {
+    const std::int64_t val = state_[in_arc_] * delta_;
+    flow_[in_arc_] += val;
+    for (std::int32_t u = source_[in_arc_]; u != join_; u = parent_[u]) {
+      flow_[pred_[u]] -= pred_up_[u] * val;
     }
-    if (dist_[sink] == kInf) break;  // no augmenting path left
-
-    // Settled nodes move by their distance; everything else (still queued
-    // or never reached) by the sink's, so every residual arc keeps a
-    // non-negative reduced cost.
-    const double sink_dist = dist_[sink];
-    for (std::size_t v = 0; v < nodes; ++v) pot[v] += std::min(dist_[v], sink_dist);
-
-    // Bottleneck along the path.
-    std::int64_t push = target_flow - result.flow;
-    for (NodeId v = sink; v != source;) {
-      const std::uint32_t p = parent_pos_[v];
-      push = std::min(push, residual_[p]);
-      v = csr_to_[csr_twin_[p]];
+    for (std::int32_t u = target_[in_arc_]; u != join_; u = parent_[u]) {
+      flow_[pred_[u]] += pred_up_[u] * val;
     }
-    for (NodeId v = sink; v != source;) {
-      const std::uint32_t p = parent_pos_[v];
-      residual_[p] -= push;
-      residual_[csr_twin_[p]] += push;
-      result.cost += static_cast<double>(push) * csr_cost_[p];
-      v = csr_to_[csr_twin_[p]];
-    }
-    result.flow += push;
   }
-  result.reached_target = result.flow >= target_flow;
-  return result;
+  // The entering arc joins the tree, or just flips bound when it blocks itself.
+  state_[in_arc_] = change ? kTree : static_cast<std::int8_t>(-state_[in_arc_]);
+  if (change) state_[pred_[u_out_]] = flow_[pred_[u_out_]] == 0 ? kLower : kUpper;
+}
+
+// Re-hangs the subtree cut off by the leaving arc below v_in: reverses the
+// stem from u_out to u_in, splices the thread, repairs last_succ and
+// succ_num on both paths to the apex, and shifts the moved subtree's
+// potentials so the entering arc prices to zero.
+void NetworkSimplex::update_tree() {
+  const std::int32_t old_rev_thread = rev_thread_[u_out_];
+  const std::int32_t old_succ_num = succ_num_[u_out_];
+  const std::int32_t old_last_succ = last_succ_[u_out_];
+  const std::int32_t v_out = parent_[u_out_];
+  const auto link = [this](std::int32_t before, std::int32_t after) {
+    thread_[before] = after;
+    rev_thread_[after] = before;
+  };
+
+  // When old_rev_thread is v_in (so join is v_out) the thread continues
+  // after the moved subtree, not after v_in.
+  const std::int32_t thread_continue =
+      old_rev_thread == v_in_ ? thread_[old_last_succ] : thread_[v_in_];
+
+  // Walk the stem from u_in up to u_out (often the same node): re-parent each
+  // stem node and move its remaining subtree into the thread behind the
+  // previous one.
+  std::int32_t stem = u_in_;
+  std::int32_t par_stem = v_in_;
+  std::int32_t last = last_succ_[u_in_];
+  std::int32_t after = thread_[last];
+  thread_[v_in_] = u_in_;
+  dirty_revs_.assign(1, v_in_);
+  while (stem != u_out_) {
+    const std::int32_t next_stem = parent_[stem];
+    thread_[last] = next_stem;
+    dirty_revs_.push_back(last);
+    link(rev_thread_[stem], after);
+    parent_[stem] = par_stem;
+    par_stem = stem;
+    stem = next_stem;
+    last = last_succ_[stem] == last_succ_[par_stem] ? rev_thread_[par_stem] : last_succ_[stem];
+    after = thread_[last];
+  }
+  parent_[u_out_] = par_stem;
+  link(last, thread_continue);
+  last_succ_[u_out_] = last;
+  if (old_rev_thread != v_in_) link(old_rev_thread, after);
+  for (const std::int32_t u : dirty_revs_) rev_thread_[thread_[u]] = u;
+
+  // Stem nodes take their old parent's tree arc, reversed.
+  std::int32_t moved = 0;
+  for (std::int32_t u = u_out_, p = parent_[u]; u != u_in_; u = p, p = parent_[u]) {
+    pred_[u] = pred_[p];
+    pred_up_[u] = static_cast<std::int8_t>(-pred_up_[p]);
+    moved += succ_num_[u] - succ_num_[p];
+    succ_num_[u] = moved;
+    last_succ_[p] = last;
+  }
+  succ_num_[u_in_] = old_succ_num;
+  pred_[u_in_] = in_arc_;
+  pred_up_[u_in_] = u_in_ == source_[in_arc_] ? 1 : -1;
+
+  const std::int32_t up_limit_out = last_succ_[join_] == v_in_ ? join_ : -1;
+  const std::int32_t last_succ_out = last_succ_[u_out_];
+  for (std::int32_t u = v_in_; u != -1 && last_succ_[u] == v_in_; u = parent_[u]) {
+    last_succ_[u] = last_succ_out;
+  }
+  const bool spliced_out = join_ != old_rev_thread && v_in_ != old_rev_thread;
+  if (spliced_out || last_succ_out != old_last_succ) {
+    const std::int32_t replacement = spliced_out ? old_rev_thread : last_succ_out;
+    for (std::int32_t u = v_out; u != up_limit_out && last_succ_[u] == old_last_succ;
+         u = parent_[u]) {
+      last_succ_[u] = replacement;
+    }
+  }
+  for (std::int32_t u = v_in_; u != join_; u = parent_[u]) succ_num_[u] += old_succ_num;
+  for (std::int32_t u = v_out; u != join_; u = parent_[u]) succ_num_[u] -= old_succ_num;
+
+  const double sigma = pi_[v_in_] - pi_[u_in_] - pred_up_[u_in_] * cost_[in_arc_];
+  const std::int32_t end = thread_[last_succ_[u_in_]];
+  for (std::int32_t u = u_in_; u != end; u = thread_[u]) pi_[u] += sigma;
 }
 
 Assignment solve_assignment_mcf(const AssignmentProblem& problem, double overflow_penalty,
                                 std::int64_t demand_scale) {
   problem.validate();
   if (demand_scale <= 0) throw std::invalid_argument{"demand_scale must be > 0"};
+  const std::optional<std::vector<double>> group_demand = uniform_group_demand(problem);
+  if (!group_demand) {
+    throw std::invalid_argument{
+        "solve_assignment_mcf: options of a group must share unit_demand"};
+  }
+  const auto scale = static_cast<double>(demand_scale);
+  const std::size_t groups = problem.group_count();
+  const std::size_t resources = problem.resource_count();
 
-  // Per-group uniform demand requirement (transportation structure).
-  std::vector<double> group_demand(problem.group_count(), -1.0);
-  for (const Option& o : problem.options) {
-    const double d = o.unit_demand;
-    if (group_demand[o.group] < 0.0) {
-      group_demand[o.group] = d;
-    } else if (std::abs(group_demand[o.group] - d) > 1e-9 * std::max(1.0, d)) {
-      throw std::invalid_argument{
-          "solve_assignment_mcf: options of a group must share unit_demand"};
+  // Nodes: groups, then resources, then the sink. Each group supplies its
+  // scaled total demand.
+  std::vector<std::int64_t> supply(groups + resources + 1, 0);
+  std::int64_t total = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (problem.group_counts[g] <= 0.0) continue;
+    const double d = (*group_demand)[g] > 0.0 ? (*group_demand)[g] : 1.0;
+    const double units = problem.group_counts[g] * d * scale;
+    const bool fits = units < kInt64Limit;
+    if (fits) supply[g] = std::max<std::int64_t>(1, std::llround(units));  // keep tiny groups
+    if (!fits || __builtin_add_overflow(total, supply[g], &total)) {
+      throw std::invalid_argument{"solve_assignment_mcf: demand of group " +
+                                  std::to_string(g) + " overflows int64 flow units"};
     }
   }
-
-  MinCostFlowGraph graph;
-  const auto source = graph.add_node();
-  const auto sink = graph.add_node();
-  std::vector<MinCostFlowGraph::NodeId> group_node(problem.group_count());
-  std::vector<MinCostFlowGraph::NodeId> resource_node(problem.resource_count());
-  for (auto& n : group_node) n = graph.add_node();
-  for (auto& n : resource_node) n = graph.add_node();
-
-  const auto scale_demand = [&](double demand) {
-    return static_cast<std::int64_t>(
-        std::llround(demand * static_cast<double>(demand_scale)));
-  };
-
-  // Source -> group arcs carry the group's total demand.
-  std::int64_t total_supply = 0;
-  std::vector<std::int64_t> supply(problem.group_count(), 0);
-  for (std::size_t g = 0; g < problem.group_count(); ++g) {
-    if (problem.group_counts[g] <= 0.0) continue;
-    const double d = group_demand[g] > 0.0 ? group_demand[g] : 1.0;
-    supply[g] = scale_demand(problem.group_counts[g] * d);
-    if (supply[g] <= 0) supply[g] = 1;  // keep tiny groups representable
-    graph.add_arc(source, group_node[g], supply[g], 0.0);
-    total_supply += supply[g];
-  }
+  supply.back() = -total;  // the sink absorbs it all
+  NetworkSimplex network{supply};
+  const auto sink = static_cast<NetworkSimplex::NodeId>(groups + resources);
 
   // Option arcs: group -> resource (or straight to sink when uncapacitated).
-  // Cost is per demand unit.
-  std::vector<MinCostFlowGraph::ArcRef> option_arc(problem.options.size());
+  // One client corresponds to d * demand_scale flow units; spreading the
+  // per-client cost over them reproduces the objective exactly. Option i is
+  // arc i.
   for (std::size_t i = 0; i < problem.options.size(); ++i) {
     const Option& o = problem.options[i];
     const double d = o.unit_demand > 0.0 ? o.unit_demand : 1.0;
-    // One client corresponds to d * demand_scale flow units; spreading the
-    // per-client cost over them reproduces the objective exactly.
-    const double cost_per_flow_unit =
-        o.unit_cost / (d * static_cast<double>(demand_scale));
-    const auto to = o.resource == kNoResource ? sink : resource_node[o.resource];
-    option_arc[i] =
-        graph.add_arc(group_node[o.group], to, supply[o.group], cost_per_flow_unit);
+    const auto to = o.resource == kNoResource
+                        ? sink
+                        : static_cast<NetworkSimplex::NodeId>(groups + o.resource);
+    (void)network.add_arc(o.group, to, supply[o.group], o.unit_cost / (d * scale));
   }
 
-  // Resource -> sink: capacity arc plus an overflow arc priced at the
-  // penalty (per demand unit, i.e. penalty/demand_scale per flow unit).
-  for (std::size_t r = 0; r < problem.resource_count(); ++r) {
-    graph.add_arc(resource_node[r], sink, scale_demand(problem.capacities[r]), 0.0);
-    graph.add_arc(resource_node[r], sink, total_supply,
-                  overflow_penalty / static_cast<double>(demand_scale));
+  // Resource -> sink: a capacity arc plus an overflow arc priced at the
+  // penalty (per demand unit). No flow exceeds the total supply, so capping
+  // the capacity there is exact and keeps huge capacities representable.
+  for (std::size_t r = 0; r < resources; ++r) {
+    const auto node = static_cast<NetworkSimplex::NodeId>(groups + r);
+    const double units = problem.capacities[r] * scale;
+    network.add_arc(node, sink,
+                    units < kInt64Limit ? std::min<std::int64_t>(std::llround(units), total)
+                                        : total,
+                    0.0);
+    network.add_arc(node, sink, total, overflow_penalty / scale);
   }
-
-  graph.solve(source, sink, total_supply);
+  network.solve();  // feasible: every group has an option and overflow is uncapped
 
   std::vector<double> amounts(problem.options.size(), 0.0);
+  std::vector<double> assigned(groups, 0.0);
   for (std::size_t i = 0; i < problem.options.size(); ++i) {
     const Option& o = problem.options[i];
     const double d = o.unit_demand > 0.0 ? o.unit_demand : 1.0;
-    amounts[i] = static_cast<double>(graph.flow_on(option_arc[i])) /
-                 (d * static_cast<double>(demand_scale));
+    const auto flow = network.flow(static_cast<NetworkSimplex::ArcId>(i));
+    amounts[i] = static_cast<double>(flow) / (d * scale);
+    assigned[o.group] += amounts[i];
   }
-
   // Scaled-supply rounding can leave group totals a hair off the true count;
   // snap them back proportionally.
-  std::vector<double> assigned(problem.group_count(), 0.0);
-  for (std::size_t i = 0; i < problem.options.size(); ++i) {
-    assigned[problem.options[i].group] += amounts[i];
-  }
   for (std::size_t i = 0; i < problem.options.size(); ++i) {
     const std::uint32_t g = problem.options[i].group;
     if (assigned[g] > 0.0 && problem.group_counts[g] > 0.0) {
       amounts[i] *= problem.group_counts[g] / assigned[g];
     }
   }
-
   return evaluate(problem, std::move(amounts));
 }
 

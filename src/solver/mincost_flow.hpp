@@ -1,24 +1,12 @@
-// Min-cost max-flow (successive shortest augmenting paths with potentials).
+// Min-cost flow for the broker LP: a primal network simplex after LEMON's
+// NetworkSimplex (artificial-root start, block-search pricing, Cunningham's
+// strongly feasible leaving rule, thread-based tree updates).
 //
 // The broker LP has pure transportation structure whenever every option of a
 // group consumes the group's own bitrate — which is how the Share format
 // groups clients — so min-cost flow solves the LP relaxation orders of
 // magnitude faster than the tableau simplex at trace scale. The graph layer
 // here is generic; assignment wiring lives in solve_assignment_mcf().
-//
-// Data layout: arcs are recorded append-only as flat parallel arrays, then
-// compacted into a CSR adjacency image on the first solve. The CSR arc order
-// per node is exactly the order the previous intrusive linked list iterated
-// (newest arc first), so every relaxation — and therefore every tie-break,
-// parent choice, and potential — is byte-identical to the list-based walk;
-// the CSR merely makes the Dijkstra inner loop a contiguous strided sweep.
-//
-// Each augmentation's Dijkstra stops as soon as the sink pops. Under the
-// same potentials the path is the one a full search would return (its nodes
-// are settled before the sink). The potential update
-// `pot[v] += min(dist[v], dist[sink])` — applied to every node, reached or
-// not — keeps every residual reduced cost non-negative without relying on
-// the relax loop's max(0, ·) clamp.
 #pragma once
 
 #include <cstdint>
@@ -28,86 +16,77 @@
 
 namespace vdx::solver {
 
-/// Directed graph with integer capacities and real per-unit costs.
-/// Supports negative costs (Bellman-Ford bootstraps the potentials).
-class MinCostFlowGraph {
+/// Min-cost flow with node supplies, integer capacities and real per-unit
+/// costs, negative ones included. Flows are int64. The instance lives in the
+/// object (no static state), so separate objects solve concurrently.
+class NetworkSimplex {
  public:
   using NodeId = std::uint32_t;
+  using ArcId = std::uint32_t;
 
-  struct ArcRef {
-    std::size_t index = 0;
-  };
+  /// An arc enters only with a reduced cost below -kEnterThreshold, so arcs
+  /// that price to zero (ties between optima) stay out of the basis.
+  static constexpr double kEnterThreshold = 1e-12;
 
-  NodeId add_node();
-  [[nodiscard]] std::size_t node_count() const noexcept { return head_.size(); }
+  /// One supply per node: positive at sources, negative at sinks. Throws
+  /// std::invalid_argument unless they sum to zero.
+  explicit NetworkSimplex(std::vector<std::int64_t> supply);
 
-  /// Adds a forward arc (and its residual twin). Capacity must be >= 0.
-  ArcRef add_arc(NodeId from, NodeId to, std::int64_t capacity, double cost);
+  /// Adds a directed arc. Needs 0 <= capacity < INT64_MAX and a finite cost.
+  ArcId add_arc(NodeId from, NodeId to, std::int64_t capacity, double cost);
 
-  struct FlowResult {
-    std::int64_t flow = 0;
-    double cost = 0.0;
-    bool reached_target = false;  // pushed the full target_flow
-  };
+  /// Routes every supply to the sinks at minimum cost, starting from
+  /// scratch. Throws std::runtime_error when no feasible flow exists.
+  void solve();
 
-  /// Sends up to `target_flow` units from source to sink at minimum cost.
-  /// Resets any flow from a previous solve.
-  FlowResult solve(NodeId source, NodeId sink, std::int64_t target_flow);
-
-  /// Flow currently on a forward arc (after solve()).
-  [[nodiscard]] std::int64_t flow_on(ArcRef arc) const;
+  /// Flow on `arc` after solve().
+  [[nodiscard]] std::int64_t flow(ArcId arc) const;
 
  private:
-  static constexpr std::uint32_t kNoPos = UINT32_MAX;
+  void push_arc(std::int32_t from, std::int32_t to, double cost, std::int64_t capacity);
+  bool find_entering_arc();
+  bool find_leaving_arc();
+  void change_flow(bool change);
+  void update_tree();
 
-  [[nodiscard]] bool bellman_ford_potentials(NodeId source,
-                                             std::vector<double>& pot) const;
-  void build_csr();
-  void heap_push_or_decrease(NodeId node);
-  NodeId heap_pop_min();
-  void heap_sift_up(std::uint32_t hole);
-  void heap_sift_down(std::uint32_t hole);
-  [[nodiscard]] bool heap_less(NodeId a, NodeId b) const noexcept {
-    return dist_[a] < dist_[b] || (dist_[a] == dist_[b] && a < b);
-  }
+  std::vector<std::int64_t> supply_;
+  // Arcs as parallel arrays, so pricing streams only what it reads: one
+  // artificial arc per node (arc u joins node u to the root), then the real
+  // arcs (ArcId a is arc nodes + a).
+  std::vector<std::int32_t> source_;
+  std::vector<std::int32_t> target_;
+  std::vector<double> cost_;
+  std::vector<std::int8_t> state_;  // +1 at lower bound, -1 at upper, 0 in the tree
+  std::vector<std::int64_t> cap_;
+  std::vector<std::int64_t> flow_;
+  // Spanning tree over the nodes plus the artificial root (index = nodes).
+  std::vector<double> pi_;  // potentials: tree arcs price to zero
+  std::vector<std::int32_t> parent_;
+  std::vector<std::int32_t> pred_;      // tree arc to the parent
+  std::vector<std::int8_t> pred_up_;    // +1 when pred_ points at the parent
+  std::vector<std::int32_t> thread_;    // preorder successor
+  std::vector<std::int32_t> rev_thread_;
+  std::vector<std::int32_t> succ_num_;   // subtree size
+  std::vector<std::int32_t> last_succ_;  // last subtree node in thread order
+  std::vector<std::int32_t> dirty_revs_;
 
-  // Append-side arc storage (twin arcs at (2k, 2k+1)). `arc_next_` chains a
-  // node's arcs newest-first — the iteration order the solver's tie-breaking
-  // is pinned to.
-  std::vector<std::size_t> head_;  // first arc per node
-  std::vector<NodeId> arc_to_;
-  std::vector<double> arc_cost_;
-  std::vector<std::size_t> arc_next_;
-  std::vector<std::int64_t> initial_capacity_;
-
-  // CSR image (built lazily on solve, invalidated by add_arc). Residual
-  // capacities live in csr order so the relax loop touches one contiguous
-  // block per node.
-  std::size_t csr_arc_count_ = SIZE_MAX;
-  std::vector<std::uint32_t> csr_start_;   // node -> first csr position
-  std::vector<NodeId> csr_to_;
-  std::vector<double> csr_cost_;
-  std::vector<std::uint32_t> csr_twin_;    // csr position of the twin arc
-  std::vector<std::uint32_t> pos_of_arc_;  // arc index -> csr position
-  std::vector<std::int64_t> csr_cap_init_;
-  std::vector<std::int64_t> residual_;
-
-  // Dijkstra workspace, reused across augmentations (no per-iteration
-  // allocation). The heap is an indexed binary min-heap on (dist, node):
-  // decrease-key keeps exactly one live entry per node, so the sequence of
-  // effective pops — and hence the relaxation order — matches the previous
-  // lazy-deletion priority_queue, which skipped its stale duplicates without
-  // side effects.
-  std::vector<double> dist_;
-  std::vector<std::uint32_t> parent_pos_;
-  std::vector<std::uint32_t> heap_index_;  // node -> heap slot (kNoPos if out)
-  std::vector<NodeId> heap_;
+  // Pivot state.
+  std::int32_t block_size_ = 0;
+  std::int32_t next_arc_ = 0;
+  std::int32_t in_arc_ = 0;
+  std::int32_t join_ = 0;
+  std::int32_t u_in_ = 0;
+  std::int32_t v_in_ = 0;
+  std::int32_t u_out_ = 0;
+  std::int64_t delta_ = 0;
 };
 
 /// Solves the assignment LP via min-cost flow. Requires every option of a
 /// group to have the same unit_demand (throws otherwise). Demands are scaled
 /// to integers with `demand_scale`; the returned amounts are client counts.
-/// `overflow_penalty` prices demand above capacity (per demand unit).
+/// `overflow_penalty` prices demand above capacity (per demand unit). Throws
+/// std::invalid_argument naming the group when a group's scaled demand, or
+/// the running total, does not fit int64.
 [[nodiscard]] Assignment solve_assignment_mcf(const AssignmentProblem& problem,
                                               double overflow_penalty,
                                               std::int64_t demand_scale = 1000);

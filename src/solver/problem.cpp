@@ -85,6 +85,17 @@ Assignment evaluate(const AssignmentProblem& problem, std::vector<double> amount
   return out;
 }
 
+std::optional<std::vector<double>> uniform_group_demand(const AssignmentProblem& problem) {
+  std::vector<double> demand(problem.group_count(), -1.0);
+  for (const Option& o : problem.options) {
+    if (demand[o.group] < 0.0) demand[o.group] = o.unit_demand;
+    if (std::abs(demand[o.group] - o.unit_demand) > 1e-9 * std::max(1.0, o.unit_demand)) {
+      return std::nullopt;
+    }
+  }
+  return demand;
+}
+
 std::vector<double> resource_loads(const AssignmentProblem& problem,
                                    std::span<const double> amounts) {
   if (amounts.size() != problem.options.size()) {

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -67,6 +68,12 @@ struct Assignment {
 /// `problem`; the single source of truth used to cross-check every backend.
 [[nodiscard]] Assignment evaluate(const AssignmentProblem& problem,
                                   std::vector<double> amounts);
+
+/// The unit_demand the options of each group share, within 1e-9 relative
+/// (the transportation structure min-cost flow needs); std::nullopt when
+/// some group mixes demands. Groups without options read -1.
+[[nodiscard]] std::optional<std::vector<double>> uniform_group_demand(
+    const AssignmentProblem& problem);
 
 /// Per-resource demand implied by a solution (length == resource_count()).
 [[nodiscard]] std::vector<double> resource_loads(const AssignmentProblem& problem,

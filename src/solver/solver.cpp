@@ -1,6 +1,5 @@
 #include "solver/solver.hpp"
 
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -33,24 +32,11 @@ std::string_view to_string(Backend backend) noexcept {
 
 namespace {
 
-bool has_uniform_group_demand(const AssignmentProblem& problem) {
-  std::vector<double> demand(problem.group_count(), -1.0);
-  for (const Option& o : problem.options) {
-    if (demand[o.group] < 0.0) {
-      demand[o.group] = o.unit_demand;
-    } else if (std::abs(demand[o.group] - o.unit_demand) >
-               1e-9 * std::max(1.0, o.unit_demand)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 Backend pick_backend(const AssignmentProblem& problem) {
   const std::size_t rows = problem.group_count() + problem.resource_count();
   const std::size_t cols = problem.options.size();
   if (cols <= 2000 && rows <= 300) return Backend::kSimplex;
-  if (has_uniform_group_demand(problem)) return Backend::kMinCostFlow;
+  if (uniform_group_demand(problem).has_value()) return Backend::kMinCostFlow;
   return Backend::kLagrangian;
 }
 

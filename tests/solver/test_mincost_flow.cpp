@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
 #include "support/reference_mincost_flow.hpp"
+#include "support/ssp_mincost_flow.hpp"
 
 namespace vdx::solver {
 namespace {
@@ -342,6 +344,43 @@ TEST(AssignmentMcf, EmptyGroupsAreSkipped) {
   EXPECT_TRUE(a.complete);
   EXPECT_NEAR(a.amounts[0], 0.0, 1e-9);
   EXPECT_NEAR(a.amounts[1], 5.0, 1e-6);
+}
+
+TEST(AssignmentMcf, HugeCapacityIsClampedToTheTotalDemand) {
+  // 1e16 times the default demand scale of 1000 does not fit int64. No flow
+  // exceeds the total supply, so the solve matches one with ample capacity:
+  // group 1 gains more from resource 1 (3 - 1) than group 0 (2 - 1) and takes
+  // all of it. Optimum = 10*2 + 1*3 + 4*1 = 27.
+  AssignmentProblem p;
+  p.group_counts = {10.0, 5.0};
+  p.capacities = {1e16, 4.0};
+  p.options = {{0, 0, 2.0, 1.0}, {0, 1, 1.0, 1.0}, {1, 0, 3.0, 1.0}, {1, 1, 1.0, 1.0}};
+  const Assignment huge = solve_assignment_mcf(p, 1e6);
+  EXPECT_TRUE(huge.complete);
+  EXPECT_NEAR(huge.objective, 27.0, 1e-9);
+  EXPECT_EQ(huge.overflow_demand, 0.0);
+  p.capacities[0] = 100.0;
+  EXPECT_EQ(huge.amounts, solve_assignment_mcf(p, 1e6).amounts);
+}
+
+TEST(AssignmentMcf, RejectsDemandBeyondInt64FlowUnits) {
+  const auto error = [](const AssignmentProblem& p) -> std::string {
+    try {
+      (void)solve_assignment_mcf(p, 1e6);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  AssignmentProblem p;
+  p.capacities = {1.0};
+  p.options = {{0, 0, 1.0, 1.0}, {1, 0, 1.0, 1.0}, {2, 0, 1.0, 1.0}};
+  // One group's 1e20 flow units.
+  p.group_counts = {1.0, 1e17, 1.0};
+  EXPECT_NE(error(p).find("group 1 "), std::string::npos) << error(p);
+  // Groups that fit one by one but not in total: the sum breaks at group 2.
+  p.group_counts = {1.0, 5e15, 5e15};
+  EXPECT_NE(error(p).find("group 2 "), std::string::npos) << error(p);
 }
 
 }  // namespace
