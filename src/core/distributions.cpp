@@ -19,12 +19,31 @@ ZipfDistribution::ZipfDistribution(std::size_t n, double exponent)
   }
   for (auto& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against fp round-off
+
+  guide_.resize(n + 2);
+  const double buckets = static_cast<double>(n);
+  for (std::size_t j = 0; j < guide_.size(); ++j) {
+    const auto it =
+        std::lower_bound(cdf_.begin(), cdf_.end(), static_cast<double>(j) / buckets);
+    guide_[j] = static_cast<std::size_t>(it - cdf_.begin());
+  }
 }
 
-std::size_t ZipfDistribution::operator()(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(std::distance(cdf_.begin(), it));
+std::size_t ZipfDistribution::rank_of(double u) const {
+  // Bucket j = floor(u * n) holds u in [j/n, (j+1)/n], so its rank lies in
+  // [guide_[j], guide_[j + 1]]. Rounding in u * n or j / n can put u just
+  // outside its bucket; the two walks then restore the exact lower_bound.
+  if (!(u > 0.0)) return 0;  // every CDF entry is >= 0 (NaN compares false)
+  const std::size_t n = cdf_.size();
+  const double scaled = u * static_cast<double>(n);
+  const std::size_t j =
+      scaled < static_cast<double>(n) ? static_cast<std::size_t>(scaled) : n;
+  const auto first = cdf_.begin() + static_cast<std::ptrdiff_t>(guide_[j]);
+  const auto last = cdf_.begin() + static_cast<std::ptrdiff_t>(guide_[j + 1]);
+  auto k = static_cast<std::size_t>(std::lower_bound(first, last, u) - cdf_.begin());
+  while (k > 0 && cdf_[k - 1] >= u) --k;
+  while (k < n && cdf_[k] < u) ++k;
+  return k;
 }
 
 double ZipfDistribution::pmf(std::size_t k) const {

@@ -16,20 +16,30 @@
 namespace vdx::core {
 
 /// Zipf(s) sampler over ranks {0, .., n-1}: P(k) ∝ 1/(k+1)^s.
-/// Precomputes the CDF; O(log n) per sample.
+/// Precomputes the CDF and a guide table over it (Chen–Asau): a draw
+/// searches only the ranks whose CDF values share its 1/n bucket, so a
+/// sample costs O(1) expected instead of a search over the whole CDF.
 class ZipfDistribution {
  public:
   ZipfDistribution(std::size_t n, double exponent);
 
-  [[nodiscard]] std::size_t operator()(Rng& rng) const;
+  [[nodiscard]] std::size_t operator()(Rng& rng) const { return rank_of(rng.uniform()); }
+  /// The rank a uniform draw `u` maps to: exactly the std::lower_bound
+  /// index of `u` in cdf() (size() when `u` exceeds every entry).
+  [[nodiscard]] std::size_t rank_of(double u) const;
   [[nodiscard]] std::size_t size() const noexcept { return cdf_.size(); }
   [[nodiscard]] double exponent() const noexcept { return exponent_; }
+  [[nodiscard]] std::span<const double> cdf() const noexcept { return cdf_; }
   /// Probability mass of rank k.
   [[nodiscard]] double pmf(std::size_t k) const;
 
  private:
   double exponent_;
   std::vector<double> cdf_;  // cumulative, cdf_.back() == 1.0
+  /// guide_[j] = lower_bound index of j/n in cdf_, for j in [0, n + 1]:
+  /// u * n can round up to n (u = 1 - 2^-53), and bucket j's search ends at
+  /// guide_[j + 1].
+  std::vector<std::size_t> guide_;
 };
 
 /// Continuous bounded Pareto (power-law) sampler on [lo, hi] with density

@@ -87,8 +87,14 @@ Assignment evaluate(const AssignmentProblem& problem, std::vector<double> amount
 
 std::optional<std::vector<double>> uniform_group_demand(const AssignmentProblem& problem) {
   std::vector<double> demand(problem.group_count(), -1.0);
+  // "Seen" is its own flag: a kNoResource option may carry any demand,
+  // negative included, so no demand value can double as the sentinel.
+  std::vector<bool> seen(problem.group_count(), false);
   for (const Option& o : problem.options) {
-    if (demand[o.group] < 0.0) demand[o.group] = o.unit_demand;
+    if (!seen[o.group]) {
+      seen[o.group] = true;
+      demand[o.group] = o.unit_demand;
+    }
     if (std::abs(demand[o.group] - o.unit_demand) > 1e-9 * std::max(1.0, o.unit_demand)) {
       return std::nullopt;
     }

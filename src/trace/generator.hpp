@@ -90,14 +90,25 @@ class BrokerTrace {
 /// are issued densely in arrival order, matching the materialized trace's
 /// id convention.
 ///
+/// A block is generated as compact records (a Session's scalar fields plus
+/// an offset into a per-block switch pool) and turned into Sessions only
+/// when next_batch() hands them out. When the horizon has more than one
+/// block, one worker thread, started at the first refill, generates block
+/// b + 1 while the caller drains block b (DESIGN.md §9).
+///
 /// Determinism contract:
 ///   * the emitted session sequence is a pure function of (world, config,
 ///     seed, options) — the `n` passed to next_batch() only chunks the
 ///     stream, it never changes it (chunk-boundary determinism);
 ///   * block substreams are independent: block b's sessions depend only on
 ///     the base seed and b, never on how many other blocks were generated;
-///   * memory is bounded by one block (options.block_sessions), not by
-///     config.session_count.
+///   * the worker changes when a block is generated, never what it holds:
+///     block b is a pure function of (seed, b) and blocks are handed out in
+///     index order, so no byte depends on thread timing. reset(), seek()
+///     and destruction join the worker and drop a block it prepared;
+///   * memory is bounded by two compact blocks, which together take no more
+///     than one block of Sessions (options.block_sessions), plus their
+///     switch events; not by config.session_count.
 ///
 /// Note the stream is *statistically* equivalent to generate_trace, not
 /// byte-identical to it: the monolithic path draws all fields from one
@@ -141,11 +152,13 @@ class BrokerTraceGenerator {
   [[nodiscard]] std::size_t total_sessions() const noexcept;
   [[nodiscard]] double duration_s() const noexcept;
   [[nodiscard]] std::size_t block_count() const noexcept { return block_count_; }
-  /// Sessions currently buffered (the memory-bound proxy: at most one
-  /// block plus the unconsumed tail of the previous one).
-  [[nodiscard]] std::size_t buffered() const noexcept {
-    return buffer_.size() - buffer_pos_;
-  }
+  /// Sessions of the current block not yet handed out (at most one block).
+  [[nodiscard]] std::size_t buffered() const noexcept;
+  /// Bytes the generator holds for blocks: both record buffers and both
+  /// switch pools at their capacity (the sort is in place and needs no
+  /// scratch). Waits for a block the worker is generating, so the count
+  /// includes what it allocated.
+  [[nodiscard]] std::size_t block_bytes() const;
 
   /// Rewinds to the start of the stream; the replayed sequence is identical.
   void reset();
@@ -161,9 +174,18 @@ class BrokerTraceGenerator {
 
   /// The shared sampling model (also backs the monolithic generators).
   struct Model;
+  /// One generated block: arrival-sorted compact records and their
+  /// switch events.
+  struct Block;
 
  private:
+  /// The worker that generates the next block ahead of the caller.
+  struct Prefetch;
+
   void refill();
+  /// Generates block `b` into `block`; reads only state fixed at
+  /// construction, so the worker may run it concurrently with the caller.
+  void generate_block(std::size_t b, Block& block) const;
 
   std::unique_ptr<Model> model_;
   core::Rng base_rng_;
@@ -175,10 +197,16 @@ class BrokerTraceGenerator {
   std::vector<std::uint64_t> mod_offsets_;
   bool modulated_ = false;
   std::size_t block_count_ = 0;
+  /// No block has more sessions (each record buffer's capacity).
+  std::size_t max_block_sessions_ = 0;
   std::size_t next_block_ = 0;
   std::size_t emitted_ = 0;
-  std::vector<Session> buffer_;
-  std::size_t buffer_pos_ = 0;
+  /// The block being handed out and the position of its next record.
+  std::unique_ptr<Block> front_;
+  std::size_t front_pos_ = 0;
+  /// Declared last, so destruction joins the worker before the state it
+  /// reads goes away.
+  std::unique_ptr<Prefetch> prefetch_;
 };
 
 }  // namespace vdx::trace

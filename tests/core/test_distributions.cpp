@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <span>
+#include <string>
 #include <vector>
 
 namespace vdx::core {
@@ -43,6 +47,53 @@ TEST(Zipf, EmpiricalFrequenciesMatchPmf) {
 TEST(Zipf, ZeroExponentIsUniform) {
   ZipfDistribution zipf{8, 0.0};
   for (std::size_t k = 0; k < 8; ++k) EXPECT_NEAR(zipf.pmf(k), 0.125, 1e-12);
+}
+
+// The guide table must pick exactly the rank a full lower_bound over the
+// same CDF picks, for every u, or the trace's video and AS draws change.
+TEST(Zipf, GuideTableMatchesLowerBound) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{50},
+                              std::size_t{3000}, std::size_t{100'000}}) {
+    for (const double exponent : {0.0, 0.8, 1.1, 2.5}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " s=" + std::to_string(exponent));
+      const ZipfDistribution zipf{n, exponent};
+      const std::span<const double> cdf = zipf.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      const auto expected = [&](double u) {
+        return static_cast<std::size_t>(std::lower_bound(cdf.begin(), cdf.end(), u) -
+                                        cdf.begin());
+      };
+      std::size_t mismatches = 0;
+      const auto check = [&](double u) {
+        if (zipf.rank_of(u) != expected(u) && ++mismatches <= 5) {
+          ADD_FAILURE() << "u=" << u << " rank " << zipf.rank_of(u)
+                        << " lower_bound " << expected(u);
+        }
+      };
+      check(0.0);
+      check(1.0 - std::ldexp(1.0, -53));  // the largest uniform draw
+      const auto check_around = [&](double u) {
+        check(u);
+        check(std::nextafter(u, -std::numeric_limits<double>::infinity()));
+        check(std::nextafter(u, std::numeric_limits<double>::infinity()));
+      };
+      for (const double c : cdf) check_around(c);
+      // The guide table's bucket edges j/n, where u * n rounds either way.
+      for (std::size_t j = 1; j <= n; ++j) {
+        check_around(static_cast<double>(j) / static_cast<double>(n));
+      }
+      Rng rng{2017};
+      Rng same{2017};
+      for (int i = 0; i < 1'000'000; ++i) {
+        const std::size_t drawn = zipf(rng);
+        const std::size_t want = expected(same.uniform());
+        if (drawn != want && ++mismatches <= 5) {
+          ADD_FAILURE() << "draw " << i << " rank " << drawn << " lower_bound " << want;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u);
+    }
+  }
 }
 
 TEST(BoundedPareto, RejectsBadArguments) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 namespace vdx::solver {
 namespace {
@@ -112,6 +113,20 @@ TEST(RoundToIntegers, LargestRemainderWins) {
   const auto rounded = round_to_integers(p, std::vector<double>{0.3, 0.7});
   EXPECT_DOUBLE_EQ(rounded[0], 0.0);
   EXPECT_DOUBLE_EQ(rounded[1], 1.0);
+}
+
+TEST(UniformGroupDemand, NegativeNoResourceDemandIsOrderIndependent) {
+  // validate() accepts any demand on a kNoResource option, so a negative
+  // first demand must not read as "no option seen yet".
+  AssignmentProblem p;
+  p.group_counts = {1.0};
+  p.capacities = {10.0};
+  p.options = {{0, kNoResource, 1.0, -0.5}, {0, 0, 1.0, 2.0}};
+  ASSERT_NO_THROW(p.validate());
+  EXPECT_FALSE(uniform_group_demand(p).has_value());
+  std::swap(p.options[0], p.options[1]);
+  ASSERT_NO_THROW(p.validate());
+  EXPECT_FALSE(uniform_group_demand(p).has_value());
 }
 
 }  // namespace

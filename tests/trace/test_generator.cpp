@@ -184,6 +184,12 @@ TEST_F(TraceTest, RejectsBadConfigs) {
   bad = config_;
   bad.abandonment_rate = 1.5;
   EXPECT_THROW((void)generate_trace(world_, bad, rng), std::invalid_argument);
+  // A block record keeps the bitrate as a 16-bit ladder index.
+  bad = config_;
+  bad.bitrate_ladder.assign(65'537, 1.0);
+  bad.bitrate_weights.assign(65'537, 1.0);
+  EXPECT_THROW((void)generate_trace(world_, bad, rng), std::invalid_argument);
+  EXPECT_THROW((BrokerTraceGenerator{world_, bad, core::Rng{1}}), std::invalid_argument);
   EXPECT_THROW((void)generate_background(world_, config_, 0.0, rng),
                std::invalid_argument);
 }

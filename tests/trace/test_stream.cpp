@@ -2,6 +2,7 @@
 // substream independence, horizon truncation edge cases (ISSUE 4).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "trace/generator.hpp"
@@ -154,6 +155,43 @@ TEST(BrokerTraceGeneratorTest, BackgroundStreamNeverCarriesBrokerState) {
   for (const Session& s : drain(generator, 200)) {
     EXPECT_EQ(s.initial_cdn, TraceCdn::kOther);
     EXPECT_TRUE(s.switches.empty());
+  }
+}
+
+TEST(BrokerTraceGeneratorTest, TwoCompactBlocksFitInOneBlockOfSessions) {
+  // The worker's block and the one being handed out together hold no more
+  // than the single block of Sessions the generator kept before blocks were
+  // generated ahead. Besides the records, each block keeps its switch events
+  // in a pool (a block of Sessions held the same events in per-session
+  // vectors): at most twice the block's events once the pool has grown.
+  // The constant covers the per-session switch-time scratch.
+  constexpr std::size_t kScratch = 4096;
+  const geo::World world = test_world();
+  TraceConfig config;
+  BrokerTraceGenerator::Options options;  // the default block size
+  constexpr std::size_t kBlocks = 4;
+  config.session_count = kBlocks * options.block_sessions;
+  for (const bool broker : {true, false}) {
+    options.broker_controlled = broker;
+    BrokerTraceGenerator generator{world, config, core::Rng{42}, options};
+    ASSERT_EQ(generator.block_count(), kBlocks);
+    std::size_t peak = 0;
+    std::vector<std::size_t> block_switches(kBlocks, 0);
+    while (!generator.exhausted()) {
+      const std::vector<Session> batch = generator.next_batch(8192);
+      ASSERT_FALSE(batch.empty());
+      for (const Session& s : batch) {
+        block_switches[s.id.value() / options.block_sessions] += s.switches.size();
+      }
+      peak = std::max(peak, generator.block_bytes());
+    }
+    const std::size_t pools =
+        2 * 2 * *std::max_element(block_switches.begin(), block_switches.end()) *
+        sizeof(SwitchEvent);
+    EXPECT_EQ(pools > 0, broker);
+    EXPECT_GT(peak, 0u);
+    EXPECT_LE(peak, options.block_sessions * sizeof(Session) + pools + kScratch)
+        << (broker ? "broker" : "background");
   }
 }
 
