@@ -1,16 +1,13 @@
-// Availability-under-compound-faults bench (DESIGN.md §15): for each feed
-// seed, serve the same trace twice — once clean on a single shard, once
-// through the full self-healing drill (2 shards under Gilbert-Elliott link
-// bursts, per-link circuit breakers with stale-slice quarantine, a worker
-// restart budget, a checkpoint disk outage behind the checkpointer breaker,
-// and the brownout ladder capped at its byte-transparent step 2).
+// Availability-under-faults bench (DESIGN.md §15): for each feed seed,
+// serve the same trace twice — once clean, once through the self-healing
+// drill (a checkpoint disk outage behind the checkpointer breaker, and the
+// brownout ladder capped at its byte-transparent step 2).
 //
 // Reports the fraction of clean rounds the faulted daemon still completed
 // (avail.rounds_pct — the CI smoke gate requires >= 99) and the fraction of
 // seeds whose decision streams stayed byte-identical through the drill
 // (avail.identical_pct), plus the per-seed fault-machinery counters proving
-// the drill actually bit: breaker opens, stale settlements, checkpoint
-// skips, brownout rounds.
+// the drill actually bit: breaker opens, checkpoint skips, brownout rounds.
 //
 //   bench_availability                    # 2000 sessions, 5 seeds
 //   bench_availability --sessions 4e3 --seeds 8
@@ -36,12 +33,10 @@ struct RunResult {
   serve::ServeReport report;
   std::string decisions;
   std::size_t breaker_opens = 0;
-  std::size_t stale_bids = 0;
-  std::size_t restarts_denied = 0;
 };
 
-/// One serve over the seeded trace. `faulted` layers the compound drill on
-/// top; the clean run uses the identical feed with none of it.
+/// One serve over the seeded trace. `faulted` layers the drill on top; the
+/// clean run uses the identical feed with none of it.
 RunResult run_once(const sim::Scenario& scenario, std::uint64_t seed,
                    std::size_t sessions, double round_s, bool faulted) {
   trace::TraceConfig trace;
@@ -64,19 +59,6 @@ RunResult run_once(const sim::Scenario& scenario, std::uint64_t seed,
 
   state::FaultFs fault_fs;
   if (faulted) {
-    config.shards = 2;
-    // Gilbert-Elliott black bursts: the bad state drops every frame
-    // (0.25 * 4 caps at 1.0) and lingers (exit 0.02), so a burst can
-    // outlast the 64-attempt link retry budget and trip the breaker.
-    config.shard_link_faults.drop_rate = 0.25;
-    config.shard_link_faults.corrupt_rate = 0.02;
-    config.shard_link_faults.burst_enter = 0.05;
-    config.shard_link_faults.burst_exit = 0.02;
-    config.shard_link_faults.burst_multiplier = 4.0;
-    config.shard_link_breaker.failure_threshold = 1;
-    config.shard_link_breaker.open_ticks = 2;
-    config.shard_worker_restart.max_restarts = 2;
-    config.shard_worker_restart.window_ticks = 8;
     config.checkpoint_every_rounds = 2;
     config.checkpoint_dir = "bench_avail_ckpt";  // virtual: lives in FaultFs
     config.checkpoint_fs = &fault_fs;
@@ -94,8 +76,6 @@ RunResult run_once(const sim::Scenario& scenario, std::uint64_t seed,
   out.decisions = decisions.str();
   for (const obs::Event& event : journal.events()) {
     if (event.kind == obs::EventKind::kBreakerOpen) ++out.breaker_opens;
-    if (event.kind == obs::EventKind::kStaleBid) ++out.stale_bids;
-    if (event.kind == obs::EventKind::kRestartDenied) ++out.restarts_denied;
   }
   return out;
 }
@@ -133,10 +113,9 @@ int main(int argc, char** argv) {
 
   bench::BenchReporter reporter{"availability"};
   core::Table table{{"Seed", "Clean rounds", "Drill rounds", "Avail %",
-                     "Identical", "Breaker opens", "Stale bids", "Ckpt skips",
+                     "Identical", "Breaker opens", "Ckpt skips",
                      "Brownout rounds"}};
-  table.set_title("Availability under compound faults (2 shards, GE bursts, "
-                  "disk outage rounds 8-16)");
+  table.set_title("Availability under faults (disk outage rounds 8-16)");
 
   std::uint64_t clean_rounds_total = 0;
   std::uint64_t drill_rounds_total = 0;
@@ -159,15 +138,12 @@ int main(int argc, char** argv) {
                    std::to_string(drill.report.rounds),
                    core::format_double(pct, 1), identical ? "yes" : "NO",
                    std::to_string(drill.breaker_opens),
-                   std::to_string(drill.stale_bids),
                    std::to_string(drill.report.checkpoint_skips),
                    std::to_string(drill.report.brownout_rounds)});
     const obs::Labels labels{{"seed", std::to_string(seed)}};
     reporter.gauge("avail.seed_rounds_pct", labels).set(pct);
     reporter.gauge("avail.breaker_opens", labels)
         .set(static_cast<double>(drill.breaker_opens));
-    reporter.gauge("avail.stale_bids", labels)
-        .set(static_cast<double>(drill.stale_bids));
     reporter.gauge("avail.checkpoint_skips", labels)
         .set(static_cast<double>(drill.report.checkpoint_skips));
     reporter.gauge("avail.brownout_rounds", labels)

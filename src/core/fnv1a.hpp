@@ -1,9 +1,9 @@
 // FNV-1a hashing, the one checksum every envelope in the repo uses: the
-// proto message frame (32-bit), the shard wire frame and the snapshot
-// container (64-bit), plus the fingerprints that pin shard plans and run
-// configurations. Both variants take the basis as a parameter so a hash can
-// continue from an earlier one (the snapshot section checksum chains its
-// framing bytes into its payload this way).
+// proto message frame (32-bit) and the snapshot container (64-bit), plus
+// the fingerprints that pin run configurations. Both variants take the
+// basis as a parameter so a hash can continue from an earlier one (the
+// snapshot section checksum chains its framing bytes into its payload this
+// way).
 #pragma once
 
 #include <cstdint>

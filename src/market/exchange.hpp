@@ -113,62 +113,15 @@ struct RoundReport {
   double timeout_rate = 0.0;
 };
 
-/// The exchange surface the serving daemon (and any other driver) programs
-/// against: one logical marketplace that answers rounds, takes live demand,
-/// and checkpoints itself. Two implementations exist — the monolithic
-/// VdxExchange below and market::ShardedExchange (shard.hpp), which spreads
-/// the same marketplace across N worker shards behind a coordinator. The
-/// differential shard test layer proves the two produce byte-identical
-/// settlement, so drivers can treat the choice as a deployment knob.
-class ExchangeFrontend {
- public:
-  virtual ~ExchangeFrontend() = default;
-
-  /// Runs one Decision-Protocol round end to end.
-  virtual RoundReport run_round() = 0;
-  /// Feeds an incremental load snapshot, effective from the next round (see
-  /// VdxExchange::set_active_load for the contract).
-  virtual void set_active_load(std::span<const broker::ClientGroup> groups,
-                               std::span<const double> background_loads) = 0;
-  /// Retunes the per-round admission budget (Mbps); 0 disables.
-  virtual void set_demand_budget(double budget_mbps) = 0;
-  [[nodiscard]] virtual double demand_budget() const = 0;
-  [[nodiscard]] virtual std::size_t rounds_completed() const = 0;
-  /// Checkpointable state; restore on a freshly built peer continues
-  /// byte-identically.
-  [[nodiscard]] virtual std::vector<std::uint8_t> save_state() const = 0;
-  /// Non-throwing save_state. A frontend whose state gathering can fail
-  /// (e.g. a sharded topology with an unrecoverable worker) returns the
-  /// typed error instead of throwing — checkpoint paths that must survive a
-  /// degraded exchange call this one. The monolith's save never fails, so
-  /// the default just wraps save_state().
-  [[nodiscard]] virtual core::Result<std::vector<std::uint8_t>> try_save_state()
-      const {
-    return save_state();
-  }
-  [[nodiscard]] virtual core::Status restore_state(
-      std::span<const std::uint8_t> bytes) = 0;
-  /// Runs the Delivery Protocol for one client against the latest round.
-  [[nodiscard]] virtual core::Result<proto::DeliveryOutcome> deliver(
-      std::uint32_t session_id, geo::CityId city, double bitrate_mbps) = 0;
-  /// The registry backing round telemetry.
-  [[nodiscard]] virtual const obs::MetricsRegistry& metrics() const = 0;
-  /// Internal links currently quarantined by an open circuit breaker. The
-  /// monolith has no internal links, so the default is 0; the sharded
-  /// frontend reports open shard-link breakers (the daemon folds this into
-  /// its brownout signals).
-  [[nodiscard]] virtual std::size_t open_breakers() const { return 0; }
-};
-
-class VdxExchange final : public ExchangeFrontend {
+class VdxExchange {
  public:
   VdxExchange(const sim::Scenario& scenario, ExchangeConfig config = {});
-  ~VdxExchange() override;
+  ~VdxExchange();
   VdxExchange(const VdxExchange&) = delete;
   VdxExchange& operator=(const VdxExchange&) = delete;
 
   /// Runs one Decision-Protocol round end to end over the wire codec.
-  RoundReport run_round() override;
+  RoundReport run_round();
   /// Runs `rounds` rounds and returns all reports.
   std::vector<RoundReport> run(std::size_t rounds);
 
@@ -184,20 +137,20 @@ class VdxExchange final : public ExchangeFrontend {
   /// this between epochs so each decision round prices the *current*
   /// audience, not the whole-trace snapshot.
   void set_active_load(std::span<const broker::ClientGroup> groups,
-                       std::span<const double> background_loads) override;
+                       std::span<const double> background_loads);
 
   /// Retunes the per-round admission budget (Mbps), effective from the next
   /// round; 0 disables admission control. The serving daemon uses this to
   /// adjust backpressure on a live exchange without rebuilding it. Throws
   /// std::invalid_argument on a non-finite or negative budget.
-  void set_demand_budget(double budget_mbps) override;
-  [[nodiscard]] double demand_budget() const noexcept override {
+  void set_demand_budget(double budget_mbps);
+  [[nodiscard]] double demand_budget() const noexcept {
     return config_.overload.demand_budget_mbps;
   }
 
   /// Decision rounds completed since construction (restored by
   /// restore_state, so a resumed exchange keeps counting where it left off).
-  [[nodiscard]] std::size_t rounds_completed() const noexcept override {
+  [[nodiscard]] std::size_t rounds_completed() const noexcept {
     return rounds_completed_;
   }
 
@@ -209,20 +162,17 @@ class VdxExchange final : public ExchangeFrontend {
   /// Clusters of CDNs currently marked failed are dark: sessions resolved to
   /// them are re-homed via the directory failover (outcome records it).
   [[nodiscard]] core::Result<proto::DeliveryOutcome> deliver(
-      std::uint32_t session_id, geo::CityId city, double bitrate_mbps) override;
+      std::uint32_t session_id, geo::CityId city, double bitrate_mbps);
 
   /// Winning allocations of the last Optimize — (group index into the
-  /// current demand, cluster, clients, price, true score). The shard
-  /// equivalence layer byte-compares this surface against the coordinator's
-  /// settlement.
+  /// current demand, cluster, clients, price, true score).
   [[nodiscard]] std::span<const sim::Placement> placements() const noexcept {
     return broker_agent_->placements();
   }
 
   /// The demand the next round will price (set_active_load override when
   /// present, post-admission-shed if a budgeted round trimmed it). Placement
-  /// group indices refer into this span — the shard coordinator uses it to
-  /// route the settled allocation back to the owning shards.
+  /// group indices refer into this span.
   [[nodiscard]] std::span<const broker::ClientGroup> active_demand() const noexcept {
     return broker_agent_->demand();
   }
@@ -233,7 +183,7 @@ class VdxExchange final : public ExchangeFrontend {
 
   /// The registry backing RoundReport telemetry: the external one from
   /// ExchangeConfig::obs when provided, the exchange's own otherwise.
-  [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept override {
+  [[nodiscard]] const obs::MetricsRegistry& metrics() const noexcept {
     return *obs_.metrics;
   }
 
@@ -245,13 +195,13 @@ class VdxExchange final : public ExchangeFrontend {
   /// fresh exchange built from the same Scenario + ExchangeConfig that
   /// restore_state()s these bytes produces byte-identical RoundReports from
   /// the next round onward.
-  [[nodiscard]] std::vector<std::uint8_t> save_state() const override;
+  [[nodiscard]] std::vector<std::uint8_t> save_state() const;
   /// Rejects corrupt bytes (Errc::kCorruptSnapshot / kVersionMismatch via
   /// the envelope) and snapshots from an incompatible configuration —
   /// different CDN count, cluster count, or transport kind
   /// (Errc::kInvalidArgument). On failure the exchange is unchanged.
   [[nodiscard]] core::Status restore_state(
-      std::span<const std::uint8_t> bytes) override;
+      std::span<const std::uint8_t> bytes);
 
  private:
   const sim::Scenario& scenario_;

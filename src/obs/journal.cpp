@@ -220,43 +220,4 @@ core::Table RunJournal::summary_table() const {
   return table;
 }
 
-std::vector<Event> merge_journal_slices(std::span<const JournalSlice> slices) {
-  struct Tagged {
-    std::uint32_t source;
-    Event event;
-  };
-  std::vector<Tagged> merged;
-  std::size_t count = 0;
-  for (const JournalSlice& slice : slices) count += slice.events.size();
-  merged.reserve(count);
-  for (const JournalSlice& slice : slices) {
-    for (const Event& event : slice.events) merged.push_back({slice.source, event});
-  }
-  // Stable total order: shared logical clock first, then round, then the
-  // source shard, then the shard's own recording order. Ties inside one
-  // shard cannot occur (per-shard seqs are strictly monotone), so the order
-  // is unambiguous for any interleaving.
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Tagged& a, const Tagged& b) {
-                     if (a.event.logical != b.event.logical) {
-                       return a.event.logical < b.event.logical;
-                     }
-                     if (a.event.round != b.event.round) {
-                       return a.event.round < b.event.round;
-                     }
-                     if (a.source != b.source) return a.source < b.source;
-                     return a.event.seq < b.event.seq;
-                   });
-  std::vector<Event> out;
-  out.reserve(merged.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    Event event = merged[i].event;
-    // Reassign: the merged stream gets its own dense, strictly monotone seq
-    // space. Keeping the per-shard seqs would repeat every value N times.
-    event.seq = i;
-    out.push_back(event);
-  }
-  return out;
-}
-
 }  // namespace vdx::obs

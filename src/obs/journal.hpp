@@ -47,6 +47,8 @@ enum class EventKind : std::uint8_t {
   kBreakerClose,
   kBrownoutStep,
   kCheckpointSkip,
+  // No producer since the shard-worker supervisor was retired; kept so the
+  // kind bytes and names of every later kind stay stable.
   kRestartDenied,
   kCustom,  // must stay last: the checkpoint codec bounds kind bytes by it
 };
@@ -120,30 +122,5 @@ class RunJournal {
   std::uint64_t total_ = 0;
   std::uint32_t round_ = 0;
 };
-
-/// One shard's exported journal window, tagged with its origin so the
-/// coordinator merge has a deterministic tiebreak.
-struct JournalSlice {
-  /// Source shard id (merge order for events with equal clocks).
-  std::uint32_t source = 0;
-  /// The shard journal's all-time record count at export time.
-  std::uint64_t total_recorded = 0;
-  /// Retained window, oldest first (RunJournal::events()).
-  std::vector<Event> events;
-};
-
-/// Merges per-shard journal windows into one coordinator-side stream.
-///
-/// Every shard numbers its own events from seq 0, so a naive concatenation
-/// carries N copies of each seq value and violates the journal's strict
-/// monotonicity contract (seq is "monotonic position in the run" — restore()
-/// and gap detection both lean on it). The merge therefore orders events by
-/// (logical clock, round, source shard, original seq) — a stable total order
-/// that interleaves shards on the shared logical clock while keeping each
-/// shard's own stream in recorded order — and REASSIGNS seq densely
-/// 0..n-1 over the merged stream, so the result is strictly monotone and
-/// gap-free regardless of how the per-shard windows interleave.
-[[nodiscard]] std::vector<Event> merge_journal_slices(
-    std::span<const JournalSlice> slices);
 
 }  // namespace vdx::obs

@@ -7,12 +7,10 @@
 //     half-open --(probe_successes in a row)--> closed
 //     half-open --(any failure)---------------> open (timer restarts)
 //
-// The exchange keeps one breaker per shard link, the daemon one for the
-// checkpointer; while a breaker is open the caller routes around the
-// dependency (stale-slice settlement, checkpoint suspension) instead of
-// burning its retry budget every round. Transitions are journaled
-// (breaker_open / breaker_half_open / breaker_close, subject = breaker id)
-// and counted under resilience.breaker.*.
+// The daemon keeps one for the checkpointer; while it is open the daemon
+// suspends checkpoints instead of failing a write every round. Transitions
+// are journaled (breaker_open / breaker_half_open / breaker_close, subject =
+// breaker id) and counted under resilience.breaker.*.
 #pragma once
 
 #include <cstdint>

@@ -28,8 +28,7 @@ int BrownoutController::evaluate(const Signals& signals, std::uint64_t round) {
   const bool slo_breach = config_.p99_slo_ms > 0.0 &&
                           signals.rounds_observed >= config_.min_rounds_for_slo &&
                           signals.p99_ms > config_.p99_slo_ms;
-  const bool unhealthy =
-      signals.open_breakers > 0 || signals.checkpoint_suspended || slo_breach;
+  const bool unhealthy = signals.checkpoint_suspended || slo_breach;
 
   if (unhealthy) {
     healthy_streak_ = 0;

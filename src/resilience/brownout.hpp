@@ -2,21 +2,22 @@
 // (DESIGN.md §15).
 //
 // Instead of failing rounds outright when the serving loop is unhealthy —
-// round p99 over SLO, a breaker open, checkpointing suspended — the daemon
-// climbs a small ladder of increasingly aggressive sheds, one step per
-// unhealthy round, and climbs back down hysteretically (one step per
+// round p99 over SLO, checkpointing suspended — the daemon climbs a small
+// ladder of increasingly aggressive sheds, one step per unhealthy round,
+// and climbs back down hysteretically (one step per
 // `recover_after_rounds` consecutive healthy rounds) so a single good round
 // never snaps straight back to full service:
 //
 //   step 0  full service                                   health ok
 //   step 1  skip non-critical exports (telemetry detail)   health degraded
-//   step 2  stale-slice settlement for quarantined shards  health degraded
+//   step 2  no further shed (a buffer before step 3)       health degraded
 //   step 3  shrink the admission budget                    health critical
 //
 // Step transitions are journaled (brownout_step, value = new step) and the
 // current step/health are exported via /healthz. All triggers are logical
 // (round-indexed), and the latency trigger is off by default (p99_slo_ms =
-// 0) so deterministic tests can drive the ladder purely from breaker state.
+// 0) so deterministic tests can drive the ladder purely from checkpointer
+// breaker state.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +50,6 @@ class BrownoutController {
 
   /// Health inputs for one serving round.
   struct Signals {
-    std::size_t open_breakers = 0;
     bool checkpoint_suspended = false;
     /// Observed round-latency p99 in ms (ignored while p99_slo_ms == 0 or
     /// fewer than min_rounds_for_slo rounds have completed).
@@ -64,8 +64,6 @@ class BrownoutController {
   [[nodiscard]] Health health() const noexcept;
   /// Step >= 1: drop non-critical telemetry exports for the round.
   [[nodiscard]] bool skip_noncritical_exports() const noexcept { return step_ >= 1; }
-  /// Step >= 2: settle quarantined shards from their cached slices.
-  [[nodiscard]] bool stale_slice_mode() const noexcept { return step_ >= 2; }
   /// Budget multiplier for admission (1.0 below step 3).
   [[nodiscard]] double admission_factor() const noexcept {
     return step_ >= 3 ? config_.admission_shrink : 1.0;

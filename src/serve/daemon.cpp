@@ -11,8 +11,7 @@
 namespace vdx::serve {
 
 namespace {
-/// Journal subject tagging the checkpointer's circuit breaker (shard-link
-/// breakers use their shard index; this id cannot collide with one).
+/// Journal subject tagging the checkpointer's circuit breaker.
 constexpr std::uint32_t kCheckpointerSubject = 0xC4EC;
 }  // namespace
 
@@ -38,19 +37,7 @@ ServeDaemon::ServeDaemon(const sim::Scenario& scenario, ArrivalFeed& feed,
   config_.fingerprint.design = kDaemonDesign;
   config_.fingerprint.epoch_s = config_.round_s;
 
-  if (config_.shards > 1) {
-    market::ShardedConfig sharded;
-    sharded.shards = config_.shards;
-    sharded.backend = config_.shard_backend;
-    sharded.exchange = config_.exchange;
-    sharded.link_faults = config_.shard_link_faults;
-    sharded.worker_restart = config_.shard_worker_restart;
-    sharded.link_breaker = config_.shard_link_breaker;
-    exchange_ = std::make_unique<market::ShardedExchange>(scenario_, sharded);
-  } else {
-    exchange_ =
-        std::make_unique<market::VdxExchange>(scenario_, config_.exchange);
-  }
+  exchange_ = std::make_unique<market::VdxExchange>(scenario_, config_.exchange);
   latency_ = std::make_unique<LatencyRecorder>(*obs_.metrics);
   zero_loads_.assign(scenario_.catalog().clusters().size(), 0.0);
 
@@ -130,14 +117,13 @@ core::Result<ServeReport> ServeDaemon::resume(
   return run_loop(cp.next_round);
 }
 
-state::DaemonCheckpoint ServeDaemon::make_checkpoint(
-    std::uint64_t next_round, std::vector<std::uint8_t> exchange_state) const {
+state::DaemonCheckpoint ServeDaemon::make_checkpoint(std::uint64_t next_round) const {
   state::DaemonCheckpoint cp;
   cp.fingerprint = config_.fingerprint;
   cp.next_round = next_round;
   cp.feed = sessions_.cursor();
   cp.feed.consumed = feed_->consumed();
-  cp.exchange_state = std::move(exchange_state);
+  cp.exchange_state = exchange_->save_state();
   cp.decision_rounds = decision_rounds_;
   cp.skipped_rounds = skipped_rounds_;
   cp.queue_dropped = queue_dropped_;
@@ -176,23 +162,15 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
   };
   const auto write_checkpoint = [&](std::uint64_t next_round) {
     // The checkpointer is supervised by a circuit breaker on the round
-    // clock: consecutive failures (a degraded sharded exchange that cannot
-    // snapshot, a sick disk) suspend checkpointing — the previous snapshot
-    // stays the resume point and serving continues — until a half-open
-    // probe succeeds after the fault clears. Every skipped or failed
-    // attempt is journaled (checkpoint_skip) and counted.
+    // clock: consecutive write failures (a sick disk) suspend checkpointing
+    // — the previous snapshot stays the resume point and serving continues
+    // — until a half-open probe succeeds after the fault clears. Every
+    // skipped or failed attempt is journaled (checkpoint_skip) and counted.
     if (!checkpoint_breaker_.allow(next_round)) {
       skip_checkpoint(next_round);
       return;
     }
-    auto exchange_state = exchange_->try_save_state();
-    if (!exchange_state.ok()) {
-      checkpoint_breaker_.on_failure(next_round);
-      skip_checkpoint(next_round);
-      return;
-    }
-    const state::DaemonCheckpoint cp =
-        make_checkpoint(next_round, std::move(exchange_state).value());
+    const state::DaemonCheckpoint cp = make_checkpoint(next_round);
     obs_.record(obs::EventKind::kCheckpoint, obs::RunJournal::kNoSubject,
                 static_cast<double>(next_round));
     if (store->write(next_round, state::encode(cp)).ok()) {
@@ -325,7 +303,6 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
     // trigger only reads quantiles when armed (p99_slo_ms > 0) — slo() walks
     // every histogram bucket, which is waste on the default path.
     resilience::BrownoutController::Signals signals;
-    signals.open_breakers = exchange_->open_breakers();
     signals.checkpoint_suspended = checkpoint_breaker_.open();
     if (brownout_.config().p99_slo_ms > 0.0) {
       const LatencyRecorder::Slo slo = latency_->slo();
@@ -341,8 +318,7 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
     }
     if (config_.health != nullptr) {
       config_.health->set_brownout(brownout_.health(), step);
-      config_.health->set_open_breakers(signals.open_breakers +
-                                        (signals.checkpoint_suspended ? 1 : 0));
+      config_.health->set_open_breakers(signals.checkpoint_suspended ? 1 : 0);
     }
     if (config_.halt_after_rounds > 0 &&
         r - start_round >= config_.halt_after_rounds) {

@@ -27,10 +27,8 @@
 #include <span>
 
 #include "market/exchange.hpp"
-#include "market/shard.hpp"
 #include "resilience/breaker.hpp"
 #include "resilience/brownout.hpp"
-#include "resilience/supervisor.hpp"
 #include "serve/feed.hpp"
 #include "serve/health.hpp"
 #include "serve/latency.hpp"
@@ -73,28 +71,13 @@ struct ServeConfig {
   /// (incremental demand) and threads `obs` through it. The admission
   /// budget lives in exchange.overload.demand_budget_mbps.
   market::ExchangeConfig exchange;
-  /// >1 serves through a market::ShardedExchange: the marketplace is
-  /// partitioned into this many region shards behind the coordinator
-  /// (byte-identical decisions at any count — see DESIGN.md §14).
-  std::size_t shards = 1;
-  market::ShardBackend shard_backend = market::ShardBackend::kInproc;
-  /// Chaos on the coordinator<->shard links (shards > 1 only).
-  proto::FaultProfile shard_link_faults;
-  /// Supervision for shard workers (shards > 1): restart budget + backoff
-  /// on the settlement round clock. Defaults = unbounded immediate restarts
-  /// (the pre-supervisor behavior).
-  resilience::RestartPolicy shard_worker_restart;
-  /// Per-shard-link circuit breakers (shards > 1, demand mode): consecutive
-  /// link failures quarantine the shard onto stale-slice settlement until a
-  /// half-open probe succeeds. Disabled by default (failure_threshold = 0).
-  resilience::BreakerConfig shard_link_breaker;
   /// Circuit breaker over the checkpointer: consecutive checkpoint failures
   /// (snapshot capture or storage write) suspend checkpointing — journaled
   /// as checkpoint_skip — until a probe succeeds after the disk heals.
   /// Disabled by default: a failed checkpoint is then retried next period.
   resilience::BreakerConfig checkpoint_breaker;
-  /// Brownout ladder driven by breaker/checkpoint/latency signals; the
-  /// latency trigger stays off unless brownout.p99_slo_ms > 0.
+  /// Brownout ladder driven by checkpoint/latency signals; the latency
+  /// trigger stays off unless brownout.p99_slo_ms > 0.
   resilience::BrownoutConfig brownout;
   /// Storage seam for the checkpoint store (nullptr = the host filesystem).
   /// Fault-injection tests pass a state::FaultFs here.
@@ -164,17 +147,14 @@ class ServeDaemon {
   [[nodiscard]] const LatencyRecorder& latency() const noexcept {
     return *latency_;
   }
-  [[nodiscard]] const market::ExchangeFrontend& exchange() const noexcept {
+  [[nodiscard]] const market::VdxExchange& exchange() const noexcept {
     return *exchange_;
   }
 
  private:
   [[nodiscard]] ServeReport run_loop(std::uint64_t start_round);
-  /// Assembles the checkpoint around an already-captured exchange snapshot
-  /// (the caller gathers it via try_save_state so a degraded sharded
-  /// exchange skips the checkpoint instead of killing the daemon).
   [[nodiscard]] state::DaemonCheckpoint make_checkpoint(
-      std::uint64_t next_round, std::vector<std::uint8_t> exchange_state) const;
+      std::uint64_t next_round) const;
 
   const sim::Scenario& scenario_;
   ServeConfig config_;
@@ -182,7 +162,7 @@ class ServeDaemon {
   /// Fallback registry when ServeConfig::obs brings none (the latency
   /// recorder and the /metrics endpoint need one to exist).
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
-  std::unique_ptr<market::ExchangeFrontend> exchange_;
+  std::unique_ptr<market::VdxExchange> exchange_;
   /// Active population (the same SoA store the streaming engine uses; the
   /// ArrivalFeed owns the pull side, so the daemon admits arrivals itself
   /// and fills the feed position into checkpoint cursors).

@@ -50,7 +50,7 @@ class SessionStore {
   /// whether the population changed. Live ids must be unique; arrival order
   /// == ascending id order is the fast path (out-of-order ids still work).
   /// A session with end_s = +inf never enters the departure heap: it stays
-  /// until remove(id), the explicit-delta mode of the shard coordinator.
+  /// until remove(id), the explicit-delta mode of the session-fed exchange.
   bool admit(std::uint32_t id, core::CityId city, double bitrate_mbps, double end_s,
              double now, std::uint32_t isp = 0);
 

@@ -11,7 +11,7 @@ namespace {
 
 BrownoutController::Signals unhealthy() {
   BrownoutController::Signals signals;
-  signals.open_breakers = 1;
+  signals.checkpoint_suspended = true;
   return signals;
 }
 
@@ -23,7 +23,6 @@ TEST(Brownout, ClimbsOneStepPerUnhealthyRound) {
   EXPECT_EQ(brownout.evaluate(unhealthy(), 4), 3);  // capped at max_step
   EXPECT_EQ(brownout.health(), Health::kCritical);
   EXPECT_TRUE(brownout.skip_noncritical_exports());
-  EXPECT_TRUE(brownout.stale_slice_mode());
   EXPECT_LT(brownout.admission_factor(), 1.0);
 }
 

@@ -1,20 +1,21 @@
-// Shared driver for the sharded-exchange differential suite (DESIGN.md §14).
+// Shared oracle for the session-fed exchange suite (DESIGN.md §14).
 //
-// The whole suite rests on one shape: build a per-round demand SCRIPT (a
-// pure value — groups, budget changes, CDN failure toggles), replay it
-// identically through a monolithic VdxExchange and a ShardedExchange, and
-// byte-compare every deterministic surface the exchanges expose: the
-// per-round RoundReports, the settled placements, the journal JSONL, and
-// the metrics JSONL. Anything short of exact equality is a bug — the
-// sharded topology promises byte-identity by construction.
+// The suite rests on one shape: stream the same session deltas into a
+// ShardedExchange and, through HeldSessions, into a monolithic VdxExchange
+// fed broker::group_sessions of the live set each round, then byte-compare
+// every deterministic surface the exchanges expose: the per-round
+// RoundReports, the settled placements, the journal JSONL, and the metrics
+// JSONL. Anything short of exact equality is a bug — settlement runs on the
+// same VdxExchange machinery, so the outputs are the monolith's by
+// construction.
 #pragma once
 
 #include <gtest/gtest.h>
 
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broker/grouping.hpp"
@@ -24,21 +25,10 @@
 #include "obs/metrics.hpp"
 #include "sim/designs.hpp"
 #include "sim/scenario.hpp"
-#include "sim/stress.hpp"
 
 namespace vdx::market::shard_test {
 
-/// One scripted settlement round. `groups` is always pushed (the daemon
-/// idiom: set_active_load every round); budget/fail fire before the push.
-struct RoundAction {
-  std::vector<broker::ClientGroup> groups;
-  /// set_demand_budget(*budget) this round (admission-control window edges).
-  std::optional<double> budget;
-  /// set_failed(cdn::CdnId{1}, *fail) this round (blackout window edges).
-  std::optional<bool> fail;
-};
-
-/// Deterministic surfaces of one scripted run.
+/// Deterministic surfaces of one run.
 struct RunCapture {
   std::vector<RoundReport> reports;
   std::vector<sim::Placement> placements;  // final round's settled placements
@@ -46,27 +36,15 @@ struct RunCapture {
   std::string metrics_jsonl;
 };
 
-/// Replays `script` through either exchange type (both expose the same
-/// demand/budget/failure knobs; only set_failed is outside the frontend
-/// interface, hence the template).
-template <typename Exchange>
-RunCapture drive(Exchange& exchange, const std::vector<RoundAction>& script,
-                 std::span<const double> background, const obs::RunJournal& journal,
-                 const obs::MetricsRegistry& metrics) {
+/// Reports, placements, journal and metrics of a finished run.
+inline RunCapture capture_of(const VdxExchange& exchange,
+                             std::vector<RoundReport> reports,
+                             const obs::RunJournal& journal,
+                             const obs::MetricsRegistry& metrics) {
   RunCapture capture;
-  for (const RoundAction& action : script) {
-    if (action.fail.has_value()) exchange.set_failed(cdn::CdnId{1}, *action.fail);
-    if (action.budget.has_value()) exchange.set_demand_budget(*action.budget);
-    exchange.set_active_load(action.groups, background);
-    capture.reports.push_back(exchange.run_round());
-  }
-  if constexpr (std::is_same_v<Exchange, ShardedExchange>) {
-    const auto placed = exchange.settlement().placements();
-    capture.placements.assign(placed.begin(), placed.end());
-  } else {
-    const auto placed = exchange.placements();
-    capture.placements.assign(placed.begin(), placed.end());
-  }
+  capture.reports = std::move(reports);
+  const auto placed = exchange.placements();
+  capture.placements.assign(placed.begin(), placed.end());
   std::ostringstream journal_out;
   journal.write_jsonl(journal_out);
   capture.journal_jsonl = journal_out.str();
@@ -74,63 +52,6 @@ RunCapture drive(Exchange& exchange, const std::vector<RoundAction>& script,
   metrics.write_jsonl(metrics_out);
   capture.metrics_jsonl = metrics_out.str();
   return capture;
-}
-
-/// Builds the per-round demand script for one stress scenario: the
-/// scenario's broker groups reshaped by the profile's demand modulators
-/// (flash-crowd trapezoid, diurnal sinusoid), with the supply-side events
-/// expressed through the exchange-facing knobs — a blackout window fails a
-/// CDN, a price-shock window clamps the admission budget (the menu cache is
-/// fixed for an exchange's lifetime, so catalog-level supply mutation is a
-/// timeline concern; at the exchange boundary these are the supply events).
-inline std::vector<RoundAction> make_script(const sim::Scenario& scenario,
-                                            sim::StressScenario kind,
-                                            std::size_t rounds) {
-  constexpr double kEpochS = 600.0;
-  const double horizon_s = static_cast<double>(rounds) * kEpochS;
-  sim::StressConfig config;
-  config.scenario = kind;
-  config.spike_factor = 12.0;  // big enough to reshape, small enough to settle
-  const sim::StressProfile profile =
-      make_stress_profile(scenario.world(), config, horizon_s);
-
-  const auto base = scenario.broker_groups();
-  double base_demand_mbps = 0.0;
-  for (const broker::ClientGroup& group : base) {
-    base_demand_mbps += group.demand_mbps();
-  }
-
-  const auto in_any = [](double t, const auto& windows) {
-    for (const auto& w : windows) {
-      if (t >= w.start_s && t < w.end_s) return true;
-    }
-    return false;
-  };
-
-  std::vector<RoundAction> script(rounds);
-  bool budget_on = false;
-  bool fail_on = false;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const double t = (static_cast<double>(r) + 0.5) * kEpochS;
-    RoundAction& action = script[r];
-    const double diurnal = profile.demand.diurnal_multiplier(t);
-    action.groups.assign(base.begin(), base.end());
-    for (broker::ClientGroup& group : action.groups) {
-      group.client_count *=
-          diurnal * profile.demand.city_boost(group.city.value(), t);
-    }
-    const bool shock = in_any(t, profile.price_shocks);
-    if (shock != budget_on) {
-      action.budget = shock ? 0.6 * base_demand_mbps : 0.0;
-      budget_on = shock;
-    }
-    const bool dark = in_any(t, profile.blackouts);
-    if (dark != fail_on) {
-      action.fail = dark;
-      fail_on = dark;
-    }
-  }
-  return script;
 }
 
 /// The monolith's view of a session-fed run: the test holds the live
@@ -160,13 +81,56 @@ struct HeldSessions {
   }
 };
 
+/// One push_session_delta batch: adds, then removes.
+using Delta = std::pair<std::vector<proto::ShardSessionAdd>, std::vector<std::uint32_t>>;
+
+/// Every surface of a monolith fed broker::group_sessions of the live set
+/// after each of the deltas delta_of(0) .. delta_of(rounds - 1), priced
+/// against the scenario's placed background load.
+template <typename DeltaOf>
+RunCapture run_monolith(const sim::Scenario& scenario, DeltaOf delta_of,
+                        std::size_t rounds) {
+  obs::MetricsRegistry metrics;
+  obs::RunJournal journal;
+  ExchangeConfig config;
+  config.obs = obs::Observer{&metrics, nullptr, &journal};
+  VdxExchange mono{scenario, config};
+  const std::vector<double> background = sim::place_background(scenario);
+  HeldSessions held;
+  std::vector<RoundReport> reports;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const auto [adds, removes] = delta_of(r);
+    held.apply(adds, removes);
+    mono.set_active_load(held.groups(), background);
+    reports.push_back(mono.run_round());
+  }
+  return capture_of(mono, std::move(reports), journal, metrics);
+}
+
+/// The same deltas pushed into a ShardedExchange built with `config`.
+template <typename DeltaOf>
+RunCapture run_session_fed(const sim::Scenario& scenario, DeltaOf delta_of,
+                           std::size_t rounds, ShardedConfig config = {}) {
+  obs::MetricsRegistry metrics;
+  obs::RunJournal journal;
+  config.exchange.obs = obs::Observer{&metrics, nullptr, &journal};
+  ShardedExchange exchange{scenario, config};
+  std::vector<RoundReport> reports;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const auto [adds, removes] = delta_of(r);
+    EXPECT_TRUE(exchange.push_session_delta(adds, removes).ok()) << "round " << r;
+    reports.push_back(exchange.run_round());
+  }
+  return capture_of(exchange.settlement(), std::move(reports), journal, metrics);
+}
+
 /// Exact (bitwise, for doubles) equality of every captured surface.
-inline void expect_identical(const RunCapture& mono, const RunCapture& sharded,
+inline void expect_identical(const RunCapture& mono, const RunCapture& fed,
                              const std::string& context) {
-  ASSERT_EQ(mono.reports.size(), sharded.reports.size()) << context;
+  ASSERT_EQ(mono.reports.size(), fed.reports.size()) << context;
   for (std::size_t r = 0; r < mono.reports.size(); ++r) {
     const RoundReport& a = mono.reports[r];
-    const RoundReport& b = sharded.reports[r];
+    const RoundReport& b = fed.reports[r];
     const std::string at = context + " round " + std::to_string(r);
     EXPECT_EQ(a.round, b.round) << at;
     EXPECT_EQ(a.wire.shares_sent, b.wire.shares_sent) << at;
@@ -186,10 +150,10 @@ inline void expect_identical(const RunCapture& mono, const RunCapture& sharded,
     EXPECT_EQ(a.stale_bids_used, b.stale_bids_used) << at;
     EXPECT_EQ(a.stale_bid_share, b.stale_bid_share) << at;
   }
-  ASSERT_EQ(mono.placements.size(), sharded.placements.size()) << context;
+  ASSERT_EQ(mono.placements.size(), fed.placements.size()) << context;
   for (std::size_t i = 0; i < mono.placements.size(); ++i) {
     const sim::Placement& a = mono.placements[i];
-    const sim::Placement& b = sharded.placements[i];
+    const sim::Placement& b = fed.placements[i];
     const std::string at = context + " placement " + std::to_string(i);
     EXPECT_EQ(a.group, b.group) << at;
     EXPECT_EQ(a.cluster.value(), b.cluster.value()) << at;
@@ -197,8 +161,8 @@ inline void expect_identical(const RunCapture& mono, const RunCapture& sharded,
     EXPECT_EQ(a.price, b.price) << at;
     EXPECT_EQ(a.score, b.score) << at;
   }
-  EXPECT_EQ(mono.journal_jsonl, sharded.journal_jsonl) << context;
-  EXPECT_EQ(mono.metrics_jsonl, sharded.metrics_jsonl) << context;
+  EXPECT_EQ(mono.journal_jsonl, fed.journal_jsonl) << context;
+  EXPECT_EQ(mono.metrics_jsonl, fed.metrics_jsonl) << context;
 }
 
 }  // namespace vdx::market::shard_test

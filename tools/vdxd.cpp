@@ -77,13 +77,9 @@ struct Options {
   std::string metrics_out;
   std::string journal_out;
   std::string trace_out;
-  std::size_t shards = 1;
-  std::string shard_backend = "inproc";
   double p99_slo_ms = 0.0;
   std::size_t breaker_threshold = 0;
   std::size_t breaker_open_rounds = 4;
-  std::size_t restart_budget = 0;
-  std::size_t restart_window = 32;
 };
 
 // The single accessor sequence: parses a real command line, and — run over
@@ -113,13 +109,9 @@ Options options_from(core::Flags& flags) {
   opt.metrics_out = flags.text("metrics-out", "");
   opt.journal_out = flags.text("journal-out", "");
   opt.trace_out = flags.text("trace-out", "");
-  opt.shards = flags.count("shards", 1, 1);
-  opt.shard_backend = flags.text("shard-backend", "inproc");
   opt.p99_slo_ms = flags.positive("p99-slo-ms", 0.0);
   opt.breaker_threshold = flags.count("breaker-threshold", 0);
   opt.breaker_open_rounds = flags.count("breaker-open-rounds", 4, 1);
-  opt.restart_budget = flags.count("restart-budget", 0);
-  opt.restart_window = flags.count("restart-window", 32, 1);
   return opt;
 }
 
@@ -221,33 +213,14 @@ int run(core::Flags& flags) {
   config.exchange.overload.demand_budget_mbps = opt.budget_mbps;
   config.exchange.broker.weights = {opt.wp, opt.wc};
   config.obs = obs;
-  // Shard topology: decisions are byte-identical at any count (DESIGN.md
-  // §14), so the snapshot fingerprint deliberately excludes it — a run
-  // checkpointed at --shards 4 resumes cleanly as a monolith and vice versa.
-  config.shards = opt.shards;
-  const auto backend = market::shard_backend_from(opt.shard_backend);
-  if (!backend.has_value()) {
-    throw std::invalid_argument{"--shard-backend must be inproc or process, got " +
-                                opt.shard_backend};
-  }
-  config.shard_backend = *backend;
-
-  // Self-healing knobs (DESIGN.md §15). One --breaker-threshold arms both
-  // the per-shard-link breakers and the checkpointer breaker; the brownout
-  // ladder reacts to whatever opens. All default off: vdxd without these
+  // Self-healing knobs (DESIGN.md §15). --breaker-threshold arms the
+  // checkpointer breaker; the brownout ladder reacts when it opens or the
+  // round p99 breaches --p99-slo-ms. All default off: vdxd without these
   // flags behaves exactly as before this layer existed.
   config.brownout.p99_slo_ms = opt.p99_slo_ms;
   if (opt.breaker_threshold > 0) {
-    config.shard_link_breaker.failure_threshold = opt.breaker_threshold;
-    config.shard_link_breaker.open_ticks = opt.breaker_open_rounds;
     config.checkpoint_breaker.failure_threshold = opt.breaker_threshold;
     config.checkpoint_breaker.open_ticks = opt.breaker_open_rounds;
-  }
-  if (opt.restart_budget > 0) {
-    config.shard_worker_restart.max_restarts = opt.restart_budget;
-    config.shard_worker_restart.window_ticks = opt.restart_window;
-    config.shard_worker_restart.backoff_base_ticks = 1;
-    config.shard_worker_restart.backoff_max_ticks = 8;
   }
   serve::HealthState health;
   config.health = &health;

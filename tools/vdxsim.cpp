@@ -30,7 +30,6 @@
 #include "market/exchange.hpp"
 #include "obs/observe.hpp"
 #include "market/federation.hpp"
-#include "market/shard.hpp"
 #include "market/transactions.hpp"
 #include "proto/wire.hpp"
 #include "sim/experiments.hpp"
@@ -425,49 +424,16 @@ int cmd_exchange(Flags& flags) {
   config.obs.metrics = &metrics;
   if (!trace_path.empty()) config.obs.tracer = &tracer;
   if (!journal_path.empty()) config.obs.journal = &journal;
-  // Shard topology (DESIGN.md §14): --shards N settles through a coordinator
-  // over N region workers — byte-identical to the monolith at any count.
-  // --shard-drop/--shard-corrupt/--shard-duplicate inject chaos on the
-  // coordinator<->worker links (independent of the CDN transport's --drop).
-  const std::size_t shards = flags.count("shards", 1, 1);
-  const std::string backend_name = flags.text("shard-backend", "inproc");
-  const auto backend = market::shard_backend_from(backend_name);
-  if (!backend.has_value()) {
-    throw std::invalid_argument{"--shard-backend must be inproc or process, got " +
-                                backend_name};
-  }
-  proto::FaultProfile link_faults;
-  link_faults.drop_rate = flags.number("shard-drop", 0.0);
-  link_faults.corrupt_rate = flags.number("shard-corrupt", 0.0);
-  link_faults.duplicate_rate = flags.number("shard-duplicate", 0.0);
 
-  std::unique_ptr<market::VdxExchange> mono;
-  std::unique_ptr<market::ShardedExchange> shard_exchange;
-  market::ExchangeFrontend* exchange = nullptr;
-  if (shards > 1) {
-    market::ShardedConfig sharded;
-    sharded.shards = shards;
-    sharded.backend = *backend;
-    sharded.exchange = config;
-    sharded.link_faults = link_faults;
-    shard_exchange = std::make_unique<market::ShardedExchange>(scenario, sharded);
-    exchange = shard_exchange.get();
-  } else {
-    mono = std::make_unique<market::VdxExchange>(scenario, config);
-    exchange = mono.get();
-  }
+  market::VdxExchange exchange{scenario, config};
   const bool chaos = config.chaos.faults.any();
   const double fraud = flags.number("fraud", -1.0);
   const double fail = flags.number("fail", -1.0);
   if (fraud >= 0) {
-    const cdn::CdnId cdn{static_cast<std::uint32_t>(fraud)};
-    if (shard_exchange) shard_exchange->set_fraudulent(cdn, true);
-    if (mono) mono->set_fraudulent(cdn, true);
+    exchange.set_fraudulent(cdn::CdnId{static_cast<std::uint32_t>(fraud)}, true);
   }
   if (fail >= 0) {
-    const cdn::CdnId cdn{static_cast<std::uint32_t>(fail)};
-    if (shard_exchange) shard_exchange->set_failed(cdn, true);
-    if (mono) mono->set_failed(cdn, true);
+    exchange.set_failed(cdn::CdnId{static_cast<std::uint32_t>(fail)}, true);
   }
 
   const auto rounds = static_cast<std::size_t>(flags.number("rounds", 5));
@@ -481,7 +447,7 @@ int cmd_exchange(Flags& flags) {
   table.set_title(chaos ? "VDX exchange rounds (chaos transport)"
                         : "VDX exchange rounds");
   for (std::size_t r = 0; r < rounds; ++r) {
-    const market::RoundReport report = exchange->run_round();
+    const market::RoundReport report = exchange.run_round();
     std::vector<std::string> row{
         std::to_string(r + 1), std::to_string(report.wire.bids_received),
         core::format_double(static_cast<double>(report.wire.bytes_on_wire) / 1e6, 1),
@@ -498,18 +464,6 @@ int cmd_exchange(Flags& flags) {
     table.add_row(row);
   }
   table.print(std::cout);
-  if (shard_exchange) {
-    const auto link = shard_exchange->link_fault_counters();
-    std::printf(
-        "[shard] shards=%zu backend=%s restarts=%zu link{injected=%llu "
-        "dropped=%llu corrupted=%llu duplicated=%llu}\n",
-        shard_exchange->plan().shard_count, backend_name.c_str(),
-        shard_exchange->worker_restarts(),
-        static_cast<unsigned long long>(link.frames),
-        static_cast<unsigned long long>(link.dropped),
-        static_cast<unsigned long long>(link.corrupted),
-        static_cast<unsigned long long>(link.duplicated));
-  }
 
   const auto export_file = [](const std::string& path, const auto& writer) {
     std::ofstream out{path};
@@ -678,12 +632,6 @@ void print_help() {
       "                 --strategy static|risk-averse --drop P --corrupt P\n"
       "                 --chaos-seed S --metrics-out F --trace-out F\n"
       "                 --journal-out F)\n"
-      "                 sharded topology (byte-identical at any N):\n"
-      "                   --shards N            region worker shards (default 1)\n"
-      "                   --shard-backend B     inproc|process (default inproc)\n"
-      "                   --shard-drop P        drop rate on coordinator links\n"
-      "                   --shard-corrupt P     corrupt rate on coordinator links\n"
-      "                   --shard-duplicate P   duplicate rate on coordinator links\n"
       "  federation     regional marketplaces     (--regions R)\n"
       "  transactions   all-CDN-approval protocol (--veto T --rounds N)\n"
       "  multibroker    overbooking study         (--brokers B --name X)\n"
