@@ -132,6 +132,15 @@ RoundReport VdxExchange::run_round() {
     obs_.record(obs::EventKind::kRoundStart, obs::RunJournal::kNoSubject,
                 static_cast<double>(rounds_completed_));
   }
+  // A book-fed round prices the whole book, never a trim an earlier
+  // budgeted round left in the broker.
+  if (book_fed_) {
+    const auto groups = book_.groups();
+    broker_agent_->set_demand({groups.begin(), groups.end()});
+  }
+  for (const broker::ClientGroup& g : broker_agent_->demand()) {
+    report.demand_mbps += g.demand_mbps();
+  }
   // Admission control: trim the Gathered demand to the budget before the
   // decision round ever prices it (overload-graceful degradation, §11).
   if (config_.overload.demand_budget_mbps > 0.0) {
@@ -303,10 +312,14 @@ void VdxExchange::set_fraudulent(cdn::CdnId cdn, bool fraudulent) {
 
 void VdxExchange::set_active_load(std::span<const broker::ClientGroup> groups,
                                   std::span<const double> background_loads) {
-  if (background_loads.size() != scenario_.catalog().clusters().size()) {
-    throw std::invalid_argument{"VdxExchange::set_active_load: loads arity mismatch"};
-  }
+  set_background_loads(background_loads);
   broker_agent_->set_demand({groups.begin(), groups.end()});
+}
+
+void VdxExchange::set_background_loads(std::span<const double> background_loads) {
+  if (background_loads.size() != scenario_.catalog().clusters().size()) {
+    throw std::invalid_argument{"VdxExchange: background loads arity mismatch"};
+  }
   background_loads_.assign(background_loads.begin(), background_loads.end());
   for (const auto& agent : cdn_agents_) {
     agent->set_background_loads(background_loads_);
@@ -396,6 +409,49 @@ core::Status corrupt(std::string message) {
   return core::Status::failure(core::Errc::kCorruptSnapshot, std::move(message));
 }
 
+/// Checks a push_session_delta batch against `book` without mutating it.
+core::Status check_delta(const sim::SessionStore& book, std::size_t cities,
+                         std::span<const SessionAdd> adds) {
+  for (const SessionAdd& add : adds) {
+    if (!std::isfinite(add.bitrate_mbps) || add.bitrate_mbps <= 0.0) {
+      return invalid("push_session_delta: bitrate must be finite and > 0");
+    }
+    if (std::isnan(add.end_s)) return invalid("push_session_delta: end time is NaN");
+    if (add.city >= cities) {
+      return invalid("push_session_delta: unknown city " + std::to_string(add.city));
+    }
+    if (add.id == UINT32_MAX) {
+      return invalid("push_session_delta: session " + std::to_string(add.id) +
+                     " uses the reserved id");
+    }
+    if (const auto slot = book.slot_of(add.id);
+        slot && (book.city_of_slot(*slot).value() != add.city ||
+                 book.bitrate_of_slot(*slot) != add.bitrate_mbps ||
+                 book.end_of_slot(*slot) != add.end_s)) {
+      return invalid("push_session_delta: session " + std::to_string(add.id) +
+                     " re-added with different data");
+    }
+  }
+  // Same-batch copies of one id must agree too. Batches usually arrive in
+  // ascending id order, which rules copies out without sorting.
+  if (std::adjacent_find(adds.begin(), adds.end(),
+                         [](const SessionAdd& a, const SessionAdd& b) {
+                           return a.id >= b.id;
+                         }) == adds.end()) {
+    return core::ok_status();
+  }
+  std::vector<SessionAdd> sorted{adds.begin(), adds.end()};
+  std::sort(sorted.begin(), sorted.end(),
+            [](const SessionAdd& a, const SessionAdd& b) { return a.id < b.id; });
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i].id == sorted[i - 1].id && sorted[i] != sorted[i - 1]) {
+      return invalid("push_session_delta: session " + std::to_string(sorted[i].id) +
+                     " added twice with different data");
+    }
+  }
+  return core::ok_status();
+}
+
 void write_f64_vector(proto::ByteWriter& out, std::span<const double> values) {
   out.write_u64(values.size());
   for (const double value : values) out.write_f64(value);
@@ -430,6 +486,25 @@ proto::BidMessage read_bid(proto::ByteReader& in) {
 }
 
 }  // namespace
+
+core::Status VdxExchange::push_session_delta(std::span<const SessionAdd> adds,
+                                             std::span<const std::uint32_t> removes) {
+  if (auto status = check_delta(book_, scenario_.world().cities().size(), adds);
+      !status.ok()) {
+    return status;
+  }
+  // Adds before removes: a remove in the same batch as its add cancels it.
+  // The book admits sessions that already ended too; expire_sessions
+  // retires them.
+  constexpr double kAlways = -std::numeric_limits<double>::infinity();
+  for (const SessionAdd& add : adds) {
+    if (book_.slot_of(add.id)) continue;  // identical re-add
+    book_.admit(add.id, geo::CityId{add.city}, add.bitrate_mbps, add.end_s, kAlways);
+  }
+  for (const std::uint32_t id : removes) (void)book_.remove(id);
+  book_fed_ = true;
+  return core::ok_status();
+}
 
 std::vector<std::uint8_t> VdxExchange::save_state() const {
   state::SnapshotWriter writer;
@@ -524,7 +599,21 @@ std::vector<std::uint8_t> VdxExchange::save_state() const {
   return writer.finish();
 }
 
-core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes) {
+core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes,
+                                        std::span<const state::ActiveSession> book) {
+  // The book first: ids strictly ascending and never the reserved one (what
+  // push_session_delta could have admitted, in canonical order), and every
+  // session one the scenario can price.
+  for (std::size_t i = 0; i < book.size(); ++i) {
+    if ((i > 0 && book[i].id <= book[i - 1].id) || book[i].id == UINT32_MAX) {
+      return corrupt("session book: invalid session " + std::to_string(book[i].id));
+    }
+  }
+  if (auto status = sim::check_restorable(book, scenario_.world().cities().size());
+      !status.ok()) {
+    return status;
+  }
+
   auto parsed = state::SnapshotView::parse(bytes);
   if (!parsed.ok()) return core::Status{parsed.error()};
   const state::SnapshotView view = std::move(parsed).value();
@@ -692,6 +781,8 @@ core::Status VdxExchange::restore_state(std::span<const std::uint8_t> bytes) {
     cdn_agents_[i]->set_background_loads(background_loads_);
   }
   if (injector_ != nullptr) injector_->restore(injector_saved);
+  book_.restore(book);
+  book_fed_ = !book.empty();
   return core::ok_status();
 }
 

@@ -6,14 +6,24 @@
 // bidding strategies learn traffic predictability over rounds (§6.3's
 // "weak TP" argument), does the reputation system squeeze out fraudulent
 // CDNs, and does the market keep functioning through CDN failures.
+//
+// Demand reaches the broker one of two ways. set_active_load hands it a
+// ready-made snapshot of client groups. push_session_delta instead folds
+// validated session adds and removes into the exchange's session book (a
+// sim::SessionStore); a book-fed exchange prices the whole book's groups
+// every round (DESIGN.md §14). The serving daemon and the session-fed
+// benchmark both feed the book.
 #pragma once
 
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/result.hpp"
 #include "market/agents.hpp"
 #include "obs/observe.hpp"
+#include "sim/session_store.hpp"
 
 namespace vdx::market {
 
@@ -63,6 +73,18 @@ struct AdmissionReport {
 [[nodiscard]] core::Result<AdmissionReport> shed_to_budget(
     std::vector<broker::ClientGroup>& groups, double budget_mbps);
 
+/// One session of a push_session_delta batch. A session with the default
+/// end_s stays in the book until a batch removes it; a finite end_s also
+/// lets expire_sessions retire it.
+struct SessionAdd {
+  std::uint32_t id = 0;
+  std::uint32_t city = 0;
+  double bitrate_mbps = 1.0;
+  double end_s = std::numeric_limits<double>::infinity();
+
+  friend bool operator==(const SessionAdd&, const SessionAdd&) = default;
+};
+
 struct ExchangeConfig {
   CdnAgentConfig agent;
   BrokerAgentConfig broker;
@@ -86,6 +108,8 @@ struct RoundReport {
   double mean_cost = 0.0;
   /// Fraction of broker clients on clusters loaded above capacity.
   double congested_fraction = 0.0;
+  /// Demand offered to this round before admission control, Mbps.
+  double demand_mbps = 0.0;
   /// Demand shed by admission control before this round (0 with the policy
   /// off or under budget).
   double shed_mbps = 0.0;
@@ -135,9 +159,34 @@ class VdxExchange {
   /// `background_loads` (Mbps per cluster) replaces the ambient traffic the
   /// CDN agents net out of their spare capacity. A streaming timeline calls
   /// this between epochs so each decision round prices the *current*
-  /// audience, not the whole-trace snapshot.
+  /// audience, not the whole-trace snapshot. Once the session book has been
+  /// fed, each round replaces `groups` with the book's; `background_loads`
+  /// stays.
   void set_active_load(std::span<const broker::ClientGroup> groups,
                        std::span<const double> background_loads);
+  /// The background half of set_active_load: replaces the ambient traffic
+  /// (Mbps per cluster) and leaves the demand alone. Throws
+  /// std::invalid_argument unless there is one load per cluster.
+  void set_background_loads(std::span<const double> background_loads);
+
+  /// Validates the whole batch against the session book, applies it (adds
+  /// before removes, so a remove cancels an add of the same batch) and makes
+  /// the exchange book-fed: every later round prices the whole book's
+  /// groups, exactly what broker::group_sessions makes of the live sessions.
+  /// A rejected batch (kInvalidArgument: unknown city, a non-finite or
+  /// non-positive bitrate, a NaN end, the reserved id UINT32_MAX, a live or
+  /// same-batch id added again with different data) changes nothing.
+  /// Re-adding a live session with identical data and removing an unknown
+  /// id are no-ops, so a retried batch is harmless.
+  [[nodiscard]] core::Status push_session_delta(std::span<const SessionAdd> adds,
+                                                std::span<const std::uint32_t> removes);
+  /// Retires every book session whose end_s <= t; returns how many left.
+  std::size_t expire_sessions(double t) { return book_.drop_until(t); }
+  /// Sessions in the book.
+  [[nodiscard]] std::size_t live_sessions() const noexcept { return book_.size(); }
+  /// The book in canonical id order; save_state() does not carry it, so a
+  /// book-fed exchange resumes from the pair (save_state(), book_cursor()).
+  [[nodiscard]] state::StreamCursor book_cursor() const { return book_.cursor(); }
 
   /// Retunes the per-round admission budget (Mbps), effective from the next
   /// round; 0 disables admission control. The serving daemon uses this to
@@ -170,9 +219,9 @@ class VdxExchange {
     return broker_agent_->placements();
   }
 
-  /// The demand the next round will price (set_active_load override when
-  /// present, post-admission-shed if a budgeted round trimmed it). Placement
-  /// group indices refer into this span.
+  /// The broker's current demand: the last round's (post-admission-shed if a
+  /// budgeted round trimmed it), or a set_active_load override given since.
+  /// Placement group indices refer into this span.
   [[nodiscard]] std::span<const broker::ClientGroup> active_demand() const noexcept {
     return broker_agent_->demand();
   }
@@ -196,12 +245,18 @@ class VdxExchange {
   /// restore_state()s these bytes produces byte-identical RoundReports from
   /// the next round onward.
   [[nodiscard]] std::vector<std::uint8_t> save_state() const;
-  /// Rejects corrupt bytes (Errc::kCorruptSnapshot / kVersionMismatch via
-  /// the envelope) and snapshots from an incompatible configuration —
-  /// different CDN count, cluster count, or transport kind
-  /// (Errc::kInvalidArgument). On failure the exchange is unchanged.
+  /// Restores a save_state() image and replaces the session book with
+  /// `book` (a book_cursor() list); a non-empty book makes the exchange
+  /// book-fed. Both are checked before either is applied: a book no batch
+  /// could have built (ids not strictly ascending, the reserved id, or a
+  /// session sim::check_restorable refuses) fails with kCorruptSnapshot;
+  /// corrupt bytes fail with kCorruptSnapshot / kVersionMismatch via the
+  /// envelope, and an image from an incompatible configuration (different
+  /// CDN count, cluster count, or transport kind) with kInvalidArgument. On
+  /// failure the exchange is unchanged.
   [[nodiscard]] core::Status restore_state(
-      std::span<const std::uint8_t> bytes);
+      std::span<const std::uint8_t> bytes,
+      std::span<const state::ActiveSession> book = {});
 
  private:
   const sim::Scenario& scenario_;
@@ -217,6 +272,10 @@ class VdxExchange {
   std::unique_ptr<proto::FaultInjector> injector_;
   std::size_t rounds_completed_ = 0;
   std::vector<double> last_cluster_loads_;
+  /// Live sessions fed through push_session_delta; the broker's demand at
+  /// every round once book_fed_ is set.
+  sim::SessionStore book_;
+  bool book_fed_ = false;
 
   /// Fallback registry when ExchangeConfig::obs brings none.
   obs::MetricsRegistry owned_metrics_;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "serve/codec.hpp"
 #include "state/store.hpp"
@@ -13,6 +15,24 @@ namespace vdx::serve {
 namespace {
 /// Journal subject tagging the checkpointer's circuit breaker.
 constexpr std::uint32_t kCheckpointerSubject = 0xC4EC;
+
+/// Pushes `arrivals` into the exchange's session book; returns how many it
+/// refused. A refused batch is retried one arrival at a time, so only the
+/// offending arrivals stay out.
+std::size_t admit(market::VdxExchange& exchange,
+                  std::span<const trace::Session> arrivals) {
+  std::vector<market::SessionAdd> adds;
+  adds.reserve(arrivals.size());
+  for (const trace::Session& s : arrivals) {
+    adds.push_back({s.id.value(), s.city.value(), s.bitrate_mbps, s.end_s()});
+  }
+  if (exchange.push_session_delta(adds, {}).ok()) return 0;
+  std::size_t refused = 0;
+  for (const market::SessionAdd& add : adds) {
+    if (!exchange.push_session_delta({&add, 1}, {}).ok()) ++refused;
+  }
+  return refused;
+}
 }  // namespace
 
 ServeDaemon::ServeDaemon(const sim::Scenario& scenario, ArrivalFeed& feed,
@@ -38,8 +58,10 @@ ServeDaemon::ServeDaemon(const sim::Scenario& scenario, ArrivalFeed& feed,
   config_.fingerprint.epoch_s = config_.round_s;
 
   exchange_ = std::make_unique<market::VdxExchange>(scenario_, config_.exchange);
+  // The daemon's feed is the whole audience: no background load to net out.
+  exchange_->set_background_loads(
+      std::vector<double>(scenario_.catalog().clusters().size(), 0.0));
   latency_ = std::make_unique<LatencyRecorder>(*obs_.metrics);
-  zero_loads_.assign(scenario_.catalog().clusters().size(), 0.0);
 
   checkpoint_breaker_ = resilience::CircuitBreaker{config_.checkpoint_breaker,
                                                    obs_, kCheckpointerSubject};
@@ -52,6 +74,7 @@ ServeDaemon::ServeDaemon(const sim::Scenario& scenario, ArrivalFeed& feed,
   rounds_counter_ = obs_.metrics->counter("serve.rounds");
   arrivals_counter_ = obs_.metrics->counter("serve.arrivals");
   queue_dropped_counter_ = obs_.metrics->counter("serve.queue_dropped");
+  arrivals_refused_counter_ = obs_.metrics->counter("serve.arrivals_refused");
   shed_mbps_counter_ = obs_.metrics->counter("serve.shed.mbps");
   shed_clients_counter_ = obs_.metrics->counter("serve.shed.clients");
   checkpoints_counter_ = obs_.metrics->counter("serve.checkpoints");
@@ -79,15 +102,12 @@ core::Result<ServeReport> ServeDaemon::resume(
         "serve resume: the arrival feed cannot seek (live feeds are not "
         "resumable)");
   }
-  // Range-check the cursor first: a rejection must leave the exchange as it
-  // was, and exchange_->restore_state below applies wholesale.
-  const core::Status cursor = sim::check_restorable(
-      cp.feed.active, scenario_.world().cities().size());
-  if (!cursor.ok()) return core::Result<ServeReport>{cursor.error()};
+  // The exchange checks the book and its image before applying either.
   // Restore order matters: the exchange restore also sets the tracer's
   // logical clock to the exchange's saved value; the daemon's own clock
   // (which may run ahead across skipped rounds) is reapplied after.
-  const core::Status restored = exchange_->restore_state(cp.exchange_state);
+  const core::Status restored =
+      exchange_->restore_state(cp.exchange_state, cp.feed.active);
   if (!restored.ok()) return core::Result<ServeReport>{restored.error()};
   try {
     feed_->seek(cp.feed.consumed);
@@ -95,7 +115,6 @@ core::Result<ServeReport> ServeDaemon::resume(
     return core::Result<ServeReport>::failure(core::Errc::kCorruptSnapshot,
                                               error.what());
   }
-  sessions_.restore(cp.feed.active);
   if (obs_.journal != nullptr) {
     const core::Status journal = obs_.journal->restore(
         cp.journal.events, cp.journal.total, cp.journal.round);
@@ -121,7 +140,7 @@ state::DaemonCheckpoint ServeDaemon::make_checkpoint(std::uint64_t next_round) c
   state::DaemonCheckpoint cp;
   cp.fingerprint = config_.fingerprint;
   cp.next_round = next_round;
-  cp.feed = sessions_.cursor();
+  cp.feed = exchange_->book_cursor();
   cp.feed.consumed = feed_->consumed();
   cp.exchange_state = exchange_->save_state();
   cp.decision_rounds = decision_rounds_;
@@ -201,7 +220,7 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
         config_.health->set_lifecycle(Lifecycle::kDraining);
       }
       obs_.record(obs::EventKind::kDrain, obs::RunJournal::kNoSubject,
-                  static_cast<double>(sessions_.size()));
+                  static_cast<double>(exchange_->live_sessions()));
       if (store != nullptr) write_checkpoint(r);
       report.drained = true;
       break;
@@ -213,25 +232,26 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
     std::vector<trace::Session> arrivals = feed_->next_until(t);
     // Departures leave before the door bound is applied: a session that
     // ended by t must not hold a newcomer's place.
-    sessions_.drop_until(t);
+    exchange_->expire_sessions(t);
+    const std::size_t live = exchange_->live_sessions();
     std::size_t turned_away = 0;
-    if (config_.queue_capacity > 0 &&
-        sessions_.size() + arrivals.size() > config_.queue_capacity) {
+    if (config_.queue_capacity > 0 && live + arrivals.size() > config_.queue_capacity) {
       // Door backpressure: the latest arrivals are rejected outright (they
       // never enter the population the exchange prices).
-      const std::size_t room = config_.queue_capacity > sessions_.size()
-                                   ? config_.queue_capacity - sessions_.size()
-                                   : 0;
+      const std::size_t room =
+          config_.queue_capacity > live ? config_.queue_capacity - live : 0;
       turned_away = arrivals.size() - room;
       arrivals.resize(room);
     }
-    for (const trace::Session& s : arrivals) {
-      sessions_.admit(s.id.value(), s.city, s.bitrate_mbps, s.end_s(), t);
-    }
+    const std::size_t refused = admit(*exchange_, arrivals);
     // Arrivals that already ended by t leave in the same round.
-    sessions_.drop_until(t);
+    exchange_->expire_sessions(t);
     if (!arrivals.empty()) {
       arrivals_counter_.add(static_cast<double>(arrivals.size()));
+    }
+    if (refused > 0) {
+      arrivals_refused_ += refused;
+      arrivals_refused_counter_.add(static_cast<double>(refused));
     }
     if (turned_away > 0) {
       queue_dropped_ += turned_away;
@@ -239,26 +259,22 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
       obs_.record(obs::EventKind::kAdmit, obs::RunJournal::kNoSubject,
                   static_cast<double>(turned_away));
     }
-    peak_active_ = std::max(peak_active_, static_cast<std::uint64_t>(sessions_.size()));
+    const std::size_t active = exchange_->live_sessions();
+    peak_active_ = std::max(peak_active_, static_cast<std::uint64_t>(active));
     // Brownout step >= 1 sheds non-critical telemetry first: the active-
     // population gauge goes stale while the SLO-critical serve.* histograms
     // keep recording.
     if (!brownout_.skip_noncritical_exports()) {
-      active_gauge_.set(static_cast<double>(sessions_.size()));
+      active_gauge_.set(static_cast<double>(active));
     }
 
-    if (sessions_.size() == 0 && feed_->exhausted()) break;
+    if (active == 0 && feed_->exhausted()) break;
 
-    if (sessions_.size() == 0) {
+    if (active == 0) {
       // Nothing to price: no exchange round, no decision line (the skip is
       // itself deterministic — it depends only on the feed).
       ++skipped_rounds_;
     } else {
-      exchange_->set_active_load(sessions_.groups(), zero_loads_);
-      double demand_mbps = 0.0;
-      for (const broker::ClientGroup& g : sessions_.groups()) {
-        demand_mbps += g.demand_mbps();
-      }
       const std::uint64_t logical_before = obs_.logical_now();
       double wall_s = 0.0;
       market::RoundReport round_report;
@@ -267,6 +283,7 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
         round_report = exchange_->run_round();
       }
       const std::uint64_t ticks = obs_.logical_now() - logical_before;
+      const double demand_mbps = round_report.demand_mbps;
       latency_->record_round(wall_s * 1000.0, ticks, demand_mbps,
                              demand_mbps - round_report.shed_mbps);
       if (round_report.shed_mbps > 0.0) {
@@ -279,7 +296,7 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
       if (config_.decisions != nullptr) {
         DecisionLine line;
         line.round = r;
-        line.active_sessions = sessions_.size();
+        line.active_sessions = active;
         line.demand_mbps = demand_mbps;
         line.admitted_mbps = demand_mbps - round_report.shed_mbps;
         line.shed_mbps = round_report.shed_mbps;
@@ -341,6 +358,7 @@ ServeReport ServeDaemon::run_loop(std::uint64_t start_round) {
   report.skipped_rounds = skipped_rounds_;
   report.arrivals = feed_->consumed();
   report.queue_dropped = queue_dropped_;
+  report.arrivals_refused = arrivals_refused_;
   report.peak_active_sessions = peak_active_;
   report.shed_mbps_total = shed_mbps_total_;
   report.shed_clients_total = shed_clients_total_;

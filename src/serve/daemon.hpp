@@ -1,9 +1,12 @@
 // ServeDaemon: the long-lived serving loop behind vdxd (DESIGN.md §12).
 //
-// Owns a VdxExchange and an incrementally maintained active-session
-// population, admits arrival events online from an ArrivalFeed, and answers
-// Decision-Protocol rounds continuously: round r prices the population
-// active at the midpoint (r + 0.5) * round_s on the logical-clock engine.
+// Owns a VdxExchange, admits arrival events online from an ArrivalFeed into
+// the exchange's session book, and answers Decision-Protocol rounds
+// continuously: round r prices the population active at the midpoint
+// (r + 0.5) * round_s on the logical-clock engine. Arrivals go through the
+// book's validated push_session_delta, so an arrival the book refuses
+// (unknown city, reserved id, a live id sent again with other data) is
+// counted and dropped instead of reaching the decision round.
 // Per-round service latency lands in the serve.* histograms (wall ms for
 // the SLO, logical ticks for the determinism contract), admission
 // backpressure reuses the exchange's shed_to_budget round budget plus an
@@ -33,7 +36,6 @@
 #include "serve/health.hpp"
 #include "serve/latency.hpp"
 #include "sim/scenario.hpp"
-#include "sim/session_store.hpp"
 #include "state/checkpoint.hpp"
 #include "state/fs.hpp"
 
@@ -105,6 +107,9 @@ struct ServeReport {
   std::uint64_t arrivals = 0;
   /// Arrivals turned away by the queue bound.
   std::uint64_t queue_dropped = 0;
+  /// Arrivals the session book refused (they never join the population).
+  /// Not checkpointed: only a live feed, which cannot resume, carries them.
+  std::uint64_t arrivals_refused = 0;
   std::uint64_t peak_active_sessions = 0;
   /// Admission-control (shed_to_budget) totals across all rounds.
   double shed_mbps_total = 0.0;
@@ -162,13 +167,10 @@ class ServeDaemon {
   /// Fallback registry when ServeConfig::obs brings none (the latency
   /// recorder and the /metrics endpoint need one to exist).
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  /// Holds the active population in its session book; checkpoints pair
+  /// the book cursor with the feed position.
   std::unique_ptr<market::VdxExchange> exchange_;
-  /// Active population (the same SoA store the streaming engine uses; the
-  /// ArrivalFeed owns the pull side, so the daemon admits arrivals itself
-  /// and fills the feed position into checkpoint cursors).
-  sim::SessionStore sessions_;
   std::unique_ptr<LatencyRecorder> latency_;
-  std::vector<double> zero_loads_;
   obs::Observer obs_;
 
   /// Resilience layer: checkpointer breaker + brownout ladder (DESIGN §15).
@@ -181,6 +183,7 @@ class ServeDaemon {
   std::uint64_t decision_rounds_ = 0;
   std::uint64_t skipped_rounds_ = 0;
   std::uint64_t queue_dropped_ = 0;
+  std::uint64_t arrivals_refused_ = 0;
   std::uint64_t peak_active_ = 0;
   double shed_mbps_total_ = 0.0;
   double shed_clients_total_ = 0.0;
@@ -190,6 +193,7 @@ class ServeDaemon {
   obs::Counter rounds_counter_;
   obs::Counter arrivals_counter_;
   obs::Counter queue_dropped_counter_;
+  obs::Counter arrivals_refused_counter_;
   obs::Counter shed_mbps_counter_;
   obs::Counter shed_clients_counter_;
   obs::Counter checkpoints_counter_;

@@ -1,13 +1,14 @@
 // SessionStore: the active session population as structure-of-arrays.
 //
-// Both incremental engines — the streaming timeline's ActiveSet and the
-// serving daemon's population — used to keep active sessions in a
-// std::map<id, Rec> plus a (city, kbps, isp) -> count tree that was erased
-// and reinserted every epoch. At trace scale the node-based containers
-// dominate the advance/group sweep: every arrival, departure, group rebuild
-// and shed chases pointers. This store keeps the same population as parallel
-// flat arrays (id, city, isp, kbps, bitrate, departure time, assigned
-// cluster) indexed by slot, with
+// Two users keep their active population here: the streaming timeline's
+// ActiveSet and market::VdxExchange's session book, which the serving
+// daemon and the session-fed benchmark feed. Both engines used to keep
+// active sessions in a std::map<id, Rec> plus a (city, kbps, isp) -> count
+// tree that was erased and reinserted every epoch. At trace scale the
+// node-based containers dominate the advance/group sweep: every arrival,
+// departure, group rebuild and shed chases pointers. This store keeps the
+// same population as parallel flat arrays (id, city, isp, kbps, bitrate,
+// departure time, assigned cluster) indexed by slot, with
 //
 //  * a free-list so departed slots are reused without reallocation,
 //  * an id-ascending order index (arrival order == id order, so appends keep
@@ -50,7 +51,7 @@ class SessionStore {
   /// whether the population changed. Live ids must be unique; arrival order
   /// == ascending id order is the fast path (out-of-order ids still work).
   /// A session with end_s = +inf never enters the departure heap: it stays
-  /// until remove(id), the explicit-delta mode of the session-fed exchange.
+  /// until remove(id), the explicit-delta mode of the exchange's book.
   bool admit(std::uint32_t id, core::CityId city, double bitrate_mbps, double end_s,
              double now, std::uint32_t isp = 0);
 
@@ -98,6 +99,7 @@ class SessionStore {
   [[nodiscard]] double bitrate_of_slot(std::uint32_t slot) const {
     return bitrate_[slot];
   }
+  [[nodiscard]] double end_of_slot(std::uint32_t slot) const { return end_s_[slot]; }
 
   /// Records the epoch's session -> cluster assignment into the per-slot
   /// assigned-cluster lane. `pairs` must be id-ascending (the canonical

@@ -89,6 +89,8 @@ core::Result<StreamCursor> decode_cursor(proto::ByteReader& in) {
   if (cursor.active.size() > cursor.consumed) {
     return malformed<StreamCursor>("stream cursor has more active sessions than consumed");
   }
+  // A cursor fills its section.
+  if (!in.exhausted()) return malformed<StreamCursor>("stream cursor has trailing bytes");
   return cursor;
 }
 

@@ -1,6 +1,6 @@
 // ServeDaemon acceptance: same-seed byte-identity of every deterministic
-// output, backpressure monotonicity under rising offered load, and the
-// arrival-queue door bound.
+// output, backpressure monotonicity under rising offered load, the
+// arrival-queue door bound, and hostile live arrivals.
 #include "serve/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "serve/codec.hpp"
@@ -150,6 +151,65 @@ TEST(ServeDaemon, ReportAccountsEveryRoundAndArrival) {
   EXPECT_LE(run.report.slo.p999_ms, run.report.slo.max_ms);
   const std::vector<DecisionLine> lines = parse_lines(run.decisions);
   EXPECT_EQ(lines.size(), run.report.decision_rounds);
+}
+
+// Live input reaches the exchange's session book through the same
+// validated delta path as every other feed. Arrivals the book refuses (an
+// unknown city, the store's reserved id, a live id sent again with another
+// city) are counted and dropped; the rest of the feed is served exactly as
+// if they had never been sent.
+TEST(ServeDaemon, HostileLiveArrivalsAreRefusedAndCounted) {
+  HarnessOptions options;
+  GeneratorFeed generator = test::make_feed(options);
+  const std::vector<trace::Session> clean = generator.next_until(1e12);
+  ASSERT_GT(clean.size(), 300u);
+  const auto cities =
+      static_cast<std::uint32_t>(test::test_scenario().world().cities().size());
+
+  std::ostringstream clean_script;
+  std::ostringstream hostile_script;
+  std::uint64_t hostile = 0;
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    const trace::Session& session = clean[i];
+    write_arrival(clean_script, session);
+    write_arrival(hostile_script, session);
+    if (i % 100 != 50) continue;
+    trace::Session bad = session;
+    bad.id = trace::SessionId{static_cast<std::uint32_t>(1'000'000 + i)};
+    bad.city = geo::CityId{cities};  // (a) one past the world's cities
+    write_arrival(hostile_script, bad);
+    bad = session;
+    bad.id = trace::SessionId{UINT32_MAX};  // (b) SessionStore's free-slot marker
+    write_arrival(hostile_script, bad);
+    bad = session;
+    bad.city = geo::CityId{(session.city.value() + 1) % cities};  // (c) live id, new city
+    write_arrival(hostile_script, bad);
+    hostile += 3;
+  }
+
+  const auto serve = [&](const std::string& script) {
+    std::istringstream in{script};
+    JsonlFeed feed{in};
+    obs::MetricsRegistry metrics;
+    std::ostringstream decisions;
+    const obs::Observer obs{&metrics, nullptr, nullptr};
+    ServeDaemon daemon{test::test_scenario(), feed,
+                       test::config_for(options, obs, &decisions)};
+    const ServeReport report = daemon.run();
+    return std::tuple{report, decisions.str(),
+                      metrics.counter("serve.arrivals_refused").value()};
+  };
+  const auto [clean_report, clean_decisions, clean_refused] = serve(clean_script.str());
+  const auto [report, decisions, refused] = serve(hostile_script.str());
+
+  EXPECT_EQ(clean_report.arrivals_refused, 0u);
+  EXPECT_EQ(clean_refused, 0.0);
+  EXPECT_EQ(report.arrivals, clean.size() + hostile);
+  EXPECT_EQ(report.arrivals_refused, hostile);
+  EXPECT_EQ(refused, static_cast<double>(hostile));
+  ASSERT_FALSE(clean_decisions.empty());
+  EXPECT_EQ(decisions, clean_decisions);
+  EXPECT_EQ(report.peak_active_sessions, clean_report.peak_active_sessions);
 }
 
 TEST(ServeDaemon, RejectsInvalidConfiguration) {

@@ -1,13 +1,13 @@
 // Shared oracle for the session-fed exchange suite (DESIGN.md §14).
 //
 // The suite rests on one shape: stream the same session deltas into a
-// ShardedExchange and, through HeldSessions, into a monolithic VdxExchange
-// fed broker::group_sessions of the live set each round, then byte-compare
-// every deterministic surface the exchanges expose: the per-round
-// RoundReports, the settled placements, the journal JSONL, and the metrics
-// JSONL. Anything short of exact equality is a bug — settlement runs on the
-// same VdxExchange machinery, so the outputs are the monolith's by
-// construction.
+// book-fed exchange and, through HeldSessions, into a monolithic
+// VdxExchange fed broker::group_sessions of the live set each round, then
+// byte-compare every deterministic surface the exchanges expose: the
+// per-round RoundReports, the settled placements, the journal JSONL, and
+// the metrics JSONL. Anything short of exact equality is a bug — both feeds
+// settle on the same VdxExchange machinery, so the outputs are the
+// monolith's by construction.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -25,8 +25,26 @@
 #include "obs/metrics.hpp"
 #include "sim/designs.hpp"
 #include "sim/scenario.hpp"
+#include "state/checkpoint.hpp"
 
 namespace vdx::market::shard_test {
+
+/// What a book-fed exchange resumes from: its save_state() image and its
+/// book (the pair a daemon checkpoint stores).
+struct SavedExchange {
+  std::vector<std::uint8_t> image;
+  std::vector<state::ActiveSession> book;
+
+  friend bool operator==(const SavedExchange&, const SavedExchange&) = default;
+};
+
+inline SavedExchange save(const VdxExchange& exchange) {
+  return {exchange.save_state(), exchange.book_cursor().active};
+}
+
+inline core::Status restore(VdxExchange& exchange, const SavedExchange& saved) {
+  return exchange.restore_state(saved.image, saved.book);
+}
 
 /// Deterministic surfaces of one run.
 struct RunCapture {
@@ -56,14 +74,13 @@ inline RunCapture capture_of(const VdxExchange& exchange,
 
 /// The monolith's view of a session-fed run: the test holds the live
 /// sessions itself and regroups them with broker::group_sessions each
-/// round — the oracle for ShardedExchange::push_session_delta.
+/// round — the oracle for VdxExchange::push_session_delta.
 struct HeldSessions {
   std::vector<trace::Session> live;
 
   /// Adds before removes, like push_session_delta.
-  void apply(std::span<const proto::ShardSessionAdd> adds,
-             std::span<const std::uint32_t> removes) {
-    for (const proto::ShardSessionAdd& add : adds) {
+  void apply(std::span<const SessionAdd> adds, std::span<const std::uint32_t> removes) {
+    for (const SessionAdd& add : adds) {
       trace::Session s;
       s.id = trace::SessionId{add.id};
       s.city = geo::CityId{add.city};
@@ -82,7 +99,7 @@ struct HeldSessions {
 };
 
 /// One push_session_delta batch: adds, then removes.
-using Delta = std::pair<std::vector<proto::ShardSessionAdd>, std::vector<std::uint32_t>>;
+using Delta = std::pair<std::vector<SessionAdd>, std::vector<std::uint32_t>>;
 
 /// Every surface of a monolith fed broker::group_sessions of the live set
 /// after each of the deltas delta_of(0) .. delta_of(rounds - 1), priced
@@ -107,7 +124,8 @@ RunCapture run_monolith(const sim::Scenario& scenario, DeltaOf delta_of,
   return capture_of(mono, std::move(reports), journal, metrics);
 }
 
-/// The same deltas pushed into a ShardedExchange built with `config`.
+/// The same deltas pushed through the ShardedExchange forwarding shim (what
+/// the session-fed benchmark drives) built with `config`.
 template <typename DeltaOf>
 RunCapture run_session_fed(const sim::Scenario& scenario, DeltaOf delta_of,
                            std::size_t rounds, ShardedConfig config = {}) {

@@ -1,8 +1,8 @@
 // Crash-and-resume drill for the session-fed exchange (DESIGN.md §14): a
-// crashed exchange is rebuilt from its one snapshot (save_state() -> fresh
-// exchange -> restore_state()) and must continue byte-identically to the
-// uninterrupted monolith; an image the exchange cannot settle from, or one
-// of another format version, is refused before anything changes.
+// crashed book-fed VdxExchange is rebuilt from its save_state() image plus
+// its book cursor (the pair a daemon checkpoint stores) and must continue
+// byte-identically to the uninterrupted monolith; a book or an image the
+// exchange cannot settle from is refused before anything changes.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -10,15 +10,18 @@
 #include <utility>
 #include <vector>
 
-#include "market/shard.hpp"
-#include "proto/wire.hpp"
+#include "market/exchange.hpp"
 #include "shard/shard_test_util.hpp"
+#include "state/checkpoint.hpp"
 #include "state/snapshot.hpp"
 
 namespace vdx::market {
 namespace {
 
+using shard_test::restore;
 using shard_test::RunCapture;
+using shard_test::save;
+using shard_test::SavedExchange;
 
 class ShardRecovery : public ::testing::Test {
  protected:
@@ -57,21 +60,21 @@ shard_test::Delta churn_delta(const sim::Scenario& scenario, std::size_t r) {
 }
 
 /// Pushes churn_delta(r) and settles, for r in [from, to).
-std::vector<RoundReport> run_churn(ShardedExchange& exchange, std::size_t from,
+std::vector<RoundReport> run_churn(VdxExchange& exchange, std::size_t from,
                                    std::size_t to) {
   std::vector<RoundReport> reports;
   for (std::size_t r = from; r < to; ++r) {
-    const auto [adds, removes] = churn_delta(exchange.settlement().scenario(), r);
+    const auto [adds, removes] = churn_delta(exchange.scenario(), r);
     EXPECT_TRUE(exchange.push_session_delta(adds, removes).ok()) << "round " << r;
     reports.push_back(exchange.run_round());
   }
   return reports;
 }
 
-// Crash: a FRESH ShardedExchange restored from the crashed exchange's
-// save_state() bytes continues with a tail byte-identical to the
-// uninterrupted monolith — reports, placements, journal and metrics. The
-// journal and metrics sinks outlive the crash, as the daemon's do.
+// Crash: a FRESH exchange restored from the crashed exchange's image and
+// book continues with a tail byte-identical to the uninterrupted monolith —
+// reports, placements, journal and metrics. The journal and metrics sinks
+// outlive the crash, as the daemon's do.
 TEST_F(ShardRecovery, CoordinatorResumesFromSnapshotWithIdenticalTail) {
   const auto delta_of = [](std::size_t r) { return churn_delta(scenario(), r); };
   const RunCapture uninterrupted =
@@ -80,26 +83,26 @@ TEST_F(ShardRecovery, CoordinatorResumesFromSnapshotWithIdenticalTail) {
 
   obs::MetricsRegistry metrics;
   obs::RunJournal journal;
-  ShardedConfig config;
-  config.exchange.obs = obs::Observer{&metrics, nullptr, &journal};
+  ExchangeConfig config;
+  config.obs = obs::Observer{&metrics, nullptr, &journal};
   std::vector<RoundReport> reports;
-  std::vector<std::uint8_t> snapshot;
+  SavedExchange snapshot;
   {
-    ShardedExchange first{scenario(), config};
+    VdxExchange first{scenario(), config};
     reports = run_churn(first, 0, kCrashAfter);
-    snapshot = first.save_state();
+    snapshot = save(first);
     // ~first: the process "dies" (its last snapshot survives).
   }
 
-  ShardedExchange resumed{scenario(), config};
-  ASSERT_TRUE(resumed.restore_state(snapshot).ok());
-  ASSERT_EQ(resumed.settlement().rounds_completed(), kCrashAfter);
+  VdxExchange resumed{scenario(), config};
+  ASSERT_TRUE(restore(resumed, snapshot).ok());
+  ASSERT_EQ(resumed.rounds_completed(), kCrashAfter);
   for (RoundReport& report : run_churn(resumed, kCrashAfter, kRounds)) {
     reports.push_back(std::move(report));
   }
   shard_test::expect_identical(
       uninterrupted,
-      shard_test::capture_of(resumed.settlement(), std::move(reports), journal, metrics),
+      shard_test::capture_of(resumed, std::move(reports), journal, metrics),
       "resumed after round " + std::to_string(kCrashAfter));
 }
 
@@ -112,18 +115,19 @@ TEST_F(ShardRecovery, EmbeddedSnapshotRoundTripsAcrossAFreshExchange) {
       shard_test::run_monolith(scenario(), delta_of, kRounds);
   constexpr std::size_t kCrashAfter = 3;
 
-  std::vector<std::uint8_t> snapshot;
+  SavedExchange snapshot;
   {
-    ShardedExchange first{scenario()};
+    VdxExchange first{scenario()};
     (void)run_churn(first, 0, kCrashAfter);
-    snapshot = first.save_state();
+    snapshot = save(first);
   }
-  ASSERT_FALSE(snapshot.empty());
+  ASSERT_FALSE(snapshot.image.empty());
+  ASSERT_FALSE(snapshot.book.empty());
 
-  ShardedExchange resumed{scenario()};
-  ASSERT_TRUE(resumed.restore_state(snapshot).ok());
-  ASSERT_EQ(resumed.settlement().rounds_completed(), kCrashAfter);
-  EXPECT_EQ(resumed.save_state(), snapshot);
+  VdxExchange resumed{scenario()};
+  ASSERT_TRUE(restore(resumed, snapshot).ok());
+  ASSERT_EQ(resumed.rounds_completed(), kCrashAfter);
+  EXPECT_EQ(save(resumed), snapshot);
   const std::vector<RoundReport> tail = run_churn(resumed, kCrashAfter, kRounds);
   for (std::size_t r = kCrashAfter; r < kRounds; ++r) {
     EXPECT_EQ(uninterrupted.reports[r].awarded_mbps, tail[r - kCrashAfter].awarded_mbps)
@@ -134,41 +138,10 @@ TEST_F(ShardRecovery, EmbeddedSnapshotRoundTripsAcrossAFreshExchange) {
 
   // A snapshot from a perfect-transport exchange must be refused by one on
   // the chaos transport.
-  ShardedConfig other;
-  other.exchange.chaos.faults.drop_rate = 0.1;
-  ShardedExchange wrong_config{scenario(), other};
-  EXPECT_FALSE(wrong_config.restore_state(snapshot).ok());
-}
-
-// The session book moved into the snapshot in format version 2, version 3
-// dropped the demand-dirty byte with the collect round trip, and version 4
-// dropped the worker plane's sections. An image of versions 1 (no version
-// section), 2 or 3 fails typed instead of being misread, and the refused
-// restore leaves the exchange untouched.
-TEST_F(ShardRecovery, VersionOneCoordinatorSnapshotFailsWithVersionMismatch) {
-  ShardedExchange first{scenario()};
-  (void)run_churn(first, 0, 1);
-  const auto current = state::SnapshotView::parse(first.save_state());
-  ASSERT_TRUE(current.ok());
-
-  ShardedExchange resumed{scenario()};
-  const auto before = resumed.save_state();
-  for (const std::uint32_t version : {1u, 2u, 3u}) {
-    state::SnapshotWriter old_format;
-    for (const state::Section& section : current.value().sections()) {
-      if (section.id != 29) {
-        old_format.add_section(section.id, section.bytes);
-      } else if (version > 1) {
-        proto::ByteWriter w;
-        w.write_u32(version);
-        old_format.add_section(section.id, w.take());
-      }
-    }
-    const auto status = resumed.restore_state(old_format.finish());
-    ASSERT_FALSE(status.ok()) << "version " << version;
-    EXPECT_EQ(status.error().code, core::Errc::kVersionMismatch) << "version " << version;
-    EXPECT_EQ(resumed.save_state(), before) << "version " << version;
-  }
+  ExchangeConfig other;
+  other.chaos.faults.drop_rate = 0.1;
+  VdxExchange wrong_config{scenario(), other};
+  EXPECT_FALSE(restore(wrong_config, snapshot).ok());
 }
 
 /// `snapshot` with section `id` swapped for `bytes`, in a fresh envelope:
@@ -185,21 +158,33 @@ std::vector<std::uint8_t> with_section(std::span<const std::uint8_t> snapshot,
   return writer.finish();
 }
 
-// Snapshot sections (shard.cpp): the session book and the settlement.
-constexpr std::uint32_t kBookSection = 30;
-constexpr std::uint32_t kSettlementSection = 31;
+/// The daemon checkpoint's feed-cursor section, which carries the book.
+constexpr std::uint32_t kFeedCursorSection = 7;
 
-/// A book section holding `sessions` as (id, city, bitrate).
-std::vector<std::uint8_t> encode_book(
-    const std::vector<proto::ShardSessionAdd>& sessions) {
-  proto::ByteWriter w;
-  w.write_u32(static_cast<std::uint32_t>(sessions.size()));
-  for (const proto::ShardSessionAdd& s : sessions) {
-    w.write_u32(s.id);
-    w.write_u32(s.city);
-    w.write_f64(s.bitrate_mbps);
+/// `saved` as the daemon checkpoint stores it.
+std::vector<std::uint8_t> encode_pair(const SavedExchange& saved) {
+  state::DaemonCheckpoint checkpoint;
+  checkpoint.feed.consumed = saved.book.size();
+  checkpoint.feed.active = saved.book;
+  checkpoint.exchange_state = saved.image;
+  return state::encode(checkpoint);
+}
+
+/// Decodes a daemon checkpoint and restores its pair.
+core::Status restore_encoded(VdxExchange& exchange, std::span<const std::uint8_t> bytes) {
+  auto decoded = state::decode_daemon(bytes);
+  if (!decoded.ok()) return core::Status{decoded.error()};
+  return exchange.restore_state(decoded.value().exchange_state,
+                                decoded.value().feed.active);
+}
+
+/// A book holding `sessions` as (id, city, bitrate), none ever departing.
+std::vector<state::ActiveSession> book_of(const std::vector<SessionAdd>& sessions) {
+  std::vector<state::ActiveSession> book;
+  for (const SessionAdd& s : sessions) {
+    book.push_back({s.id, s.city, s.bitrate_mbps, s.end_s});
   }
-  return w.take();
+  return book;
 }
 
 // A checksum-valid snapshot can still carry a book no batch could have
@@ -207,14 +192,14 @@ std::vector<std::uint8_t> encode_book(
 // never settles (or indexes by) a session push_session_delta would have
 // rejected.
 TEST_F(ShardRecovery, RestoreRejectsABookThatCanNeverSettle) {
-  std::vector<std::uint8_t> good;
+  SavedExchange good;
   {
-    ShardedExchange first{scenario()};
+    VdxExchange first{scenario()};
     (void)run_churn(first, 0, 1);
-    good = first.save_state();
+    good = save(first);
   }
-  const auto with_book = [&](const std::vector<proto::ShardSessionAdd>& book) {
-    return with_section(good, kBookSection, encode_book(book));
+  const auto with_book = [&](const std::vector<SessionAdd>& book) {
+    return encode_pair({good.image, book_of(book)});
   };
 
   std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases;
@@ -226,48 +211,70 @@ TEST_F(ShardRecovery, RestoreRejectsABookThatCanNeverSettle) {
   cases.emplace_back("ids out of order", with_book({{2, 0, 1.2}, {1, 0, 1.2}}));
   cases.emplace_back("reserved id", with_book({{UINT32_MAX, 0, 1.2}}));
   {
-    std::vector<std::uint8_t> trailing = encode_book({{1, 0, 1.2}});
+    const std::vector<std::uint8_t> encoded = with_book({{1, 0, 1.2}});
+    const auto view = state::SnapshotView::parse(encoded);
+    EXPECT_TRUE(view.ok());
+    const state::Section* cursor = view.value().find(kFeedCursorSection);
+    EXPECT_NE(cursor, nullptr);
+    std::vector<std::uint8_t> trailing{cursor->bytes.begin(), cursor->bytes.end()};
     trailing.push_back(0);
-    cases.emplace_back("trailing bytes", with_section(good, kBookSection, trailing));
+    cases.emplace_back("trailing bytes",
+                       with_section(encoded, kFeedCursorSection, trailing));
   }
 
-  ShardedExchange resumed{scenario()};
-  const auto before = resumed.save_state();
+  VdxExchange resumed{scenario()};
+  const auto before = save(resumed);
   for (const auto& [what, bytes] : cases) {
-    const core::Status status = resumed.restore_state(bytes);
+    const core::Status status = restore_encoded(resumed, bytes);
     ASSERT_FALSE(status.ok()) << what;
     EXPECT_EQ(status.error().code, core::Errc::kCorruptSnapshot) << what;
-    EXPECT_EQ(resumed.save_state(), before) << what;
+    EXPECT_EQ(save(resumed), before) << what;
+  }
+  // The exchange itself refuses the books the checkpoint decoder lets
+  // through, and the ones it stops (duplicated or out-of-order ids).
+  for (const auto& [what, book] :
+       std::vector<std::pair<std::string, std::vector<SessionAdd>>>{
+           {"unknown city", {{1, 0, 1.2}, {2, 99'999, 1.2}}},
+           {"non-finite bitrate", {{1, 0, std::numeric_limits<double>::infinity()}}},
+           {"non-positive bitrate", {{1, 0, -1.0}}},
+           {"duplicated id", {{1, 0, 1.2}, {1, 0, 1.2}}},
+           {"ids out of order", {{2, 0, 1.2}, {1, 0, 1.2}}},
+           {"reserved id", {{UINT32_MAX, 0, 1.2}}},
+       }) {
+    const core::Status status = resumed.restore_state(good.image, book_of(book));
+    ASSERT_FALSE(status.ok()) << what;
+    EXPECT_EQ(status.error().code, core::Errc::kCorruptSnapshot) << what;
+    EXPECT_EQ(save(resumed), before) << what;
   }
   // The untouched snapshot restores, so each rejection was about its one
   // change.
-  EXPECT_TRUE(resumed.restore_state(good).ok());
+  EXPECT_TRUE(restore_encoded(resumed, encode_pair(good)).ok());
+  EXPECT_EQ(save(resumed), good);
 }
 
-// A settlement section the settlement would reject fails the whole restore
-// before the book is touched: the refused restore leaves rounds and
-// snapshot bytes exactly as they were.
+// A settlement image the settlement would reject fails the whole restore
+// before the book is touched: the refused restore leaves rounds, image and
+// book exactly as they were.
 TEST_F(ShardRecovery, RestoreRejectsASettlementStateBeforeChangingAnything) {
-  std::vector<std::uint8_t> good;
+  SavedExchange good;
   {
-    ShardedExchange first{scenario()};
+    VdxExchange first{scenario()};
     (void)run_churn(first, 0, 3);
-    good = first.save_state();
+    good = save(first);
   }
-  const std::vector<std::uint8_t> junk(16, 0x5A);
-  const auto bad = with_section(good, kSettlementSection, junk);
+  const SavedExchange bad{std::vector<std::uint8_t>(16, 0x5A), good.book};
 
-  ShardedExchange resumed{scenario()};
+  VdxExchange resumed{scenario()};
   (void)run_churn(resumed, 0, 1);
-  const auto before = resumed.save_state();
-  const core::Status status = resumed.restore_state(bad);
+  const auto before = save(resumed);
+  const core::Status status = restore(resumed, bad);
   ASSERT_FALSE(status.ok());
-  EXPECT_EQ(resumed.settlement().rounds_completed(), 1u);
-  EXPECT_EQ(resumed.save_state(), before);
+  EXPECT_EQ(resumed.rounds_completed(), 1u);
+  EXPECT_EQ(save(resumed), before);
   // The untouched snapshot restores, so the rejection was about the
-  // settlement section.
-  EXPECT_TRUE(resumed.restore_state(good).ok());
-  EXPECT_EQ(resumed.settlement().rounds_completed(), 3u);
+  // settlement image.
+  EXPECT_TRUE(restore(resumed, good).ok());
+  EXPECT_EQ(resumed.rounds_completed(), 3u);
 }
 
 }  // namespace

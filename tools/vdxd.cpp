@@ -1,8 +1,9 @@
 // vdxd — the long-lived VDX serving daemon (DESIGN.md §12).
 //
-// Owns a VdxExchange plus an online active-session population, admits
-// arrivals continuously, and answers Decision-Protocol rounds on the
-// logical-clock engine, one decision line per round on stdout:
+// Owns a VdxExchange whose session book holds the online active-session
+// population, admits arrivals continuously (refusing and counting any the
+// book rejects), and answers Decision-Protocol rounds on the logical-clock
+// engine, one decision line per round on stdout:
 //
 //   vdxd --sim-clock --sessions 33400 --seed 2017 --round 5
 //   vdxload --sessions 5000 | vdxd --stdin --budget 8000
@@ -322,13 +323,14 @@ int run(core::Flags& flags) {
   // Summary on stderr: stdout stays a pure decision-line stream.
   std::fprintf(stderr,
                "served: rounds=%llu decisions=%llu skipped=%llu arrivals=%llu "
-               "peak-active=%llu queue-dropped=%llu shed-rounds=%llu "
+               "refused=%llu peak-active=%llu queue-dropped=%llu shed-rounds=%llu "
                "shed-mbps=%.1f shed-clients=%.0f checkpoints=%llu "
                "checkpoint-skips=%llu brownout-rounds=%llu%s%s\n",
                static_cast<unsigned long long>(report.rounds),
                static_cast<unsigned long long>(report.decision_rounds),
                static_cast<unsigned long long>(report.skipped_rounds),
                static_cast<unsigned long long>(report.arrivals),
+               static_cast<unsigned long long>(report.arrivals_refused),
                static_cast<unsigned long long>(report.peak_active_sessions),
                static_cast<unsigned long long>(report.queue_dropped),
                static_cast<unsigned long long>(report.shed_rounds),

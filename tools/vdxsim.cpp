@@ -49,7 +49,9 @@ using namespace vdx;
 
 // Strict `--flag value` parsing with typed validation lives in core::Flags;
 // every accessor below throws a one-line std::invalid_argument on a bad
-// value, which main() prints as `vdxsim <command>: <message>`.
+// value, which main() prints as `vdxsim <command>: <message>`. Each command
+// reads all of its flags and calls check_all_used() before it builds a
+// scenario, so a typo'd flag fails before any work is done.
 using core::Flags;
 
 sim::ScenarioConfig scenario_config_from(Flags& flags) {
@@ -94,8 +96,10 @@ std::optional<sim::Design> design_by_name(const std::string& name) {
   return std::nullopt;
 }
 
-void maybe_export_csv(const core::Table& table, Flags& flags) {
-  const std::string path = flags.text("csv", "");
+/// The --csv path ("" = no export).
+std::string csv_path_from(Flags& flags) { return flags.text("csv", ""); }
+
+void maybe_export_csv(const core::Table& table, const std::string& path) {
   if (path.empty()) return;
   std::ofstream out{path};
   if (!out) throw std::runtime_error{"cannot write " + path};
@@ -104,7 +108,10 @@ void maybe_export_csv(const core::Table& table, Flags& flags) {
 }
 
 int cmd_world(Flags& flags) {
-  const sim::Scenario scenario = sim::Scenario::build(scenario_config_from(flags));
+  const sim::ScenarioConfig scenario_config = scenario_config_from(flags);
+  const std::string csv = csv_path_from(flags);
+  flags.check_all_used();
+  const sim::Scenario scenario = sim::Scenario::build(scenario_config);
   core::Table table{{"Country", "Cost factor", "Colo factor", "Demand share",
                      "Cities", "Clusters"}};
   table.set_title("Synthetic world");
@@ -120,8 +127,7 @@ int cmd_world(Flags& flags) {
                    std::to_string(clusters_per_country[country.id.value()])});
   }
   table.print(std::cout);
-  maybe_export_csv(table, flags);
-  flags.check_all_used();
+  maybe_export_csv(table, csv);
   return 0;
 }
 
@@ -132,8 +138,11 @@ int cmd_design(Flags& flags) {
     std::fprintf(stderr, "unknown design '%s'\n", name.c_str());
     return 2;
   }
-  const sim::Scenario scenario = sim::Scenario::build(scenario_config_from(flags));
+  const sim::ScenarioConfig scenario_config = scenario_config_from(flags);
   const sim::RunConfig run = run_config_from(flags);
+  const std::string csv = csv_path_from(flags);
+  flags.check_all_used();
+  const sim::Scenario scenario = sim::Scenario::build(scenario_config);
   const sim::DesignOutcome outcome = sim::run_design(scenario, *design, run);
   const sim::DesignMetrics metrics = sim::compute_metrics(scenario, outcome);
 
@@ -159,14 +168,16 @@ int cmd_design(Flags& flags) {
                       account.profit.to_string()});
   }
   accounts.print(std::cout);
-  maybe_export_csv(accounts, flags);
-  flags.check_all_used();
+  maybe_export_csv(accounts, csv);
   return 0;
 }
 
 int cmd_table3(Flags& flags) {
-  const sim::Scenario scenario = sim::Scenario::build(scenario_config_from(flags));
+  const sim::ScenarioConfig scenario_config = scenario_config_from(flags);
   const sim::RunConfig run = run_config_from(flags);
+  const std::string csv = csv_path_from(flags);
+  flags.check_all_used();
+  const sim::Scenario scenario = sim::Scenario::build(scenario_config);
   const auto rows = sim::table3_design_comparison(scenario, run);
   core::Table table{{"Design", "Cost", "Score", "Distance (mi)", "Load", "Congested"}};
   table.set_title("Table 3");
@@ -179,13 +190,12 @@ int cmd_table3(Flags& flags) {
                    core::format_percent(row.metrics.congested_fraction, 0)});
   }
   table.print(std::cout);
-  maybe_export_csv(table, flags);
-  flags.check_all_used();
+  maybe_export_csv(table, csv);
   return 0;
 }
 
 void print_timeline_table(const sim::TimelineResult& result, sim::Design design,
-                          Flags& flags) {
+                          const std::string& csv) {
   core::Table table{{"Epoch", "Time (s)", "Active", "CDN switch", "Cluster switch",
                      "Mean score"}};
   table.set_title("Timeline: " + std::string{sim::to_string(design)});
@@ -199,15 +209,15 @@ void print_timeline_table(const sim::TimelineResult& result, sim::Design design,
   table.print(std::cout);
   std::printf("mean CDN switch fraction: %s\n",
               core::format_percent(result.mean_cdn_switch_fraction, 1).c_str());
-  maybe_export_csv(table, flags);
+  maybe_export_csv(table, csv);
 }
 
 int cmd_timeline(Flags& flags) {
   if (flags.boolean("list-scenarios")) {
+    flags.check_all_used();
     for (const std::string_view scenario : sim::stress_scenario_names()) {
       std::printf("%.*s\n", static_cast<int>(scenario.size()), scenario.data());
     }
-    flags.check_all_used();
     return 0;
   }
   const std::string name = flags.text("name", "marketplace");
@@ -222,6 +232,8 @@ int cmd_timeline(Flags& flags) {
   const double hours = flags.positive("hours", 0.0);
   if (hours > 0.0) scenario_config.trace.duration_s = hours * 3600.0;
   const double epoch_s = flags.positive("epoch", 300.0);
+  const sim::RunConfig run = run_config_from(flags);
+  const std::string csv = csv_path_from(flags);
 
   // Both paths run sim::StreamingTimeline; --stream only picks the source.
   // Without it the engine replays the scenario's materialized traces.
@@ -243,14 +255,28 @@ int cmd_timeline(Flags& flags) {
                                     "wired to the generator-fed run)"};
       }
     }
+    flags.check_all_used();
     const sim::Scenario scenario = sim::Scenario::build(scenario_config);
     sim::StreamingConfig config;
     config.design = *design;
-    config.run = run_config_from(flags);
+    config.run = run;
     config.epoch_s = epoch_s;
-    print_timeline_table(sim::run_timeline(scenario, config), *design, flags);
-    flags.check_all_used();
+    print_timeline_table(sim::run_timeline(scenario, config), *design, csv);
     return 0;
+  }
+
+  // Adversarial stress (DESIGN.md §11): demand-side modulators attach to the
+  // broker generator; supply-side events mutate the catalog through a
+  // controller the engine drives at each epoch midpoint.
+  const sim::StressConfig stress_config = sim::stress_config_from_flags(flags);
+  // Crash-consistency flags (DESIGN.md §10).
+  const std::size_t checkpoint_every = flags.count("checkpoint-every", 0, 1);
+  const std::string checkpoint_dir = flags.text("checkpoint-dir", "");
+  const std::size_t keep = flags.count("keep", 3, 1);
+  const std::string resume_from = flags.existing_path("resume-from");
+  flags.check_all_used();
+  if (checkpoint_every > 0 && checkpoint_dir.empty()) {
+    throw std::invalid_argument{"--checkpoint-every requires --checkpoint-dir"};
   }
 
   // --stream: the event-driven engine fed from chunked generators. The
@@ -262,10 +288,6 @@ int cmd_timeline(Flags& flags) {
   pilot.trace.session_count = std::min<std::size_t>(sessions, 10'000);
   sim::Scenario scenario = sim::Scenario::build(pilot);
 
-  // Adversarial stress (DESIGN.md §11): demand-side modulators attach to the
-  // broker generator; supply-side events mutate the catalog through a
-  // controller the engine drives at each epoch midpoint.
-  const sim::StressConfig stress_config = sim::stress_config_from_flags(flags);
   const sim::StressProfile stress_profile = sim::make_stress_profile(
       scenario.world(), stress_config, scenario_config.trace.duration_s);
 
@@ -287,7 +309,7 @@ int cmd_timeline(Flags& flags) {
 
   sim::StreamingConfig config;
   config.design = *design;
-  config.run = run_config_from(flags);
+  config.run = run;
   config.epoch_s = epoch_s;
   config.overload.max_active_sessions = stress_config.shed_budget;
   std::optional<sim::SupplyStressController> stress;
@@ -296,16 +318,9 @@ int cmd_timeline(Flags& flags) {
     config.stress = &*stress;
   }
 
-  // Crash-consistency flags (DESIGN.md §10). The fingerprint binds every
-  // snapshot to this exact run configuration: resuming under different
-  // flags is rejected instead of silently diverging.
-  const std::size_t checkpoint_every = flags.count("checkpoint-every", 0, 1);
-  const std::string checkpoint_dir = flags.text("checkpoint-dir", "");
-  const std::size_t keep = flags.count("keep", 3, 1);
-  const std::string resume_from = flags.existing_path("resume-from");
-  if (checkpoint_every > 0 && checkpoint_dir.empty()) {
-    throw std::invalid_argument{"--checkpoint-every requires --checkpoint-dir"};
-  }
+  // The fingerprint binds every snapshot to this exact run configuration:
+  // resuming under different flags is rejected instead of silently
+  // diverging.
   state::RunFingerprint fingerprint;
   fingerprint.seed = scenario_config.seed;
   fingerprint.design = static_cast<std::uint8_t>(*design);
@@ -390,18 +405,17 @@ int cmd_timeline(Flags& flags) {
     result = timeline.run(broker_stream, background_stream);
   }
 
-  print_timeline_table(result.timeline, *design, flags);
+  print_timeline_table(result.timeline, *design, csv);
   std::printf("streamed: broker=%zu background=%zu peak-active=%zu "
               "decision-rounds=%zu background-recomputes=%zu shed=%zu\n",
               result.broker_sessions, result.background_sessions,
               result.peak_active_sessions, result.decision_rounds,
               result.background_recomputes, result.shed_sessions);
-  flags.check_all_used();
   return 0;
 }
 
 int cmd_exchange(Flags& flags) {
-  const sim::Scenario scenario = sim::Scenario::build(scenario_config_from(flags));
+  const sim::ScenarioConfig scenario_config = scenario_config_from(flags);
   market::ExchangeConfig config;
   if (flags.text("strategy", "risk-averse") == "static") {
     config.strategy = market::StrategyKind::kStatic;
@@ -418,6 +432,13 @@ int cmd_exchange(Flags& flags) {
   const std::string metrics_path = flags.text("metrics-out", "");
   const std::string trace_path = flags.text("trace-out", "");
   const std::string journal_path = flags.text("journal-out", "");
+  const double fraud = flags.number("fraud", -1.0);
+  const double fail = flags.number("fail", -1.0);
+  const auto rounds = static_cast<std::size_t>(flags.number("rounds", 5));
+  const std::string csv = csv_path_from(flags);
+  flags.check_all_used();
+
+  const sim::Scenario scenario = sim::Scenario::build(scenario_config);
   obs::MetricsRegistry metrics;
   obs::SpanTracer tracer;
   obs::RunJournal journal;
@@ -427,8 +448,6 @@ int cmd_exchange(Flags& flags) {
 
   market::VdxExchange exchange{scenario, config};
   const bool chaos = config.chaos.faults.any();
-  const double fraud = flags.number("fraud", -1.0);
-  const double fail = flags.number("fail", -1.0);
   if (fraud >= 0) {
     exchange.set_fraudulent(cdn::CdnId{static_cast<std::uint32_t>(fraud)}, true);
   }
@@ -436,7 +455,6 @@ int cmd_exchange(Flags& flags) {
     exchange.set_failed(cdn::CdnId{static_cast<std::uint32_t>(fail)}, true);
   }
 
-  const auto rounds = static_cast<std::size_t>(flags.number("rounds", 5));
   std::vector<std::string> header{"Round",      "Bids",        "Wire MB",
                                   "Mean score", "Mean cost",   "Pred. error",
                                   "Congested"};
@@ -484,18 +502,19 @@ int cmd_exchange(Flags& flags) {
     journal.summary_table().print(std::cout);
   }
 
-  maybe_export_csv(table, flags);
-  flags.check_all_used();
+  maybe_export_csv(table, csv);
   return 0;
 }
 
 int cmd_federation(Flags& flags) {
-  const sim::Scenario scenario = sim::Scenario::build(scenario_config_from(flags));
+  const sim::ScenarioConfig scenario_config = scenario_config_from(flags);
   market::FederationConfig config;
   config.region_count = static_cast<std::size_t>(flags.number("regions", 4));
   config.run = run_config_from(flags);
   config.threads = config.run.threads;  // --threads parallelizes region solves
   config.run.threads = 1;
+  flags.check_all_used();
+  const sim::Scenario scenario = sim::Scenario::build(scenario_config);
   const market::FederationResult result =
       market::run_federated_marketplace(scenario, config);
   std::printf("regions=%zu largest-instance=%zu bids optimize=%.2fs "
@@ -503,21 +522,21 @@ int cmd_federation(Flags& flags) {
               result.region_count, result.largest_instance_options,
               result.optimize_seconds, result.metrics.mean_cost,
               result.metrics.mean_score, result.fallback_clients);
-  flags.check_all_used();
   return 0;
 }
 
 int cmd_transactions(Flags& flags) {
-  const sim::Scenario scenario = sim::Scenario::build(scenario_config_from(flags));
+  const sim::ScenarioConfig scenario_config = scenario_config_from(flags);
   market::TransactionConfig config;
   config.veto_threshold = flags.number("veto", 0.2);
   config.max_rounds = static_cast<std::size_t>(flags.number("rounds", 12));
+  flags.check_all_used();
+  const sim::Scenario scenario = sim::Scenario::build(scenario_config);
   const market::TransactionResult result = market::run_transactions(scenario, config);
   std::printf("committed=%s rounds=%zu withdrawn=%zu final-score=%.2f "
               "final-cost=%.3f\n",
               result.committed ? "yes" : "NO", result.rounds_used,
               result.withdrawn_cdns, result.final_mean_score, result.final_mean_cost);
-  flags.check_all_used();
   return 0;
 }
 
@@ -528,23 +547,27 @@ int cmd_multibroker(Flags& flags) {
     std::fprintf(stderr, "unknown design '%s'\n", name.c_str());
     return 2;
   }
-  const sim::Scenario scenario = sim::Scenario::build(scenario_config_from(flags));
+  const sim::ScenarioConfig scenario_config = scenario_config_from(flags);
   sim::MultiBrokerConfig config;
   config.design = *design;
   config.broker_count = static_cast<std::size_t>(flags.number("brokers", 2));
   config.run = run_config_from(flags);
+  flags.check_all_used();
+  const sim::Scenario scenario = sim::Scenario::build(scenario_config);
   const sim::MultiBrokerResult result = sim::run_multibroker(scenario, config);
   std::printf("design=%s brokers=%zu congested=%s overbooked-clusters=%zu "
               "mean-score=%.1f\n",
               std::string{sim::to_string(result.design)}.c_str(), result.broker_count,
               core::format_percent(result.metrics.congested_fraction, 1).c_str(),
               result.overbooked_clusters, result.metrics.mean_score);
-  flags.check_all_used();
   return 0;
 }
 
 int cmd_trace(Flags& flags) {
-  const sim::Scenario scenario = sim::Scenario::build(scenario_config_from(flags));
+  const sim::ScenarioConfig scenario_config = scenario_config_from(flags);
+  const std::string csv = csv_path_from(flags);
+  flags.check_all_used();
+  const sim::Scenario scenario = sim::Scenario::build(scenario_config);
   const trace::BrokerTrace& trace = scenario.broker_trace();
 
   core::Table table{{"Statistic", "Value", "Paper (§3.1)"}};
@@ -579,15 +602,16 @@ int cmd_trace(Flags& flags) {
                        core::format_percent(u.share[3], 0)});
   }
   countries.print(std::cout);
-  maybe_export_csv(countries, flags);
-  flags.check_all_used();
+  maybe_export_csv(countries, csv);
   return 0;
 }
 
 int cmd_hybrid(Flags& flags) {
-  const sim::Scenario scenario = sim::Scenario::build(scenario_config_from(flags));
-  const sim::HybridOutcome result =
-      sim::run_hybrid_pricing(scenario, run_config_from(flags));
+  const sim::ScenarioConfig scenario_config = scenario_config_from(flags);
+  const sim::RunConfig run = run_config_from(flags);
+  flags.check_all_used();
+  const sim::Scenario scenario = sim::Scenario::build(scenario_config);
+  const sim::HybridOutcome result = sim::run_hybrid_pricing(scenario, run);
   const double total = result.flat_clients + result.dynamic_clients;
   std::printf("flat=%.1f%% dynamic=%.1f%% mean-cost=%.3f mean-score=%.1f "
               "congested=%s\n",
@@ -595,7 +619,6 @@ int cmd_hybrid(Flags& flags) {
               100.0 * result.dynamic_clients / total, result.metrics.mean_cost,
               result.metrics.mean_score,
               core::format_percent(result.metrics.congested_fraction, 1).c_str());
-  flags.check_all_used();
   return 0;
 }
 
