@@ -164,6 +164,16 @@ std::vector<Event> RunJournal::read_jsonl(std::istream& in) {
 
 core::Status RunJournal::restore(std::span<const Event> events, std::uint64_t total,
                                  std::uint32_t round) {
+  const core::Status checked = check_restore(events, total);
+  if (!checked.ok()) return checked;
+  for (const Event& event : events) buffer_[event.seq % buffer_.size()] = event;
+  total_ = total;
+  round_ = round;
+  return core::ok_status();
+}
+
+core::Status RunJournal::check_restore(std::span<const Event> events,
+                                       std::uint64_t total) const {
   const auto reject = [](std::string message) {
     return core::Status::failure(core::Errc::kInvalidArgument, std::move(message));
   };
@@ -186,9 +196,6 @@ core::Status RunJournal::restore(std::span<const Event> events, std::uint64_t to
                     std::to_string(want));
     }
   }
-  for (const Event& event : events) buffer_[event.seq % buffer_.size()] = event;
-  total_ = total;
-  round_ = round;
   return core::ok_status();
 }
 

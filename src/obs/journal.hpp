@@ -113,6 +113,9 @@ class RunJournal {
   /// `total` or larger than this journal's capacity.
   [[nodiscard]] core::Status restore(std::span<const Event> events,
                                      std::uint64_t total, std::uint32_t round);
+  /// The checks restore() makes, without applying anything.
+  [[nodiscard]] core::Status check_restore(std::span<const Event> events,
+                                           std::uint64_t total) const;
 
   /// Compact end-of-run view: events per kind with first/last round.
   [[nodiscard]] core::Table summary_table() const;

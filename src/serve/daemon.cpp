@@ -102,23 +102,33 @@ core::Result<ServeReport> ServeDaemon::resume(
         "serve resume: the arrival feed cannot seek (live feeds are not "
         "resumable)");
   }
-  // The exchange checks the book and its image before applying either.
-  // Restore order matters: the exchange restore also sets the tracer's
-  // logical clock to the exchange's saved value; the daemon's own clock
-  // (which may run ahead across skipped rounds) is reapplied after.
-  const core::Status restored =
-      exchange_->restore_state(cp.exchange_state, cp.feed.active);
-  if (!restored.ok()) return core::Result<ServeReport>{restored.error()};
+  // A refused resume applies nothing. The journal window is checked first;
+  // a refused seek throws before it moves the feed, and a refused exchange
+  // restore (the exchange checks the book and its image before applying
+  // either) seeks the feed back. Restore order matters: the exchange restore
+  // also sets the tracer's logical clock to the exchange's saved value; the
+  // daemon's own clock (which may run ahead across skipped rounds) is
+  // reapplied after.
+  if (obs_.journal != nullptr) {
+    const core::Status journal =
+        obs_.journal->check_restore(cp.journal.events, cp.journal.total);
+    if (!journal.ok()) return core::Result<ServeReport>{journal.error()};
+  }
+  const std::uint64_t consumed = feed_->consumed();
   try {
     feed_->seek(cp.feed.consumed);
   } catch (const std::invalid_argument& error) {
     return core::Result<ServeReport>::failure(core::Errc::kCorruptSnapshot,
                                               error.what());
   }
-  if (obs_.journal != nullptr) {
-    const core::Status journal = obs_.journal->restore(
-        cp.journal.events, cp.journal.total, cp.journal.round);
-    if (!journal.ok()) return core::Result<ServeReport>{journal.error()};
+  const core::Status restored =
+      exchange_->restore_state(cp.exchange_state, cp.feed.active);
+  if (!restored.ok()) {
+    feed_->seek(consumed);
+    return core::Result<ServeReport>{restored.error()};
+  }
+  if (obs_.journal != nullptr) {  // checked above, so it cannot refuse
+    (void)obs_.journal->restore(cp.journal.events, cp.journal.total, cp.journal.round);
   }
   if (obs_.tracer != nullptr) obs_.tracer->set_logical(cp.logical_clock);
   decision_rounds_ = cp.decision_rounds;

@@ -145,7 +145,8 @@ class ServeDaemon {
   /// before anything is applied), seeks the feed (kInvalidArgument when the
   /// feed cannot seek), restores the exchange/journal/accumulators, then
   /// continues the loop. The continuation is byte-identical to the
-  /// uninterrupted run.
+  /// uninterrupted run. A refused resume leaves the daemon as it was, so a
+  /// later run() serves like a daemon that never saw the snapshot.
   [[nodiscard]] core::Result<ServeReport> resume(
       std::span<const std::uint8_t> snapshot_bytes);
 

@@ -62,9 +62,10 @@ std::int64_t NetworkSimplex::flow(ArcId arc) const {
 
 void NetworkSimplex::solve() {
   const auto n = static_cast<std::int32_t>(supply_.size());
-  const auto m = static_cast<std::int32_t>(cost_.size()) - n;
   double max_cost = 0.0;
-  for (std::int32_t e = n; e < n + m; ++e) max_cost = std::max(max_cost, cost_[e]);
+  for (std::size_t e = supply_.size(); e < cost_.size(); ++e) {
+    max_cost = std::max(max_cost, cost_[e]);
+  }
   // Big-M: dearer than any simple path of real arcs.
   const double art_cost = (max_cost + 1.0) * static_cast<double>(n);
   std::fill(state_.begin(), state_.end(), kLower);
@@ -101,15 +102,141 @@ void NetworkSimplex::solve() {
     flow_[u] = source ? supply_[u] : -supply_[u];
   }
 
+  run_pivots();
+  if (!std::all_of(flow_.begin(), flow_.begin() + n, [](std::int64_t f) { return f == 0; })) {
+    throw std::runtime_error{"NetworkSimplex: supplies cannot be routed"};
+  }
+}
+
+void NetworkSimplex::solve(const Basis& start) {
+  load_basis(start);
+  run_pivots();  // the start is feasible, so the optimum is too
+}
+
+// Checks `start` into the tree arrays and the excess_ scratch, and touches
+// flow_ only once every check has passed.
+void NetworkSimplex::load_basis(const Basis& start) {
+  const auto reject = [](const char* why) {
+    throw std::invalid_argument{std::string{"NetworkSimplex::solve: "} + why};
+  };
+  const auto n = static_cast<std::int32_t>(supply_.size());
+  const std::size_t arcs = cost_.size() - supply_.size();
+  if (start.parent_arc.size() != supply_.size()) {
+    reject("the basis needs one parent arc per node");
+  }
+  const std::int32_t root = n;
+  const auto tree_nodes = static_cast<std::size_t>(n) + 1;
+  parent_.resize(tree_nodes);
+  pred_.resize(tree_nodes);
+  pred_up_.resize(tree_nodes);
+  thread_.resize(tree_nodes);
+  rev_thread_.resize(tree_nodes);
+  std::fill(state_.begin(), state_.end(), kLower);
+  for (std::int32_t u = 0; u < n; ++u) {
+    const ArcId arc = start.parent_arc[u];
+    std::int32_t e = u;  // the artificial arc, which points at the root
+    parent_[u] = root;
+    pred_up_[u] = 1;
+    if (arc != kRoot) {
+      if (arc >= arcs) reject("unknown parent arc");
+      e = n + static_cast<std::int32_t>(arc);
+      if (source_[e] == u) {
+        parent_[u] = target_[e];
+      } else if (target_[e] == u) {
+        parent_[u] = source_[e];
+        pred_up_[u] = -1;
+      } else {
+        reject("a parent arc does not touch its node");
+      }
+    }
+    pred_[u] = e;
+    state_[e] = kTree;
+  }
+  parent_[root] = -1;
+  for (const ArcId arc : start.at_upper) {
+    if (arc >= arcs || state_[n + arc] != kLower) {
+      reject("at_upper names an unknown, tree or repeated arc");
+    }
+    state_[n + arc] = kUpper;
+  }
+
+  // Thread the tree in preorder from the root. Every node has one parent,
+  // so the nodes a walk down from the root misses sit on a cycle.
+  child_begin_.assign(tree_nodes + 1, 0);
+  for (std::int32_t u = 0; u < n; ++u) ++child_begin_[parent_[u] + 1];
+  for (std::size_t v = 1; v <= tree_nodes; ++v) child_begin_[v] += child_begin_[v - 1];
+  children_.resize(supply_.size());
+  succ_num_.assign(child_begin_.begin(), child_begin_.end() - 1);  // fill cursors
+  for (std::int32_t u = 0; u < n; ++u) children_[succ_num_[parent_[u]]++] = u;
+  dirty_revs_.assign(1, root);  // DFS stack
+  std::size_t reached = 0;
+  std::int32_t prev = root;
+  while (!dirty_revs_.empty()) {
+    const std::int32_t u = dirty_revs_.back();
+    dirty_revs_.pop_back();
+    thread_[prev] = u;
+    rev_thread_[u] = prev;
+    prev = u;
+    ++reached;
+    for (std::int32_t c = child_begin_[u]; c < child_begin_[u + 1]; ++c) {
+      dirty_revs_.push_back(children_[c]);
+    }
+  }
+  if (reached != tree_nodes) reject("the basis does not span the nodes");
+  thread_[prev] = root;
+  rev_thread_[root] = prev;
+
+  // Leaves first: each tree arc carries its subtree's excess to the parent.
+  excess_.assign(supply_.begin(), supply_.end());
+  excess_.push_back(0);
+  bool overflow = false;
+  for (const ArcId arc : start.at_upper) {
+    const std::int32_t e = n + static_cast<std::int32_t>(arc);
+    overflow |= __builtin_sub_overflow(excess_[source_[e]], cap_[e], &excess_[source_[e]]);
+    overflow |= __builtin_add_overflow(excess_[target_[e]], cap_[e], &excess_[target_[e]]);
+  }
+  succ_num_.assign(tree_nodes, 1);
+  last_succ_.assign(tree_nodes, -1);
+  for (std::int32_t u = rev_thread_[root]; u != root; u = rev_thread_[u]) {
+    const std::int32_t p = parent_[u];
+    if (overflow || excess_[u] == INT64_MIN) reject("a tree arc's flow leaves its bounds");
+    const std::int64_t f = pred_up_[u] * excess_[u];
+    if (f < 0 || f > cap_[pred_[u]]) reject("a tree arc's flow leaves its bounds");
+    if (f == (pred_up_[u] > 0 ? cap_[pred_[u]] : 0)) {
+      reject("the basis is not strongly feasible");
+    }
+    overflow |= __builtin_add_overflow(excess_[p], excess_[u], &excess_[p]);
+    succ_num_[p] += succ_num_[u];
+    if (last_succ_[u] < 0) last_succ_[u] = u;
+    if (last_succ_[p] < 0) last_succ_[p] = last_succ_[u];
+  }
+  if (last_succ_[root] < 0) last_succ_[root] = root;
+
+  std::fill(flow_.begin(), flow_.end(), 0);
+  for (const ArcId arc : start.at_upper) flow_[n + arc] = cap_[n + arc];
+  for (std::int32_t u = 0; u < n; ++u) {
+    source_[u] = u;
+    target_[u] = root;
+    cost_[u] = 0.0;
+    flow_[pred_[u]] = pred_up_[u] * excess_[u];
+  }
+  pi_.resize(tree_nodes);
+  pi_[root] = 0.0;
+  for (std::int32_t u = thread_[root]; u != root; u = thread_[u]) {
+    pi_[u] = pi_[parent_[u]] - pred_up_[u] * cost_[pred_[u]];
+  }
+}
+
+void NetworkSimplex::run_pivots() {
+  const auto m = static_cast<std::int32_t>(cost_.size() - supply_.size());
   block_size_ = std::max(10, static_cast<std::int32_t>(std::sqrt(static_cast<double>(m))));
-  next_arc_ = n;
+  next_arc_ = static_cast<std::int32_t>(supply_.size());
+  pivots_ = 0;
   while (find_entering_arc()) {
+    ++pivots_;
     const bool change = find_leaving_arc();
     change_flow(change);
     if (change) update_tree();
-  }
-  if (!std::all_of(flow_.begin(), flow_.begin() + n, [](std::int64_t f) { return f == 0; })) {
-    throw std::runtime_error{"NetworkSimplex: supplies cannot be routed"};
   }
 }
 
@@ -277,8 +404,8 @@ void NetworkSimplex::update_tree() {
   for (std::int32_t u = u_in_; u != end; u = thread_[u]) pi_[u] += sigma;
 }
 
-Assignment solve_assignment_mcf(const AssignmentProblem& problem, double overflow_penalty,
-                                std::int64_t demand_scale) {
+AssignmentNetwork build_assignment_network(const AssignmentProblem& problem,
+                                           double overflow_penalty, std::int64_t demand_scale) {
   problem.validate();
   if (demand_scale <= 0) throw std::invalid_argument{"demand_scale must be > 0"};
   const std::optional<std::vector<double>> group_demand = uniform_group_demand(problem);
@@ -289,6 +416,7 @@ Assignment solve_assignment_mcf(const AssignmentProblem& problem, double overflo
   const auto scale = static_cast<double>(demand_scale);
   const std::size_t groups = problem.group_count();
   const std::size_t resources = problem.resource_count();
+  using ArcId = NetworkSimplex::ArcId;
 
   // Nodes: groups, then resources, then the sink. Each group supplies its
   // scaled total demand.
@@ -306,42 +434,87 @@ Assignment solve_assignment_mcf(const AssignmentProblem& problem, double overflo
     }
   }
   supply.back() = -total;  // the sink absorbs it all
-  NetworkSimplex network{supply};
+  AssignmentNetwork out{NetworkSimplex{supply}, {}};
+  NetworkSimplex& network = out.network;
+  NetworkSimplex::Basis& crash = out.crash;
+  crash.parent_arc.assign(supply.size(), NetworkSimplex::kRoot);
   const auto sink = static_cast<NetworkSimplex::NodeId>(groups + resources);
 
   // Option arcs: group -> resource (or straight to sink when uncapacitated).
   // One client corresponds to d * demand_scale flow units; spreading the
   // per-client cost over them reproduces the objective exactly. Option i is
-  // arc i.
+  // arc i. Nothing flows into a group, so capping its options at the total
+  // rather than its own supply leaves the LP as it is, and leaves room on
+  // the arc that carries the group's supply in the crash basis.
+  std::vector<std::size_t> cheapest(groups, problem.options.size());
   for (std::size_t i = 0; i < problem.options.size(); ++i) {
     const Option& o = problem.options[i];
     const double d = o.unit_demand > 0.0 ? o.unit_demand : 1.0;
     const auto to = o.resource == kNoResource
                         ? sink
                         : static_cast<NetworkSimplex::NodeId>(groups + o.resource);
-    (void)network.add_arc(o.group, to, supply[o.group], o.unit_cost / (d * scale));
+    (void)network.add_arc(o.group, to, total, o.unit_cost / (d * scale));
+    std::size_t& best = cheapest[o.group];
+    if (best == problem.options.size() || o.unit_cost < problem.options[best].unit_cost) {
+      best = i;
+    }
+  }
+
+  // Crash basis: each group carries its whole supply on its cheapest option
+  // and hangs off it; an arc that supply would fill (the group is the only
+  // one with any) starts at its capacity instead, with the group on the root.
+  std::vector<std::int64_t> load(resources, 0);
+  for (std::size_t g = 0; g < groups; ++g) {
+    const std::size_t i = cheapest[g];
+    if (i == problem.options.size()) continue;  // an empty group without options
+    if (supply[g] < total) {
+      crash.parent_arc[g] = static_cast<ArcId>(i);
+    } else {
+      crash.at_upper.push_back(static_cast<ArcId>(i));
+    }
+    const std::uint32_t r = problem.options[i].resource;
+    if (r != kNoResource) load[r] += supply[g];
   }
 
   // Resource -> sink: a capacity arc plus an overflow arc priced at the
   // penalty (per demand unit). No flow exceeds the total supply, so capping
   // the capacity there is exact and keeps huge capacities representable.
+  // A resource hangs off its capacity arc while its greedy load leaves room
+  // there; otherwise that arc starts full and the overflow arc carries the
+  // rest, unless the rest fills it too.
   for (std::size_t r = 0; r < resources; ++r) {
     const auto node = static_cast<NetworkSimplex::NodeId>(groups + r);
     const double units = problem.capacities[r] * scale;
-    network.add_arc(node, sink,
-                    units < kInt64Limit ? std::min<std::int64_t>(std::llround(units), total)
-                                        : total,
-                    0.0);
-    network.add_arc(node, sink, total, overflow_penalty / scale);
+    const std::int64_t capacity =
+        units < kInt64Limit ? std::min<std::int64_t>(std::llround(units), total) : total;
+    const ArcId cap_arc = network.add_arc(node, sink, capacity, 0.0);
+    const ArcId overflow_arc = network.add_arc(node, sink, total, overflow_penalty / scale);
+    if (load[r] < capacity) {
+      crash.parent_arc[node] = cap_arc;
+      continue;
+    }
+    crash.at_upper.push_back(cap_arc);
+    if (load[r] - capacity < total) {
+      crash.parent_arc[node] = overflow_arc;
+    } else {
+      crash.at_upper.push_back(overflow_arc);
+    }
   }
-  network.solve();  // feasible: every group has an option and overflow is uncapped
+  return out;
+}
 
+Assignment solve_assignment_mcf(const AssignmentProblem& problem, double overflow_penalty,
+                                std::int64_t demand_scale) {
+  AssignmentNetwork built = build_assignment_network(problem, overflow_penalty, demand_scale);
+  built.network.solve(built.crash);
+
+  const auto scale = static_cast<double>(demand_scale);
   std::vector<double> amounts(problem.options.size(), 0.0);
-  std::vector<double> assigned(groups, 0.0);
+  std::vector<double> assigned(problem.group_count(), 0.0);
   for (std::size_t i = 0; i < problem.options.size(); ++i) {
     const Option& o = problem.options[i];
     const double d = o.unit_demand > 0.0 ? o.unit_demand : 1.0;
-    const auto flow = network.flow(static_cast<NetworkSimplex::ArcId>(i));
+    const auto flow = built.network.flow(static_cast<NetworkSimplex::ArcId>(i));
     amounts[i] = static_cast<double>(flow) / (d * scale);
     assigned[o.group] += amounts[i];
   }

@@ -1,6 +1,8 @@
 // Min-cost flow for the broker LP: a primal network simplex after LEMON's
-// NetworkSimplex (artificial-root start, block-search pricing, Cunningham's
-// strongly feasible leaving rule, thread-based tree updates).
+// NetworkSimplex (block-search pricing, Cunningham's strongly feasible
+// leaving rule, thread-based tree updates). It starts either from the
+// artificial-root star or from a caller-supplied strongly feasible tree; the
+// assignment solve always supplies one (each group on its cheapest option).
 //
 // The broker LP has pure transportation structure whenever every option of a
 // group consumes the group's own bitrate — which is how the Share format
@@ -24,6 +26,19 @@ class NetworkSimplex {
   using NodeId = std::uint32_t;
   using ArcId = std::uint32_t;
 
+  /// Basis::parent_arc entry of a node that hangs off the artificial root.
+  static constexpr ArcId kRoot = UINT32_MAX;
+
+  /// A starting basis: a spanning tree over the nodes and the artificial
+  /// root, plus the non-tree arcs that start at their capacity (every other
+  /// non-tree arc starts empty). Tree arc flows follow from the supplies.
+  struct Basis {
+    /// Per node, the arc joining it to its parent (its other endpoint), or
+    /// kRoot.
+    std::vector<ArcId> parent_arc;
+    std::vector<ArcId> at_upper;
+  };
+
   /// An arc enters only with a reduced cost below -kEnterThreshold, so arcs
   /// that price to zero (ties between optima) stay out of the basis.
   static constexpr double kEnterThreshold = 1e-12;
@@ -39,11 +54,24 @@ class NetworkSimplex {
   /// scratch. Throws std::runtime_error when no feasible flow exists.
   void solve();
 
+  /// Same optimum, starting from `start`. Its artificial arcs point at the
+  /// root at zero cost, so they carry no flow and the potentials hold no
+  /// big-M term. Throws std::invalid_argument, with the flows of the last
+  /// solve untouched, unless `start` spans every node, keeps every flow
+  /// within its bounds and is strongly feasible: each tree arc pointing at
+  /// the root has room left, each pointing away from it carries flow.
+  void solve(const Basis& start);
+
   /// Flow on `arc` after solve().
   [[nodiscard]] std::int64_t flow(ArcId arc) const;
 
+  /// Entering arcs the last solve took, bound flips included.
+  [[nodiscard]] std::uint64_t pivots() const noexcept { return pivots_; }
+
  private:
   void push_arc(std::int32_t from, std::int32_t to, double cost, std::int64_t capacity);
+  void load_basis(const Basis& start);
+  void run_pivots();
   bool find_entering_arc();
   bool find_leaving_arc();
   void change_flow(bool change);
@@ -69,6 +97,11 @@ class NetworkSimplex {
   std::vector<std::int32_t> succ_num_;   // subtree size
   std::vector<std::int32_t> last_succ_;  // last subtree node in thread order
   std::vector<std::int32_t> dirty_revs_;
+  // Scratch for load_basis(): the children of each tree node (CSR) and
+  // each node's subtree excess, which its tree arc carries.
+  std::vector<std::int32_t> child_begin_;
+  std::vector<std::int32_t> children_;
+  std::vector<std::int64_t> excess_;
 
   // Pivot state.
   std::int32_t block_size_ = 0;
@@ -79,7 +112,23 @@ class NetworkSimplex {
   std::int32_t v_in_ = 0;
   std::int32_t u_out_ = 0;
   std::int64_t delta_ = 0;
+  std::uint64_t pivots_ = 0;
 };
+
+/// The assignment LP as a flow network: nodes are the groups, then the
+/// resources, then the sink; option i is arc i, and each resource owns a
+/// capacity arc and an overflow arc to the sink. `crash` starts each group
+/// on its cheapest option (lowest index on a tie).
+struct AssignmentNetwork {
+  NetworkSimplex network;
+  NetworkSimplex::Basis crash;
+};
+
+/// Builds the network solve_assignment_mcf() solves; same arguments and
+/// throws.
+[[nodiscard]] AssignmentNetwork build_assignment_network(const AssignmentProblem& problem,
+                                                         double overflow_penalty,
+                                                         std::int64_t demand_scale = 1000);
 
 /// Solves the assignment LP via min-cost flow. Requires every option of a
 /// group to have the same unit_demand (throws otherwise). Demands are scaled

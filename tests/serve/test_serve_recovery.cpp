@@ -251,5 +251,55 @@ TEST(ServeRecovery, ResumeRejectsOutOfRangeCursorWithoutApplyingAnything) {
   }
 }
 
+TEST(ServeRecovery, ResumeRefusedBySeekOrJournalAppliesNothing) {
+  TempDir dir{"resume_refused_late"};
+  HarnessOptions options;
+  options.checkpoint_every = 7;
+  options.checkpoint_dir = dir.path();
+  options.halt_after = 10;
+  (void)run_serve(options);
+
+  const state::CheckpointStore store{dir.path()};
+  auto loaded = store.load_latest(
+      [](std::span<const std::uint8_t>) { return core::ok_status(); });
+  ASSERT_TRUE(loaded.ok());
+  auto decoded = state::decode_daemon(loaded.value().bytes);
+  ASSERT_TRUE(decoded.ok());
+  const state::DaemonCheckpoint checkpoint = decoded.value();
+
+  options.halt_after = 0;
+  options.checkpoint_every = 0;
+  // Serves the whole feed with a journal of `journal_capacity` events, after
+  // a refused resume from `refused` when there is one.
+  const auto serve = [&](const state::DaemonCheckpoint* refused,
+                         std::size_t journal_capacity) {
+    GeneratorFeed feed = test::make_feed(options);
+    obs::MetricsRegistry metrics;
+    obs::SpanTracer tracer;
+    obs::RunJournal journal{journal_capacity};
+    std::ostringstream decisions;
+    ServeDaemon daemon{test::test_scenario(), feed,
+                       test::config_for(options, {&metrics, &tracer, &journal},
+                                        &decisions)};
+    if (refused != nullptr) {
+      const auto resumed = daemon.resume(state::encode(*refused));
+      EXPECT_FALSE(resumed.ok());
+      EXPECT_TRUE(journal.events().empty());
+    }
+    (void)daemon.run();
+    return decisions.str();
+  };
+  const std::string clean = serve(nullptr, 4096);
+
+  // The feed refuses a cursor past its horizon after the exchange image and
+  // the book have passed their checks.
+  state::DaemonCheckpoint past_horizon = checkpoint;
+  past_horizon.feed.consumed = UINT64_MAX / 2;
+  EXPECT_EQ(serve(&past_horizon, 4096), clean);
+  // A journal too small for the checkpoint's window refuses it.
+  ASSERT_GT(checkpoint.journal.events.size(), 2u);
+  EXPECT_EQ(serve(&checkpoint, 2), clean);
+}
+
 }  // namespace
 }  // namespace vdx::serve

@@ -7,12 +7,17 @@
 // On generic real costs the optimum is unique, so the amounts must match the
 // oracle bit for bit; on degenerate instances (ties, zero groups, negative
 // costs, overload) any optimum will do, so only the objective is compared.
+// The assignment solve starts from its crash basis; the same network solved
+// from the cold star is a third opinion, and the crash basis checks are
+// pinned on hand-made edge cases and on hints that must be refused.
 #include "solver/mincost_flow.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -202,6 +207,44 @@ void expect_lp_objective(const AssignmentProblem& p, const Assignment& got, doub
   EXPECT_NEAR(value, lp.objective, 1e-7 * std::max(1.0, std::abs(lp.objective)));
 }
 
+// The cost of a solved assignment network in flow units: option arcs at
+// their per-unit cost, overflow arcs at the penalty. Networks are built at
+// the default demand scale.
+double network_cost(const AssignmentProblem& p, const NetworkSimplex& net, double penalty) {
+  constexpr double scale = 1000.0;
+  double cost = 0.0;
+  for (std::size_t i = 0; i < p.options.size(); ++i) {
+    const Option& o = p.options[i];
+    const double d = o.unit_demand > 0.0 ? o.unit_demand : 1.0;
+    cost += static_cast<double>(net.flow(static_cast<NetworkSimplex::ArcId>(i))) *
+            (o.unit_cost / (d * scale));
+  }
+  for (std::size_t r = 0; r < p.capacities.size(); ++r) {
+    const auto overflow = static_cast<NetworkSimplex::ArcId>(p.options.size() + 2 * r + 1);
+    cost += static_cast<double>(net.flow(overflow)) * penalty / scale;
+  }
+  return cost;
+}
+
+// Solves the assignment network from the cold star and from its crash basis.
+// `unique`: the optimum is unique, so every option flow must agree;
+// otherwise the costs must.
+void expect_crash_matches_cold(const AssignmentProblem& p, double penalty, bool unique) {
+  AssignmentNetwork cold = build_assignment_network(p, penalty);
+  AssignmentNetwork crash = build_assignment_network(p, penalty);
+  cold.network.solve();
+  crash.network.solve(crash.crash);
+  if (unique) {
+    for (std::size_t i = 0; i < p.options.size(); ++i) {
+      const auto arc = static_cast<NetworkSimplex::ArcId>(i);
+      ASSERT_EQ(crash.network.flow(arc), cold.network.flow(arc)) << "option " << i;
+    }
+  }
+  const double want = network_cost(p, cold.network, penalty);
+  EXPECT_NEAR(network_cost(p, crash.network, penalty), want,
+              1e-9 * std::max(1.0, std::abs(want)));
+}
+
 TEST(AssignmentDifferential, GenericCostsMatchTheOracleBitForBit) {
   core::Rng rng{2017'1212'01};
   for (int instance = 0; instance < 2000; ++instance) {
@@ -212,6 +255,7 @@ TEST(AssignmentDifferential, GenericCostsMatchTheOracleBitForBit) {
     ASSERT_EQ(got.amounts, want.amounts);
     EXPECT_TRUE(got.complete);
     expect_lp_objective(p, got, kPenalty);
+    expect_crash_matches_cold(p, kPenalty, true);
   }
 }
 
@@ -231,6 +275,7 @@ TEST(AssignmentDifferential, DegenerateInstancesReachTheOptimum) {
     EXPECT_TRUE(got.complete);
     for (const double amount : got.amounts) ASSERT_GE(amount, 0.0);
     expect_lp_objective(p, got, penalty);
+    expect_crash_matches_cold(p, penalty, false);
   }
 }
 
@@ -245,7 +290,161 @@ TEST(AssignmentDifferential, TraceSizedInstancesMatchTheOracleBitForBit) {
     const Assignment want = solve_assignment_ssp(p, kPenalty);
     ASSERT_EQ(got.amounts, want.amounts);
     EXPECT_TRUE(got.complete);
+    expect_crash_matches_cold(p, kPenalty, true);
   }
+}
+
+// Hand-made corners of the crash basis: each must be accepted and reach the
+// oracle's optimum.
+void expect_optimal_from_crash(const AssignmentProblem& p, double penalty) {
+  const Assignment got = solve_assignment_mcf(p, penalty);
+  const double want = solve_assignment_ssp(p, penalty).penalized_objective(penalty);
+  EXPECT_NEAR(got.penalized_objective(penalty), want, 1e-9 * std::max(1.0, std::abs(want)));
+  EXPECT_TRUE(got.complete);
+  expect_crash_matches_cold(p, penalty, false);
+}
+
+TEST(CrashStart, OneGroupHoldingAllSupplyStartsOnTheRoot) {
+  // The cheapest option's arc would be full, so it starts at its capacity.
+  AssignmentProblem p;
+  p.group_counts = {6.0, 0.0};
+  p.capacities = {4.0, 10.0};
+  p.options = {{0, 0, 1.0, 1.0}, {0, 1, 2.0, 1.0}, {1, 1, 1.0, 1.0}};
+  const AssignmentNetwork built = build_assignment_network(p, kPenalty);
+  EXPECT_EQ(built.crash.parent_arc[0], NetworkSimplex::kRoot);
+  EXPECT_EQ(built.crash.at_upper.front(), 0u);
+  expect_optimal_from_crash(p, kPenalty);
+  expect_optimal_from_crash(p, 0.5);  // overloading resource 0 is cheaper
+}
+
+TEST(CrashStart, ZeroCapacityResourceTakingAllLoad) {
+  // Both arcs of resource 0 would be full: they start at their capacities
+  // and the resource hangs off the root.
+  AssignmentProblem p;
+  p.group_counts = {3.0, 2.0};
+  p.capacities = {0.0, 10.0};
+  p.options = {{0, 0, 1.0, 1.0}, {0, 1, 5.0, 1.0}, {1, 0, 1.0, 1.0}, {1, 1, 4.0, 1.0}};
+  const AssignmentNetwork built = build_assignment_network(p, kPenalty);
+  EXPECT_EQ(built.crash.parent_arc[2], NetworkSimplex::kRoot);
+  expect_optimal_from_crash(p, kPenalty);
+  expect_optimal_from_crash(p, 2.0);
+}
+
+TEST(CrashStart, LoadExactlyAtCapacity) {
+  AssignmentProblem p;
+  p.group_counts = {3.0, 2.0};
+  p.capacities = {5.0, 10.0};
+  p.options = {{0, 0, 1.0, 1.0}, {0, 1, 5.0, 1.0}, {1, 0, 1.0, 1.0}, {1, 1, 4.0, 1.0}};
+  const AssignmentNetwork built = build_assignment_network(p, kPenalty);
+  const auto overflow = static_cast<NetworkSimplex::ArcId>(p.options.size() + 1);
+  EXPECT_EQ(built.crash.parent_arc[2], overflow);  // the full capacity arc is not a tree arc
+  expect_optimal_from_crash(p, kPenalty);
+}
+
+TEST(CrashStart, OptionsStraightToTheSink) {
+  AssignmentProblem p;
+  p.group_counts = {4.0, 3.0, 2.0};
+  p.capacities = {2.0};
+  p.options = {{0, kNoResource, 1.0, 1.0}, {0, 0, 3.0, 1.0},
+               {1, 0, 1.0, 1.0},           {1, kNoResource, 2.0, 1.0},
+               {2, kNoResource, 7.0, 1.0}};
+  expect_optimal_from_crash(p, kPenalty);
+  expect_optimal_from_crash(p, 0.25);
+}
+
+TEST(CrashStart, ZeroCountGroups) {
+  AssignmentProblem p;
+  p.group_counts = {0.0, 5.0, 0.0};
+  p.capacities = {3.0};
+  p.options = {{0, 0, 1.0, 1.0}, {1, 0, 2.0, 1.0}, {1, kNoResource, 9.0, 1.0}};  // group 2 has none
+  expect_optimal_from_crash(p, kPenalty);
+  p.group_counts = {0.0, 0.0, 0.0};
+  expect_optimal_from_crash(p, kPenalty);
+}
+
+TEST(CrashStart, TiesGoToTheLowestOption) {
+  AssignmentProblem p;
+  p.group_counts = {4.0, 4.0};
+  p.capacities = {3.0, 3.0, 8.0};
+  p.options = {{0, 1, 2.0, 1.0}, {0, 0, 2.0, 1.0}, {0, 2, 2.0, 1.0},
+               {1, 2, 5.0, 1.0}, {1, 0, 1.0, 1.0}, {1, 1, 1.0, 1.0}};
+  const AssignmentNetwork built = build_assignment_network(p, kPenalty);
+  EXPECT_EQ(built.crash.parent_arc[0], 0u);
+  EXPECT_EQ(built.crash.parent_arc[1], 4u);
+  expect_optimal_from_crash(p, kPenalty);
+}
+
+TEST(CrashStart, NeedsNoPivotWhenEveryCheapestOptionFits) {
+  AssignmentProblem p;
+  p.group_counts = {4.0, 3.0, 5.0};
+  p.capacities = {8.0, 6.0};
+  p.options = {{0, 0, 1.0, 1.0}, {0, 1, 3.0, 1.0}, {1, 0, 2.0, 1.0},
+               {1, 1, 2.5, 1.0}, {2, 1, 1.5, 1.0}, {2, kNoResource, 9.0, 1.0}};
+  AssignmentNetwork built = build_assignment_network(p, kPenalty);
+  built.network.solve(built.crash);
+  EXPECT_EQ(built.network.pivots(), 0u);
+  EXPECT_EQ(built.network.flow(0), 4000);
+  EXPECT_EQ(built.network.flow(2), 3000);
+  EXPECT_EQ(built.network.flow(4), 5000);
+  built.network.solve();
+  EXPECT_GT(built.network.pivots(), 0u);  // the cold star has work to do
+  EXPECT_EQ(built.network.flow(4), 5000);
+}
+
+TEST(CrashStart, RefusesAnInvalidHintAndChangesNothing) {
+  // Source 0 sends 4 to sink 3 over 0 -> 1 -> 3 or 0 -> 2 -> 3.
+  NetworkSimplex net{{4, 0, 0, -4}};
+  const auto a01 = net.add_arc(0, 1, 10, 1.0);
+  const auto a02 = net.add_arc(0, 2, 10, 2.0);
+  const auto a13 = net.add_arc(1, 3, 3, 1.0);
+  const auto a23 = net.add_arc(2, 3, 10, 1.0);
+  const auto a10 = net.add_arc(1, 0, 10, 1.0);
+  const auto a11 = net.add_arc(1, 1, 10, 1.0);
+  net.solve();
+  const std::vector<std::int64_t> solved = {3, 1, 3, 1};
+  const auto expect_solved = [&] {
+    for (NetworkSimplex::ArcId a = 0; a < 4; ++a) EXPECT_EQ(net.flow(a), solved[a]);
+  };
+  expect_solved();
+  constexpr auto kRoot = NetworkSimplex::kRoot;
+  const auto refusal = [](NetworkSimplex& network, const NetworkSimplex::Basis& basis) {
+    try {
+      network.solve(basis);
+    } catch (const std::invalid_argument& e) {
+      return std::string{e.what()};
+    }
+    return std::string{"accepted"};
+  };
+  // Valid: 0 -> 2 -> 3 carries everything, 1 hangs off 3, 3 off the root.
+  const NetworkSimplex::Basis good{{a02, a13, a23, kRoot}, {}};
+  const std::pair<NetworkSimplex::Basis, const char*> bad[] = {
+      {{{a02, a13, a23}, {}}, "one parent arc per node"},
+      {{{a01, a10, a23, kRoot}, {}}, "does not span"},       // 0 and 1 form a cycle
+      {{{a02, a11, a23, kRoot}, {}}, "does not span"},       // 1 hangs off itself
+      {{{a23, a13, a23, kRoot}, {}}, "does not touch"},
+      {{{a02, a13, 99, kRoot}, {}}, "unknown parent arc"},
+      {{{a02, a13, a23, kRoot}, {a13}}, "at_upper"},         // a tree arc
+      {{{a02, a13, a23, kRoot}, {a01, a01}}, "at_upper"},    // twice
+      {{{a02, a13, a23, kRoot}, {a01}}, "leaves its bounds"},  // 0 sends 10 of its 4
+      {{{kRoot, a13, kRoot, kRoot}, {}}, "leaves its bounds"},  // 3 draws on the root
+      {{{a02, a01, a23, kRoot}, {}}, "strongly feasible"},  // 1 below 0 on an empty arc
+  };
+  for (const auto& [basis, why] : bad) {
+    SCOPED_TRACE(why);
+    EXPECT_NE(refusal(net, basis).find(why), std::string::npos) << refusal(net, basis);
+    expect_solved();
+  }
+  // Not strongly feasible: with 0 -> 2 -> 3 full, the tree's 1 -> 3 must
+  // carry 3 units and is full too, so nothing more can climb from 1.
+  NetworkSimplex tight{{4, 0, 0, -4}};
+  (void)tight.add_arc(0, 1, 10, 1.0);
+  (void)tight.add_arc(0, 2, 1, 2.0);
+  (void)tight.add_arc(1, 3, 3, 1.0);
+  (void)tight.add_arc(2, 3, 1, 1.0);
+  EXPECT_NE(refusal(tight, {{0, 2, kRoot, kRoot}, {1, 3}}).find("strongly feasible"),
+            std::string::npos);
+  net.solve(good);  // a valid hint still solves to the same optimum
+  expect_solved();
 }
 
 }  // namespace

@@ -9,7 +9,10 @@
 Each revision is exported with `git archive` into its own tree under
 --workdir (a clean checkout of the committed files, like a detached
 worktree, but with nothing registered in .git), and each tree's own
-`vdxbench/run.py` builds and runs its own `bench_vdx`. Runs are
+`vdxbench/run.py` builds and runs its own `bench_vdx`. CMake reads
+CXXFLAGS and LDFLAGS from the environment when it configures, so each
+set of those flags gets its own build directory, and the report header
+names them. Runs are
 interleaved per workload in A,B,B,A order, so a drift in machine speed
 hits both sides alike. For every end-to-end metric of BENCHMARK.json the
 tool prints each side's median and quartiles, the change of the medians
@@ -29,6 +32,7 @@ otherwise.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -39,6 +43,21 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLAIM_MIN_PAIRS = 10
 CLAIM_WIN_FRACTION = 0.9
+BUILD_FLAG_VARS = ("CXXFLAGS", "LDFLAGS")
+
+
+def build_flags():
+    """The compiler and linker flags CMake takes from the environment."""
+    return {name: os.environ.get(name, "") for name in BUILD_FLAG_VARS}
+
+
+def build_dir_name():
+    """`build` for default flags, else `build-<hash of the flags>`."""
+    flags = build_flags()
+    if not any(flags.values()):
+        return "build"
+    key = json.dumps(flags, sort_keys=True).encode()
+    return "build-" + hashlib.sha256(key).hexdigest()[:12]
 
 
 def git(*args):
@@ -67,7 +86,7 @@ class Side:
     def __init__(self, label, rev, workdir):
         self.label = label
         self.sha, self.tree = export(rev, workdir)
-        self.build_dir = os.path.join(os.path.dirname(self.tree), "build")
+        self.build_dir = os.path.join(os.path.dirname(self.tree), build_dir_name())
         self.binary = os.path.join(self.build_dir, "bench_vdx")
 
     def run(self, workload, args, smoke=False):
@@ -170,7 +189,9 @@ def main():
     if claim and (len(claim) != 2 or claim[0] not in workloads or
                   claim[1] not in {m["name"] for m in spec["end_to_end"]}):
         parser.error("--claim must name a run workload and an end-to-end metric")
-    print("base %s  head %s" % (base.sha[:12], head.sha[:12]), flush=True)
+    print("base %s  head %s  %s" % (
+        base.sha[:12], head.sha[:12],
+        "  ".join("%s=%r" % item for item in build_flags().items())), flush=True)
 
     failures = []
     for side in (base, head):  # build both before any timed run
