@@ -2,6 +2,10 @@
 // message types (the exchange transmits thousands of bids per round).
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
+#include <vector>
+
 #include "proto/messages.hpp"
 
 namespace {
@@ -49,9 +53,46 @@ void BM_DecodeStream(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 
+/// One fault-free Decision Protocol hop as the engine makes it: encode into
+/// an exact-size stack frame, then the validated typed decode. The messages
+/// come from a run-time table so no field folds to a constant.
+template <typename T>
+void transmit_hop(benchmark::State& state, const std::vector<T>& messages) {
+  std::size_t i = 0;
+  for (auto _ : state) {
+    std::array<std::uint8_t, kFrameSize<T>> frame{};
+    encode_into(messages[i++ % messages.size()], std::span{frame});
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+    const vdx::core::Result<T> decoded = try_decode_as<T>(frame);
+    benchmark::DoNotOptimize(&decoded);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kFrameSize<T>));
+}
+
+void BM_TransmitBid(benchmark::State& state) {
+  std::vector<BidMessage> bids;
+  for (std::uint32_t i = 0; i < 1024; ++i) {
+    bids.push_back(BidMessage{i, 42 + i, 23.5 + i, 1500.0, 1.75 + 0.01 * i, i % 14});
+  }
+  transmit_hop(state, bids);
+}
+
+void BM_TransmitAccept(benchmark::State& state) {
+  std::vector<AcceptMessage> accepts;
+  for (std::uint32_t i = 0; i < 1024; ++i) {
+    accepts.push_back(
+        AcceptMessage{i, 42 + i, 23.5 + i, 1500.0, 1.75 + 0.01 * i, i % 14, 0.5 * i});
+  }
+  transmit_hop(state, accepts);
+}
+
 }  // namespace
 
 BENCHMARK(BM_EncodeBid);
 BENCHMARK(BM_DecodeBid);
 BENCHMARK(BM_RoundTripShare);
 BENCHMARK(BM_DecodeStream)->Arg(100)->Arg(10000);
+BENCHMARK(BM_TransmitBid);
+BENCHMARK(BM_TransmitAccept);

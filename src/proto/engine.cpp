@@ -1,6 +1,7 @@
 #include "proto/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -9,13 +10,17 @@ namespace vdx::proto {
 
 namespace {
 
-/// Encode, count, decode — the in-memory stand-in for a network hop.
+/// Encode, count, decode — the in-memory stand-in for a network hop. The
+/// frame is exact-size and on the stack; the typed decode still validates
+/// its header, length and checksum.
 template <typename T>
 T transmit(const T& message, std::size_t& bytes) {
-  const std::vector<std::uint8_t> frame = encode(Message{message});
+  std::array<std::uint8_t, kFrameSize<T>> frame{};
+  encode_into(message, std::span{frame});
   bytes += frame.size();
-  const Message decoded = decode(frame);
-  return std::get<T>(decoded);
+  core::Result<T> decoded = try_decode_as<T>(frame);
+  if (!decoded.ok()) throw WireError{decoded.error().message};
+  return std::move(decoded).value();
 }
 
 /// A fault-free broadcast to `fanout` receivers: the frames are identical on
@@ -36,7 +41,7 @@ std::vector<T> broadcast(const std::vector<T>& messages, std::size_t fanout,
 
 /// One message over a faulty link: send, and on presumed loss retry with
 /// exponential backoff until delivery, deadline expiry, or budget exhaustion.
-/// Mutated frames are rejected by try_decode (checksum) and treated as lost.
+/// Mutated frames are rejected by try_decode_as (checksum) and treated as lost.
 /// Returns the decoded message if a copy arrived within the step deadline;
 /// `step_ticks` tracks the step's completion time on this and other links.
 /// Retries, timeouts, and decode rejects are narrated into the journal
@@ -46,7 +51,8 @@ std::optional<T> chaos_transmit(const T& message, std::size_t link,
                                 FaultInjector& injector, const DeadlineConfig& config,
                                 RoundStats& stats, std::size_t& step_ticks,
                                 const obs::Observer& obs) {
-  const std::vector<std::uint8_t> frame = encode(Message{message});
+  std::array<std::uint8_t, kFrameSize<T>> frame{};
+  encode_into(message, std::span{frame});
   ++stats.chaos.messages;
 
   std::size_t send_tick = 0;
@@ -65,8 +71,8 @@ std::optional<T> chaos_transmit(const T& message, std::size_t link,
 
     for (const FaultedFrame& copy : copies) {
       stats.bytes_on_wire += copy.bytes.size();
-      const core::Result<Message> decoded = try_decode(copy.bytes);
-      if (!decoded.ok() || !std::holds_alternative<T>(decoded.value())) {
+      core::Result<T> decoded = try_decode_as<T>(copy.bytes);
+      if (!decoded.ok()) {
         ++stats.chaos.decode_rejects;
         obs.record(obs::EventKind::kDecodeReject, static_cast<std::uint32_t>(link));
         continue;
@@ -74,7 +80,7 @@ std::optional<T> chaos_transmit(const T& message, std::size_t link,
       const std::size_t arrival = send_tick + 1 + copy.delay_ticks;
       if (arrival > config.step_deadline_ticks) continue;  // late copies discarded
       step_ticks = std::max(step_ticks, arrival);
-      return std::get<T>(decoded.value());
+      return std::move(decoded).value();
     }
     send_tick += backoff;
     backoff *= 2;

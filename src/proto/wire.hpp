@@ -32,9 +32,6 @@ class ByteWriter {
   void write_string(std::string_view value);
   void write_bytes(std::span<const std::uint8_t> value);
 
-  /// Pre-sizes the buffer for `bytes` more bytes; the output is unchanged.
-  void reserve(std::size_t bytes) { data_.reserve(data_.size() + bytes); }
-
   [[nodiscard]] const std::vector<std::uint8_t>& data() const noexcept { return data_; }
   [[nodiscard]] std::vector<std::uint8_t> take() noexcept { return std::move(data_); }
   [[nodiscard]] std::size_t size() const noexcept { return data_.size(); }

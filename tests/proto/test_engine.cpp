@@ -267,6 +267,14 @@ TEST(ChaosEngine, ModerateLossRetriesAndIsDeterministic) {
   EXPECT_EQ(first.chaos.frames_dropped, second.chaos.frames_dropped);
   EXPECT_EQ(first.bids_received, second.bids_received);
   EXPECT_EQ(first.bytes_on_wire, second.bytes_on_wire);
+  // Pinned from the ByteWriter-based codec: the frames, and so the injector's
+  // streams, must not move when the codec does.
+  EXPECT_EQ(first.chaos.retries, 4u);
+  EXPECT_EQ(first.chaos.timeouts, 1u);
+  EXPECT_EQ(first.chaos.decode_rejects, 0u);
+  EXPECT_EQ(first.chaos.frames_dropped, 5u);
+  EXPECT_EQ(first.bids_received, 1u);
+  EXPECT_EQ(first.bytes_on_wire, 235u);
 }
 
 TEST(ChaosEngine, CorruptedFramesAreRejectedNotThrown) {
@@ -285,6 +293,13 @@ TEST(ChaosEngine, CorruptedFramesAreRejectedNotThrown) {
   EXPECT_GT(stats.chaos.decode_rejects, 0u);
   EXPECT_EQ(stats.chaos.timeouts, stats.chaos.messages);
   EXPECT_TRUE(broker.seen_bids_.empty());
+  // Pinned from the ByteWriter-based codec, as in the test above.
+  EXPECT_EQ(stats.chaos.retries, 2u);
+  EXPECT_EQ(stats.chaos.timeouts, 1u);
+  EXPECT_EQ(stats.chaos.decode_rejects, 3u);
+  EXPECT_EQ(stats.chaos.frames_dropped, 0u);
+  EXPECT_EQ(stats.bids_received, 0u);
+  EXPECT_EQ(stats.bytes_on_wire, 117u);
 }
 
 TEST(DeliveryEngine, RunsFourSteps) {

@@ -4,6 +4,9 @@
 // cannot take the exchange down.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "core/fnv1a.hpp"
 #include "core/rng.hpp"
 #include "proto/fault.hpp"
 #include "proto/messages.hpp"
@@ -157,6 +160,110 @@ TEST(WireFuzz, RoundTripFuzzAllTypesWithRandomValues) {
     bid.cdn_id = static_cast<std::uint32_t>(rng());
     const Message decoded = decode(encode(Message{bid}));
     EXPECT_EQ(std::get<BidMessage>(decoded), bid);
+  }
+}
+
+// --- Typed decoder parity ---------------------------------------------------
+// try_decode_as<T> must accept exactly the inputs try_decode accepts as a T,
+// with the same value, for every message type.
+
+template <typename T>
+void expect_typed_parity(std::span<const std::uint8_t> bytes) {
+  const core::Result<Message> general = try_decode(bytes);
+  const core::Result<T> typed = try_decode_as<T>(bytes);
+  const bool general_holds_t = general.ok() && std::holds_alternative<T>(general.value());
+  ASSERT_EQ(typed.ok(), general_holds_t) << "type " << static_cast<int>(WireLayout<T>::kType);
+  if (typed.ok()) {
+    // Compare re-encoded bytes, so NaN fields compare by bit pattern.
+    EXPECT_EQ(encode(Message{typed.value()}), encode(general.value()));
+  } else {
+    EXPECT_EQ(typed.error().code, core::Errc::kCorruptFrame);
+  }
+}
+
+template <std::size_t... I>
+void expect_parity_all_types(std::span<const std::uint8_t> bytes,
+                             std::index_sequence<I...> /*types*/) {
+  (expect_typed_parity<std::variant_alternative_t<I, Message>>(bytes), ...);
+}
+
+void expect_parity_all_types(std::span<const std::uint8_t> bytes) {
+  expect_parity_all_types(bytes, std::make_index_sequence<std::variant_size_v<Message>>{});
+}
+
+TEST(TypedDecodeFuzz, RandomBytesAgreeWithTryDecode) {
+  core::Rng rng{0x7E5D};
+  for (int trial = 0; trial < 20'000; ++trial) {
+    std::vector<std::uint8_t> bytes(rng.below(72));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.below(256));
+    expect_parity_all_types(bytes);
+  }
+}
+
+TEST(TypedDecodeFuzz, ResealedRandomPayloadsAgreeWithTryDecode) {
+  // A valid header over random payload bits, with the checksum either left
+  // stale or recomputed, so the accepting path sees arbitrary field values
+  // (NaNs and infinities included) and trailing bytes.
+  core::Rng rng{0x5EA1};
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 20'000; ++trial) {
+    auto frame = encode(sample_message(static_cast<std::size_t>(trial)));
+    const std::size_t checksum_at = frame.size() - kChecksumSize;
+    for (std::size_t i = kHeaderSize; i < checksum_at; ++i) {
+      frame[i] = static_cast<std::uint8_t>(rng.below(256));
+    }
+    if (rng.below(4) != 0) {
+      const std::uint32_t sum =
+          core::fnv1a32(std::span<const std::uint8_t>{frame}.first(checksum_at));
+      for (std::size_t i = 0; i < kChecksumSize; ++i) {
+        frame[checksum_at + i] = static_cast<std::uint8_t>(sum >> (8 * i));
+      }
+    }
+    for (std::size_t tail = rng.below(3); tail > 0; --tail) {
+      frame.push_back(static_cast<std::uint8_t>(rng.below(256)));
+    }
+    expect_parity_all_types(frame);
+    if (try_decode(frame).ok()) ++accepted;
+  }
+  EXPECT_GT(accepted, 10'000u);
+}
+
+TEST(TypedDecodeFuzz, EveryTruncationAgreesWithTryDecode) {
+  for (std::size_t kind = 0; kind < 7; ++kind) {
+    const auto frame = encode(sample_message(kind));
+    for (std::size_t cut = 0; cut <= frame.size(); ++cut) {
+      expect_parity_all_types(std::span<const std::uint8_t>{frame}.first(cut));
+    }
+  }
+}
+
+TEST(TypedDecodeFuzz, EverySingleByteFlipAgreesWithTryDecode) {
+  for (std::size_t kind = 0; kind < 7; ++kind) {
+    const auto frame = encode(sample_message(kind));
+    for (std::size_t pos = 0; pos < frame.size(); ++pos) {
+      for (unsigned flip = 1; flip < 256; ++flip) {
+        auto corrupted = frame;
+        corrupted[pos] ^= static_cast<std::uint8_t>(flip);
+        expect_parity_all_types(corrupted);
+      }
+    }
+  }
+}
+
+TEST(TypedDecodeFuzz, FaultInjectorMutationsAgreeWithTryDecode) {
+  FaultProfile profile;
+  profile.corrupt_rate = 0.6;
+  profile.truncate_rate = 0.4;
+  profile.duplicate_rate = 0.1;
+  profile.seed = 0x7F1ED;
+  FaultInjector injector{profile};
+
+  for (int trial = 0; trial < 4'000; ++trial) {
+    const auto frame = encode(sample_message(static_cast<std::size_t>(trial)));
+    for (const FaultedFrame& copy :
+         injector.apply(static_cast<std::size_t>(trial) % 5, frame)) {
+      expect_parity_all_types(copy.bytes);
+    }
   }
 }
 
