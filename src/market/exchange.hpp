@@ -157,11 +157,11 @@ class VdxExchange {
   /// next round: `groups` replaces the broker's Gathered demand (ids dense,
   /// equal to index — what broker::group_sessions emits) and
   /// `background_loads` (Mbps per cluster) replaces the ambient traffic the
-  /// CDN agents net out of their spare capacity. A streaming timeline calls
-  /// this between epochs so each decision round prices the *current*
-  /// audience, not the whole-trace snapshot. Once the session book has been
-  /// fed, each round replaces `groups` with the book's; `background_loads`
-  /// stays.
+  /// CDN agents net out of their spare capacity, so each decision round
+  /// prices the *current* audience, not the whole-trace snapshot. A monolith
+  /// fed this way every round is the session-fed differential's oracle.
+  /// Once the session book has been fed, each round replaces `groups` with
+  /// the book's; `background_loads` stays.
   void set_active_load(std::span<const broker::ClientGroup> groups,
                        std::span<const double> background_loads);
   /// The background half of set_active_load: replaces the ambient traffic

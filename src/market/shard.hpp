@@ -3,9 +3,10 @@
 //
 // The session book, its validation and its recovery now live in
 // market::VdxExchange (push_session_delta, book_cursor, restore_state with a
-// book). This header only forwards to one, so callers written against the
-// class keep compiling. The class once partitioned cities across worker
-// shards; the shard-count knobs of ShardedConfig have no effect.
+// book). This header only forwards to one for the vdxbench shard-churn
+// workload, its only caller; the tests drive VdxExchange itself.
+// The class once partitioned cities across worker shards; the shard-count
+// knobs of ShardedConfig have no effect.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +38,11 @@ class ShardedExchange {
   explicit ShardedExchange(const sim::Scenario& scenario, ShardedConfig config = {})
       : settlement_(scenario, std::move(config.exchange)) {}
 
-  RoundReport run_round() { return settlement_.run_round(); }
-  /// run_round as a Result; it has no failure of its own to report.
-  [[nodiscard]] core::Result<RoundReport> try_run_round() { return run_round(); }
+  /// VdxExchange::run_round as a Result; it has no failure of its own to
+  /// report.
+  [[nodiscard]] core::Result<RoundReport> try_run_round() {
+    return settlement_.run_round();
+  }
   /// VdxExchange::push_session_delta.
   [[nodiscard]] core::Status push_session_delta(
       std::span<const proto::ShardSessionAdd> adds,

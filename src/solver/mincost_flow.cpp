@@ -31,7 +31,8 @@ NetworkSimplex::NetworkSimplex(std::vector<std::int64_t> supply) : supply_(std::
   if (overflow || sum != 0) {
     throw std::invalid_argument{"NetworkSimplex: supplies must sum to 0 within int64"};
   }
-  for (std::size_t u = 0; u < supply_.size(); ++u) push_arc(0, 0, 0.0, kInfCap);  // artificial
+  const auto root = static_cast<std::int32_t>(supply_.size());
+  for (std::int32_t u = 0; u < root; ++u) push_arc(u, root, 0.0, kInfCap);  // artificial
 }
 
 NetworkSimplex::ArcId NetworkSimplex::add_arc(NodeId from, NodeId to, std::int64_t capacity,
@@ -58,54 +59,6 @@ std::int64_t NetworkSimplex::flow(ArcId arc) const {
   const std::size_t e = supply_.size() + arc;
   if (e >= flow_.size()) throw std::out_of_range{"NetworkSimplex::flow: bad arc"};
   return flow_[e];
-}
-
-void NetworkSimplex::solve() {
-  const auto n = static_cast<std::int32_t>(supply_.size());
-  double max_cost = 0.0;
-  for (std::size_t e = supply_.size(); e < cost_.size(); ++e) {
-    max_cost = std::max(max_cost, cost_[e]);
-  }
-  // Big-M: dearer than any simple path of real arcs.
-  const double art_cost = (max_cost + 1.0) * static_cast<double>(n);
-  std::fill(state_.begin(), state_.end(), kLower);
-  std::fill(flow_.begin(), flow_.end(), 0);
-
-  // Initial tree: a star around the root (index n), threaded 0, 1, ..., n-1.
-  const std::int32_t root = n;
-  const auto tree_nodes = static_cast<std::size_t>(n) + 1;
-  parent_.assign(tree_nodes, root);
-  pred_.assign(tree_nodes, -1);
-  pred_up_.resize(tree_nodes);
-  thread_.resize(tree_nodes);
-  rev_thread_.resize(tree_nodes);
-  succ_num_.assign(tree_nodes, 1);
-  last_succ_.resize(tree_nodes);
-  pi_.assign(tree_nodes, 0.0);
-  parent_[root] = -1;
-  thread_[root] = 0;
-  rev_thread_[0] = root;
-  succ_num_[root] = n + 1;
-  last_succ_[root] = root - 1;
-  for (std::int32_t u = 0; u < n; ++u) {
-    pred_[u] = u;
-    thread_[u] = u + 1;
-    rev_thread_[u + 1] = u;
-    last_succ_[u] = u;
-    const bool source = supply_[u] >= 0;
-    pred_up_[u] = source ? 1 : -1;
-    pi_[u] = source ? 0.0 : art_cost;
-    source_[u] = source ? u : root;
-    target_[u] = source ? root : u;
-    cost_[u] = source ? 0.0 : art_cost;
-    state_[u] = kTree;
-    flow_[u] = source ? supply_[u] : -supply_[u];
-  }
-
-  run_pivots();
-  if (!std::all_of(flow_.begin(), flow_.begin() + n, [](std::int64_t f) { return f == 0; })) {
-    throw std::runtime_error{"NetworkSimplex: supplies cannot be routed"};
-  }
 }
 
 void NetworkSimplex::solve(const Basis& start) {
@@ -214,12 +167,7 @@ void NetworkSimplex::load_basis(const Basis& start) {
 
   std::fill(flow_.begin(), flow_.end(), 0);
   for (const ArcId arc : start.at_upper) flow_[n + arc] = cap_[n + arc];
-  for (std::int32_t u = 0; u < n; ++u) {
-    source_[u] = u;
-    target_[u] = root;
-    cost_[u] = 0.0;
-    flow_[pred_[u]] = pred_up_[u] * excess_[u];
-  }
+  for (std::int32_t u = 0; u < n; ++u) flow_[pred_[u]] = pred_up_[u] * excess_[u];
   pi_.resize(tree_nodes);
   pi_[root] = 0.0;
   for (std::int32_t u = thread_[root]; u != root; u = thread_[u]) {
@@ -405,15 +353,14 @@ void NetworkSimplex::update_tree() {
 }
 
 AssignmentNetwork build_assignment_network(const AssignmentProblem& problem,
-                                           double overflow_penalty, std::int64_t demand_scale) {
+                                           double overflow_penalty) {
   problem.validate();
-  if (demand_scale <= 0) throw std::invalid_argument{"demand_scale must be > 0"};
   const std::optional<std::vector<double>> group_demand = uniform_group_demand(problem);
   if (!group_demand) {
     throw std::invalid_argument{
         "solve_assignment_mcf: options of a group must share unit_demand"};
   }
-  const auto scale = static_cast<double>(demand_scale);
+  constexpr auto scale = static_cast<double>(kDemandScale);
   const std::size_t groups = problem.group_count();
   const std::size_t resources = problem.resource_count();
   using ArcId = NetworkSimplex::ArcId;
@@ -441,7 +388,7 @@ AssignmentNetwork build_assignment_network(const AssignmentProblem& problem,
   const auto sink = static_cast<NetworkSimplex::NodeId>(groups + resources);
 
   // Option arcs: group -> resource (or straight to sink when uncapacitated).
-  // One client corresponds to d * demand_scale flow units; spreading the
+  // One client corresponds to d * kDemandScale flow units; spreading the
   // per-client cost over them reproduces the objective exactly. Option i is
   // arc i. Nothing flows into a group, so capping its options at the total
   // rather than its own supply leaves the LP as it is, and leaves room on
@@ -503,12 +450,12 @@ AssignmentNetwork build_assignment_network(const AssignmentProblem& problem,
   return out;
 }
 
-Assignment solve_assignment_mcf(const AssignmentProblem& problem, double overflow_penalty,
-                                std::int64_t demand_scale) {
-  AssignmentNetwork built = build_assignment_network(problem, overflow_penalty, demand_scale);
+Assignment solve_assignment_mcf(const AssignmentProblem& problem,
+                                double overflow_penalty) {
+  AssignmentNetwork built = build_assignment_network(problem, overflow_penalty);
   built.network.solve(built.crash);
 
-  const auto scale = static_cast<double>(demand_scale);
+  constexpr auto scale = static_cast<double>(kDemandScale);
   std::vector<double> amounts(problem.options.size(), 0.0);
   std::vector<double> assigned(problem.group_count(), 0.0);
   for (std::size_t i = 0; i < problem.options.size(); ++i) {

@@ -1,8 +1,8 @@
 // Min-cost flow for the broker LP: a primal network simplex after LEMON's
 // NetworkSimplex (block-search pricing, Cunningham's strongly feasible
-// leaving rule, thread-based tree updates). It starts either from the
-// artificial-root star or from a caller-supplied strongly feasible tree; the
-// assignment solve always supplies one (each group on its cheapest option).
+// leaving rule, thread-based tree updates). It starts from a caller-supplied
+// strongly feasible tree; the assignment solve supplies one with each group
+// on its cheapest option.
 //
 // The broker LP has pure transportation structure whenever every option of a
 // group consumes the group's own bitrate — which is how the Share format
@@ -51,18 +51,16 @@ class NetworkSimplex {
   ArcId add_arc(NodeId from, NodeId to, std::int64_t capacity, double cost);
 
   /// Routes every supply to the sinks at minimum cost, starting from
-  /// scratch. Throws std::runtime_error when no feasible flow exists.
-  void solve();
-
-  /// Same optimum, starting from `start`. Its artificial arcs point at the
-  /// root at zero cost, so they carry no flow and the potentials hold no
-  /// big-M term. Throws std::invalid_argument, with the flows of the last
-  /// solve untouched, unless `start` spans every node, keeps every flow
-  /// within its bounds and is strongly feasible: each tree arc pointing at
-  /// the root has room left, each pointing away from it carries flow.
+  /// `start`. The artificial arcs point at the root at zero cost, so they
+  /// carry no flow and the potentials hold only real arc costs. Throws
+  /// std::invalid_argument, with the flows of the last solve untouched,
+  /// unless `start` spans every node, keeps every flow within its bounds and
+  /// is strongly feasible: each tree arc pointing at the root has room left,
+  /// each pointing away from it carries flow. An instance without a feasible
+  /// flow has no such basis.
   void solve(const Basis& start);
 
-  /// Flow on `arc` after solve().
+  /// Flow on `arc` after the last solve.
   [[nodiscard]] std::int64_t flow(ArcId arc) const;
 
   /// Entering arcs the last solve took, bound flips included.
@@ -79,8 +77,8 @@ class NetworkSimplex {
 
   std::vector<std::int64_t> supply_;
   // Arcs as parallel arrays, so pricing streams only what it reads: one
-  // artificial arc per node (arc u joins node u to the root), then the real
-  // arcs (ArcId a is arc nodes + a).
+  // artificial arc per node (arc u runs from node u to the root at cost 0),
+  // then the real arcs (ArcId a is arc nodes + a).
   std::vector<std::int32_t> source_;
   std::vector<std::int32_t> target_;
   std::vector<double> cost_;
@@ -115,6 +113,10 @@ class NetworkSimplex {
   std::uint64_t pivots_ = 0;
 };
 
+/// Flow units per demand unit in the assignment network: demands and
+/// capacities are scaled by it to integer flows, and costs spread over it.
+inline constexpr std::int64_t kDemandScale = 1000;
+
 /// The assignment LP as a flow network: nodes are the groups, then the
 /// resources, then the sink; option i is arc i, and each resource owns a
 /// capacity arc and an overflow arc to the sink. `crash` starts each group
@@ -127,17 +129,15 @@ struct AssignmentNetwork {
 /// Builds the network solve_assignment_mcf() solves; same arguments and
 /// throws.
 [[nodiscard]] AssignmentNetwork build_assignment_network(const AssignmentProblem& problem,
-                                                         double overflow_penalty,
-                                                         std::int64_t demand_scale = 1000);
+                                                         double overflow_penalty);
 
 /// Solves the assignment LP via min-cost flow. Requires every option of a
 /// group to have the same unit_demand (throws otherwise). Demands are scaled
-/// to integers with `demand_scale`; the returned amounts are client counts.
+/// to integers with kDemandScale; the returned amounts are client counts.
 /// `overflow_penalty` prices demand above capacity (per demand unit). Throws
 /// std::invalid_argument naming the group when a group's scaled demand, or
 /// the running total, does not fit int64.
 [[nodiscard]] Assignment solve_assignment_mcf(const AssignmentProblem& problem,
-                                              double overflow_penalty,
-                                              std::int64_t demand_scale = 1000);
+                                              double overflow_penalty);
 
 }  // namespace vdx::solver

@@ -94,10 +94,6 @@ Assignment solve(const AssignmentProblem& problem, const SolveOptions& options) 
     case Backend::kAuto:
       throw std::logic_error{"solve: unresolved auto backend"};
   }
-
-  if (options.integral && backend != Backend::kBranchAndBound) {
-    result = evaluate(problem, round_to_integers(problem, result.amounts));
-  }
   return result;
 }
 

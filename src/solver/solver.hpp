@@ -33,9 +33,6 @@ struct SolveOptions {
   Backend backend = Backend::kAuto;
   /// Penalty per demand unit above capacity (soft-capacity price).
   double overflow_penalty = 1e5;
-  /// Round the final amounts to integral clients (largest remainder,
-  /// group totals preserved).
-  bool integral = false;
   /// Observability sinks (no-op by default): per-invocation span, a
   /// `solver.invocations{backend=...}` counter, instance-size histogram,
   /// and a kSolve journal event.

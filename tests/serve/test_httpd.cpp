@@ -11,6 +11,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cmath>
 #include <csignal>
 #include <cstdlib>
@@ -198,7 +199,12 @@ TEST(ServeHttpd, LargeScrapeSurvivesSignalsAndShortWrites) {
   char buffer[4096];
   while (true) {
     const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
-    if (n <= 0) break;
+    if (n < 0) {
+      ADD_FAILURE() << "recv failed: " << std::strerror(errno) << " after "
+                    << response.size() << " bytes";
+      break;
+    }
+    if (n == 0) break;
     response.append(buffer, static_cast<std::size_t>(n));
     ::usleep(200);
   }

@@ -20,7 +20,6 @@
 
 #include "broker/grouping.hpp"
 #include "market/exchange.hpp"
-#include "market/shard.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "sim/designs.hpp"
@@ -124,22 +123,22 @@ RunCapture run_monolith(const sim::Scenario& scenario, DeltaOf delta_of,
   return capture_of(mono, std::move(reports), journal, metrics);
 }
 
-/// The same deltas pushed through the ShardedExchange forwarding shim (what
-/// the session-fed benchmark drives) built with `config`.
+/// The same deltas pushed into a book-fed VdxExchange's session book.
 template <typename DeltaOf>
 RunCapture run_session_fed(const sim::Scenario& scenario, DeltaOf delta_of,
-                           std::size_t rounds, ShardedConfig config = {}) {
+                           std::size_t rounds) {
   obs::MetricsRegistry metrics;
   obs::RunJournal journal;
-  config.exchange.obs = obs::Observer{&metrics, nullptr, &journal};
-  ShardedExchange exchange{scenario, config};
+  ExchangeConfig config;
+  config.obs = obs::Observer{&metrics, nullptr, &journal};
+  VdxExchange exchange{scenario, config};
   std::vector<RoundReport> reports;
   for (std::size_t r = 0; r < rounds; ++r) {
     const auto [adds, removes] = delta_of(r);
     EXPECT_TRUE(exchange.push_session_delta(adds, removes).ok()) << "round " << r;
     reports.push_back(exchange.run_round());
   }
-  return capture_of(exchange.settlement(), std::move(reports), journal, metrics);
+  return capture_of(exchange, std::move(reports), journal, metrics);
 }
 
 /// Exact (bitwise, for doubles) equality of every captured surface.

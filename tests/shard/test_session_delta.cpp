@@ -11,7 +11,6 @@
 
 #include "broker/grouping.hpp"
 #include "market/exchange.hpp"
-#include "market/shard.hpp"
 #include "shard/shard_test_util.hpp"
 #include "sim/scenario.hpp"
 
@@ -159,16 +158,16 @@ TEST(ShardSessionDelta, BudgetedRoundsRepriceTheWholeBook) {
     adds.push_back({id, id % cities, id % 2 == 0 ? 1.2 : 3.6});
     demand_mbps += adds.back().bitrate_mbps;
   }
-  ShardedConfig config;
-  config.exchange.overload.demand_budget_mbps = demand_mbps / 2.0;
-  ShardedExchange exchange{scenario(), config};
+  ExchangeConfig config;
+  config.overload.demand_budget_mbps = demand_mbps / 2.0;
+  VdxExchange exchange{scenario(), config};
   ASSERT_TRUE(exchange.push_session_delta(adds, {}).ok());
 
   const RoundReport first = exchange.run_round();
-  const auto priced = exchange.settlement().active_demand();
+  const auto priced = exchange.active_demand();
   const std::vector<broker::ClientGroup> first_priced{priced.begin(), priced.end()};
   const RoundReport second = exchange.run_round();
-  const auto again = exchange.settlement().active_demand();
+  const auto again = exchange.active_demand();
 
   EXPECT_GT(first.shed_mbps, 0.0);
   EXPECT_EQ(second.shed_mbps, first.shed_mbps);

@@ -1,18 +1,13 @@
 // Differential equivalence suite (DESIGN.md §14): a session-fed
-// ShardedExchange must settle byte-identically to a monolithic VdxExchange
-// fed broker::group_sessions of the same live sessions — at every value of
-// the inert shard-count knob.
+// VdxExchange must settle byte-identically to a monolithic VdxExchange fed
+// broker::group_sessions of the same live sessions.
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include "market/shard.hpp"
 #include "shard/shard_test_util.hpp"
 
 namespace vdx::market {
 namespace {
 
-constexpr std::size_t kShardCounts[] = {1, 2, 4, 7};
 constexpr std::size_t kRounds = 4;
 
 class ShardEquivalence : public ::testing::Test {
@@ -37,13 +32,12 @@ sim::Scenario* ShardEquivalence::scenario_ = nullptr;
 
 // The exchange folds deltas into its one session book and hands the book's
 // groups to the settlement; a monolith fed broker::group_sessions of the
-// same live sessions each round must settle identically, whatever the
-// (inert) shard count.
-TEST_F(ShardEquivalence, SessionFedMatchesGlobalLedgerAtEveryShardCount) {
+// same live sessions each round must settle identically.
+TEST_F(ShardEquivalence, SessionFedMatchesGlobalLedger) {
   constexpr double kLadder[] = {0.8, 1.6, 3.2};
   const std::size_t cities = scenario().world().cities().size();
   const auto add_of = [&](std::uint32_t id) {
-    return proto::ShardSessionAdd{id, id % static_cast<std::uint32_t>(cities),
+    return SessionAdd{id, id % static_cast<std::uint32_t>(cities),
                                   kLadder[(id / cities) % std::size(kLadder)]};
   };
 
@@ -66,13 +60,8 @@ TEST_F(ShardEquivalence, SessionFedMatchesGlobalLedgerAtEveryShardCount) {
   const shard_test::RunCapture mono =
       shard_test::run_monolith(scenario(), deltas_of, kRounds);
   ASSERT_FALSE(mono.placements.empty());
-  for (const std::size_t shards : kShardCounts) {
-    ShardedConfig config;
-    config.shards = shards;
-    shard_test::expect_identical(
-        mono, shard_test::run_session_fed(scenario(), deltas_of, kRounds, config),
-        "sessions shards=" + std::to_string(shards));
-  }
+  shard_test::expect_identical(
+      mono, shard_test::run_session_fed(scenario(), deltas_of, kRounds), "sessions");
 }
 
 // A batch whose removes target ids added in the SAME batch: adds apply
@@ -84,7 +73,7 @@ TEST_F(ShardEquivalence, SameBatchAddRemoveMatchesGlobalLedger) {
   constexpr std::uint32_t kAdds = 120;
   constexpr std::size_t kBatchRounds = 4;
   const auto add_of = [&](std::uint32_t id) {
-    return proto::ShardSessionAdd{id, id % cities, id % 2 == 0 ? 1.1 : 2.7};
+    return SessionAdd{id, id % cities, id % 2 == 0 ? 1.1 : 2.7};
   };
   // Round r adds a block and, in the SAME batch, removes every third id of
   // that block — plus a slice of the previous round's ids, some of which
@@ -104,13 +93,9 @@ TEST_F(ShardEquivalence, SameBatchAddRemoveMatchesGlobalLedger) {
 
   const shard_test::RunCapture mono =
       shard_test::run_monolith(scenario(), deltas_of, kBatchRounds);
-  for (const std::size_t shards : kShardCounts) {
-    ShardedConfig config;
-    config.shards = shards;
-    shard_test::expect_identical(
-        mono, shard_test::run_session_fed(scenario(), deltas_of, kBatchRounds, config),
-        "same-batch shards=" + std::to_string(shards));
-  }
+  shard_test::expect_identical(
+      mono, shard_test::run_session_fed(scenario(), deltas_of, kBatchRounds),
+      "same-batch");
 }
 
 }  // namespace

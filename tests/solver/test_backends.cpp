@@ -127,8 +127,7 @@ TEST_P(BackendProperty, IntegralRoundingPreservesCompleteness) {
   SolveOptions options;
   options.backend = Backend::kMinCostFlow;
   options.overflow_penalty = kPenalty;
-  options.integral = true;
-  const Assignment a = solve(p, options);
+  const Assignment a = evaluate(p, round_to_integers(p, solve(p, options).amounts));
   EXPECT_TRUE(a.complete);
   for (const double amount : a.amounts) {
     EXPECT_NEAR(amount, std::round(amount), 1e-9);
@@ -155,8 +154,8 @@ TEST(BranchBound, ExactOnTinyInstanceBeatsOrMatchesRoundedLp) {
     SolveOptions rounded_options;
     rounded_options.backend = Backend::kMinCostFlow;
     rounded_options.overflow_penalty = kPenalty;
-    rounded_options.integral = true;
-    const Assignment rounded = solve(p, rounded_options);
+    const Assignment rounded =
+        evaluate(p, round_to_integers(p, solve(p, rounded_options).amounts));
     EXPECT_LE(exact.assignment.penalized_objective(kPenalty),
               rounded.penalized_objective(kPenalty) + 1e-6)
         << "seed " << seed;

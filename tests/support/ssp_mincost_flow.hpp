@@ -1,8 +1,9 @@
 // Successive-shortest-path min-cost flow: the solver behind every committed
 // golden until the broker moved to a network simplex
 // (src/solver/mincost_flow.hpp). Test-only: it is the oracle the assignment
-// differential (tests/solver/test_assignment_differential.cpp) diffs the
-// production solver against, and the graph-level tests in
+// differential (AssignmentDifferential.* in
+// tests/solver/test_network_simplex.cpp) diffs the production solver
+// against, and the graph-level tests in
 // tests/solver/test_mincost_flow.cpp pin its routes.
 //
 // Algorithm: Bellman-Ford seeds the potentials, then one Dijkstra on reduced
