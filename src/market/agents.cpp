@@ -19,12 +19,12 @@ std::uint64_t bid_key(std::uint32_t share, std::uint32_t cluster) noexcept {
 VdxCdnAgent::VdxCdnAgent(const sim::Scenario& scenario, cdn::CdnId cdn,
                          cdn::BiddingStrategy& strategy,
                          std::span<const double> background_loads,
-                         CdnAgentConfig config)
+                         const cdn::CandidateMenuCache& menus)
     : scenario_(scenario),
       cdn_(cdn),
       strategy_(strategy),
       background_loads_(background_loads.begin(), background_loads.end()),
-      config_(config) {
+      menus_(menus) {
   if (background_loads_.size() != scenario.catalog().clusters().size()) {
     throw std::invalid_argument{"VdxCdnAgent: background loads arity mismatch"};
   }
@@ -51,41 +51,12 @@ std::vector<proto::BidMessage> VdxCdnAgent::announce() {
   bid_mbps_ = 0.0;
   if (failed_) return {};  // §6.3: a failed CDN simply goes silent
 
-  cdn::MatchingConfig matching;
-  matching.max_candidates = config_.bid_count;
-  matching.score_tolerance = config_.menu_tolerance;
-  const cdn::CandidateMenuCache* menus =
-      (config_.menus != nullptr && config_.menus->config() == matching)
-          ? config_.menus
-          : nullptr;
-
   std::vector<proto::BidMessage> bids;
-  bids.reserve(shares_.size() * config_.bid_count);
+  bids.reserve(shares_.size() * menus_.config().max_candidates);
   cdn::SweepBuffer sweep;
-  // Per-candidate lanes, either straight out of the cache arena or staged
-  // locally from candidates_for — the bidding loop below sees one shape.
-  std::vector<std::uint32_t> built_cluster;
-  std::vector<double> built_score, built_cost, built_capacity;
   for (const proto::ShareMessage& share : shares_) {
     const geo::CityId city{share.location};
-    cdn::MenuLanes lanes;
-    if (menus != nullptr) {
-      lanes = menus->lanes(cdn_, city);
-    } else {
-      const std::vector<cdn::Candidate> built = cdn::candidates_for(
-          scenario_.catalog(), scenario_.mapping(), cdn_, city, matching);
-      built_cluster.clear();
-      built_score.clear();
-      built_cost.clear();
-      built_capacity.clear();
-      for (const cdn::Candidate& c : built) {
-        built_cluster.push_back(c.cluster.value());
-        built_score.push_back(c.score);
-        built_cost.push_back(c.unit_cost);
-        built_capacity.push_back(c.capacity);
-      }
-      lanes = cdn::MenuLanes{built_cluster, built_score, built_cost, built_capacity};
-    }
+    const cdn::MenuLanes lanes = menus_.lanes(cdn_, city);
     // Spare capacity for the whole menu in one strided sweep; prices are
     // shaded per candidate afterwards (the multiplier varies per cluster).
     cdn::score_sweep(lanes, 1.0, background_loads_, sweep);

@@ -29,22 +29,29 @@ class CandidateMenuCache;
 
 namespace vdx::market {
 
+/// The Matching config the CDN agents of one exchange share: whoever owns
+/// the agents builds one cdn::CandidateMenuCache from it.
 struct CdnAgentConfig {
   /// Bids per share (menu size).
   std::size_t bid_count = 8;
   /// Menu score tolerance (see sim::RunConfig::menu_tolerance).
   double menu_tolerance = 1.35;
-  /// Optional shared menu cache (non-owning; typically owned by the
-  /// VdxExchange). Used only when its MatchingConfig matches this agent's
-  /// (bid_count, menu_tolerance); otherwise menus are built per announce().
-  const cdn::CandidateMenuCache* menus = nullptr;
+
+  [[nodiscard]] cdn::MatchingConfig matching() const noexcept {
+    cdn::MatchingConfig config;
+    config.max_candidates = bid_count;
+    config.score_tolerance = menu_tolerance;
+    return config;
+  }
 };
 
 class VdxCdnAgent final : public proto::CdnParticipant {
  public:
+  /// `menus` (non-owning, typically the exchange's) supplies every menu the
+  /// agent bids from, under its MatchingConfig.
   VdxCdnAgent(const sim::Scenario& scenario, cdn::CdnId cdn,
               cdn::BiddingStrategy& strategy, std::span<const double> background_loads,
-              CdnAgentConfig config = {});
+              const cdn::CandidateMenuCache& menus);
 
   // proto::CdnParticipant
   void handle_share(std::span<const proto::ShareMessage> shares) override;
@@ -99,7 +106,7 @@ class VdxCdnAgent final : public proto::CdnParticipant {
   cdn::CdnId cdn_;
   cdn::BiddingStrategy& strategy_;
   std::vector<double> background_loads_;
-  CdnAgentConfig config_;
+  const cdn::CandidateMenuCache& menus_;
 
   std::vector<proto::ShareMessage> shares_;
   /// share_id -> city for Accept attribution.

@@ -94,15 +94,9 @@ VdxExchange::VdxExchange(const sim::Scenario& scenario, ExchangeConfig config)
   counters_.prediction_error = obs_.metrics->gauge("exchange.prediction_error");
 
   background_loads_ = sim::place_background(scenario_);
-  {
-    cdn::MatchingConfig matching;
-    matching.max_candidates = config_.agent.bid_count;
-    matching.score_tolerance = config_.agent.menu_tolerance;
-    menu_cache_ = std::make_unique<cdn::CandidateMenuCache>(
-        scenario_.catalog(), scenario_.mapping(), scenario_.world().cities().size(),
-        matching);
-    config_.agent.menus = menu_cache_.get();
-  }
+  menu_cache_ = std::make_unique<cdn::CandidateMenuCache>(
+      scenario_.catalog(), scenario_.mapping(), scenario_.world().cities().size(),
+      config_.agent.matching());
   if (config_.chaos.faults.any()) {
     injector_ = std::make_unique<proto::FaultInjector>(config_.chaos.faults);
     // A lossy transport needs the degraded-round fallback to stay useful.
@@ -116,7 +110,7 @@ VdxExchange::VdxExchange(const sim::Scenario& scenario, ExchangeConfig config)
             ? cdn::make_static_strategy(cdn.markup)
             : cdn::make_risk_averse_strategy();
     cdn_agents_.push_back(std::make_unique<VdxCdnAgent>(
-        scenario_, cdn.id, *strategy, background_loads_, config_.agent));
+        scenario_, cdn.id, *strategy, background_loads_, *menu_cache_));
     strategies_.push_back(std::move(strategy));
   }
 }

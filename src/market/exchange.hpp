@@ -263,8 +263,8 @@ class VdxExchange {
   ExchangeConfig config_;
   std::vector<double> background_loads_;
   /// Menus are identical every round (the catalog and mapping are fixed for
-  /// the exchange's lifetime): built once here, shared read-only by all CDN
-  /// agents instead of each agent re-matching per announce().
+  /// the exchange's lifetime): built once here, the one menu source every
+  /// CDN agent bids from.
   std::unique_ptr<cdn::CandidateMenuCache> menu_cache_;
   std::vector<std::unique_ptr<cdn::BiddingStrategy>> strategies_;
   std::vector<std::unique_ptr<VdxCdnAgent>> cdn_agents_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "cdn/menu_cache.hpp"
 #include "sim/designs.hpp"
 
 namespace vdx::market {
@@ -13,6 +14,10 @@ TransactionResult run_transactions(const sim::Scenario& scenario,
 
   const auto background = sim::place_background(scenario);
 
+  const cdn::CandidateMenuCache menus{scenario.catalog(), scenario.mapping(),
+                                      scenario.world().cities().size(),
+                                      config.agent.matching()};
+
   // Strategies and agents (static: the protocol, not learning, is under
   // test).
   std::vector<std::unique_ptr<cdn::BiddingStrategy>> strategies;
@@ -20,7 +25,7 @@ TransactionResult run_transactions(const sim::Scenario& scenario,
   for (const cdn::Cdn& cdn : scenario.catalog().cdns()) {
     strategies.push_back(cdn::make_static_strategy(cdn.markup));
     agents.push_back(std::make_unique<VdxCdnAgent>(scenario, cdn.id, *strategies.back(),
-                                                   background, config.agent));
+                                                   background, menus));
   }
   VdxBrokerAgent broker{scenario, config.broker};
 

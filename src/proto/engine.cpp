@@ -23,76 +23,6 @@ T transmit(const T& message, std::size_t& bytes) {
   return std::move(decoded).value();
 }
 
-/// A fault-free broadcast to `fanout` receivers: the frames are identical on
-/// every link, so each message crosses the codec once and every receiver is
-/// handed the same decoded copy. `sent` and `bytes` count the logical
-/// broadcast (one frame per receiver).
-template <typename T>
-std::vector<T> broadcast(const std::vector<T>& messages, std::size_t fanout,
-                         std::size_t& sent, std::size_t& bytes) {
-  std::vector<T> delivered;
-  delivered.reserve(messages.size());
-  std::size_t frame_bytes = 0;
-  for (const T& message : messages) delivered.push_back(transmit(message, frame_bytes));
-  sent += messages.size() * fanout;
-  bytes += frame_bytes * fanout;
-  return delivered;
-}
-
-/// One message over a faulty link: send, and on presumed loss retry with
-/// exponential backoff until delivery, deadline expiry, or budget exhaustion.
-/// Mutated frames are rejected by try_decode_as (checksum) and treated as lost.
-/// Returns the decoded message if a copy arrived within the step deadline;
-/// `step_ticks` tracks the step's completion time on this and other links.
-/// Retries, timeouts, and decode rejects are narrated into the journal
-/// (subject = link) as they happen.
-template <typename T>
-std::optional<T> chaos_transmit(const T& message, std::size_t link,
-                                FaultInjector& injector, const DeadlineConfig& config,
-                                RoundStats& stats, std::size_t& step_ticks,
-                                const obs::Observer& obs) {
-  std::array<std::uint8_t, kFrameSize<T>> frame{};
-  encode_into(message, std::span{frame});
-  ++stats.chaos.messages;
-
-  std::size_t send_tick = 0;
-  std::size_t backoff = std::max<std::size_t>(1, config.retry_backoff_ticks);
-  for (std::size_t attempt = 0; attempt <= config.max_retries; ++attempt) {
-    if (attempt > 0) {
-      ++stats.chaos.retries;
-      obs.record(obs::EventKind::kRetry, static_cast<std::uint32_t>(link),
-                 static_cast<double>(attempt));
-    }
-    const FaultCounters before = injector.counters();
-    const std::vector<FaultedFrame> copies = injector.apply(link, frame);
-    const FaultCounters& after = injector.counters();
-    stats.chaos.frames_dropped += after.dropped - before.dropped;
-    stats.chaos.frames_duplicated += after.duplicated - before.duplicated;
-
-    for (const FaultedFrame& copy : copies) {
-      stats.bytes_on_wire += copy.bytes.size();
-      core::Result<T> decoded = try_decode_as<T>(copy.bytes);
-      if (!decoded.ok()) {
-        ++stats.chaos.decode_rejects;
-        obs.record(obs::EventKind::kDecodeReject, static_cast<std::uint32_t>(link));
-        continue;
-      }
-      const std::size_t arrival = send_tick + 1 + copy.delay_ticks;
-      if (arrival > config.step_deadline_ticks) continue;  // late copies discarded
-      step_ticks = std::max(step_ticks, arrival);
-      return std::move(decoded).value();
-    }
-    send_tick += backoff;
-    backoff *= 2;
-    if (send_tick > config.step_deadline_ticks) break;  // no budget left to resend
-  }
-  ++stats.chaos.timeouts;
-  obs.record(obs::EventKind::kTimeout, static_cast<std::uint32_t>(link),
-             static_cast<double>(config.step_deadline_ticks));
-  step_ticks = std::max(step_ticks, config.step_deadline_ticks);
-  return std::nullopt;
-}
-
 /// Folds one round's wire accounting into the `proto.*` metrics, once per
 /// round so hot transport loops never touch the registry.
 void record_round_metrics(const obs::Observer& obs, const RoundStats& stats) {
@@ -112,82 +42,205 @@ void record_round_metrics(const obs::Observer& obs, const RoundStats& stats) {
       .add(static_cast<double>(stats.chaos.frames_duplicated));
 }
 
-RoundStats run_chaos_round(BrokerParticipant& broker,
-                           std::span<CdnParticipant* const> cdns,
-                           const DecisionEngineConfig& config) {
-  RoundStats stats;
-  FaultInjector& injector = *config.faults;
-  const DeadlineConfig& deadlines = config.deadlines;
-  obs::SpanTracer* tracer = config.obs.tracer;
-  const obs::Histogram step_hist =
-      config.obs.metrics != nullptr ? config.obs.metrics->histogram("proto.step_ticks")
-                                    : obs::Histogram{};
+/// Links that never fault. The frames of a broadcast are identical on every
+/// link, so each message crosses the codec once and every receiver is handed
+/// the same decoded copy; `sent` and `bytes_on_wire` count the logical
+/// broadcast (one frame per receiver). A step takes one logical tick.
+class PerfectLinks {
+ public:
+  explicit PerfectLinks(obs::SpanTracer* tracer) : tracer_(tracer) {}
 
+  /// Broker to every CDN: each one's `handle` receives the decoded copies.
+  template <typename T>
+  void broadcast(std::span<const T> messages, std::span<CdnParticipant* const> cdns,
+                 void (CdnParticipant::*handle)(std::span<const T>), std::size_t& sent,
+                 RoundStats& stats) {
+    std::vector<T> delivered;
+    delivered.reserve(messages.size());
+    std::size_t frame_bytes = 0;
+    for (const T& message : messages) delivered.push_back(transmit(message, frame_bytes));
+    sent += messages.size() * cdns.size();
+    stats.bytes_on_wire += frame_bytes * cdns.size();
+    for (CdnParticipant* cdn : cdns) (cdn->*handle)(delivered);
+  }
+
+  /// Link `link` to the broker: appends every message to `delivered`.
+  template <typename T>
+  void collect(std::span<const T> messages, std::size_t /*link*/, RoundStats& stats,
+               std::vector<T>& delivered) {
+    for (const T& message : messages) {
+      delivered.push_back(transmit(message, stats.bytes_on_wire));
+    }
+  }
+
+  void close_step(RoundStats& /*stats*/) {
+    if (tracer_ != nullptr) tracer_->advance(1);
+  }
+
+ private:
+  obs::SpanTracer* tracer_;
+};
+
+/// Links through a FaultInjector: link i carries its own frame of every
+/// message to or from CDN i, because each link's injector RNG stream depends
+/// on it. A step's clock closes at the latest arrival (or deadline) on any of
+/// its links; `proto.step_ticks` records it.
+class FaultyLinks {
+ public:
+  explicit FaultyLinks(const DecisionEngineConfig& config)
+      : injector_(*config.faults),
+        deadlines_(config.deadlines),
+        obs_(config.obs),
+        step_hist_(config.obs.metrics != nullptr
+                       ? config.obs.metrics->histogram("proto.step_ticks")
+                       : obs::Histogram{}) {}
+
+  /// Broker to every CDN: link i delivers whichever messages survive it
+  /// within the step deadline, then CDN i's `handle` receives them.
+  template <typename T>
+  void broadcast(std::span<const T> messages, std::span<CdnParticipant* const> cdns,
+                 void (CdnParticipant::*handle)(std::span<const T>), std::size_t& sent,
+                 RoundStats& stats) {
+    for (std::size_t i = 0; i < cdns.size(); ++i) {
+      std::vector<T> delivered;
+      delivered.reserve(messages.size());
+      for (const T& message : messages) {
+        ++sent;
+        if (auto got = transmit_over(message, i, stats)) delivered.push_back(*got);
+      }
+      (cdns[i]->*handle)(delivered);
+    }
+  }
+
+  /// Link `link` to the broker: appends the messages that arrive in time.
+  template <typename T>
+  void collect(std::span<const T> messages, std::size_t link, RoundStats& stats,
+               std::vector<T>& delivered) {
+    for (const T& message : messages) {
+      if (auto got = transmit_over(message, link, stats)) delivered.push_back(*got);
+    }
+  }
+
+  void close_step(RoundStats& stats) {
+    if (obs_.tracer != nullptr) obs_.tracer->advance(step_ticks_);
+    stats.chaos.ticks_elapsed += step_ticks_;
+    step_hist_.observe(static_cast<double>(step_ticks_));
+    step_ticks_ = 0;
+  }
+
+ private:
+  /// One message over a faulty link: send, and on presumed loss retry with
+  /// exponential backoff until delivery, deadline expiry, or budget
+  /// exhaustion. Mutated frames are rejected by try_decode_as (checksum) and
+  /// treated as lost. Returns the decoded message if a copy arrived within
+  /// the step deadline. Retries, timeouts, and decode rejects are narrated
+  /// into the journal (subject = link) as they happen.
+  template <typename T>
+  std::optional<T> transmit_over(const T& message, std::size_t link, RoundStats& stats) {
+    std::array<std::uint8_t, kFrameSize<T>> frame{};
+    encode_into(message, std::span{frame});
+    ++stats.chaos.messages;
+
+    const auto subject = static_cast<std::uint32_t>(link);
+    std::size_t send_tick = 0;
+    std::size_t backoff = std::max<std::size_t>(1, deadlines_.retry_backoff_ticks);
+    for (std::size_t attempt = 0; attempt <= deadlines_.max_retries; ++attempt) {
+      if (attempt > 0) {
+        ++stats.chaos.retries;
+        obs_.record(obs::EventKind::kRetry, subject, static_cast<double>(attempt));
+      }
+      const FaultCounters before = injector_.counters();
+      const std::vector<FaultedFrame> copies = injector_.apply(link, frame);
+      const FaultCounters& after = injector_.counters();
+      stats.chaos.frames_dropped += after.dropped - before.dropped;
+      stats.chaos.frames_duplicated += after.duplicated - before.duplicated;
+
+      for (const FaultedFrame& copy : copies) {
+        stats.bytes_on_wire += copy.bytes.size();
+        core::Result<T> decoded = try_decode_as<T>(copy.bytes);
+        if (!decoded.ok()) {
+          ++stats.chaos.decode_rejects;
+          obs_.record(obs::EventKind::kDecodeReject, subject);
+          continue;
+        }
+        const std::size_t arrival = send_tick + 1 + copy.delay_ticks;
+        if (arrival > deadlines_.step_deadline_ticks) continue;  // late copies discarded
+        step_ticks_ = std::max(step_ticks_, arrival);
+        return std::move(decoded).value();
+      }
+      send_tick += backoff;
+      backoff *= 2;
+      if (send_tick > deadlines_.step_deadline_ticks) break;  // no budget left to resend
+    }
+    ++stats.chaos.timeouts;
+    obs_.record(obs::EventKind::kTimeout, subject,
+                static_cast<double>(deadlines_.step_deadline_ticks));
+    step_ticks_ = std::max(step_ticks_, deadlines_.step_deadline_ticks);
+    return std::nullopt;
+  }
+
+  FaultInjector& injector_;
+  const DeadlineConfig& deadlines_;
+  const obs::Observer& obs_;
+  obs::Histogram step_hist_;
+  std::size_t step_ticks_ = 0;  // completion time of the open step
+};
+
+/// The seven-step Decision Protocol over `links` (PerfectLinks or
+/// FaultyLinks), which decide how a message crosses a link and how a step's
+/// clock closes. A message lost on a link is simply absent from what its
+/// receiver sees, so the round always completes, degraded rather than
+/// stalled.
+template <typename Links>
+RoundStats sequence_round(BrokerParticipant& broker, std::span<CdnParticipant* const> cdns,
+                          const DecisionEngineConfig& config, Links& links) {
   for (CdnParticipant* cdn : cdns) {
     if (cdn == nullptr) throw std::invalid_argument{"null CdnParticipant"};
   }
 
+  RoundStats stats;
+  obs::SpanTracer* tracer = config.obs.tracer;
   const obs::SpanTracer::Scoped round_span{tracer, "decision.round"};
   // Step 1 (Estimate) is participant-local; mark it so every trace names all
   // 7 protocol steps.
   if (tracer != nullptr) tracer->instant("decision.estimate");
 
-  // Steps 2-3: Gather + Share. Each CDN receives whichever shares survive
-  // its link within the step deadline.
+  // Steps 2-3: Gather + Share. Designs that do not share client data still
+  // gather, and hand every CDN an empty span.
   std::vector<ShareMessage> shares;
   {
     const obs::SpanTracer::Scoped span{tracer, "decision.gather"};
     shares = broker.gather();
   }
-  std::size_t step_ticks = 0;
   {
     const obs::SpanTracer::Scoped span{tracer, "decision.share"};
-    for (std::size_t i = 0; i < cdns.size(); ++i) {
-      std::vector<ShareMessage> delivered;
-      if (config.share_client_data) {
-        delivered.reserve(shares.size());
-        for (const ShareMessage& share : shares) {
-          ++stats.shares_sent;
-          if (auto got = chaos_transmit(share, i, injector, deadlines, stats,
-                                        step_ticks, config.obs)) {
-            delivered.push_back(*got);
-          }
-        }
-      }
-      cdns[i]->handle_share(delivered);
-    }
-    if (tracer != nullptr) tracer->advance(step_ticks);
+    const std::span<const ShareMessage> sent =
+        config.share_client_data ? std::span<const ShareMessage>{shares}
+                                 : std::span<const ShareMessage>{};
+    links.broadcast(sent, cdns, &CdnParticipant::handle_share, stats.shares_sent, stats);
+    links.close_step(stats);
   }
-  stats.chaos.ticks_elapsed += step_ticks;
-  step_hist.observe(static_cast<double>(step_ticks));
 
   // Steps 4-5: Matching (bid computation) + Announce (bid transmission).
   // Lost bids are simply absent from the auction; the broker may backfill
   // them with stale cached bids.
-  std::vector<std::pair<std::size_t, BidMessage>> raw_bids;
+  std::vector<std::vector<BidMessage>> raw_bids(cdns.size());
   {
     const obs::SpanTracer::Scoped span{tracer, "decision.matching"};
-    for (std::size_t i = 0; i < cdns.size(); ++i) {
-      for (BidMessage& bid : cdns[i]->announce()) {
-        raw_bids.emplace_back(i, std::move(bid));
-      }
-    }
+    for (std::size_t i = 0; i < cdns.size(); ++i) raw_bids[i] = cdns[i]->announce();
   }
-  step_ticks = 0;
   std::vector<BidMessage> all_bids;
   {
     const obs::SpanTracer::Scoped span{tracer, "decision.announce"};
-    for (const auto& [link, bid] : raw_bids) {
-      if (auto got = chaos_transmit(bid, link, injector, deadlines, stats, step_ticks,
-                                    config.obs)) {
-        all_bids.push_back(*got);
-        ++stats.bids_received;
-      }
+    std::size_t bid_count = 0;
+    for (const std::vector<BidMessage>& bids : raw_bids) bid_count += bids.size();
+    all_bids.reserve(bid_count);
+    for (std::size_t i = 0; i < cdns.size(); ++i) {
+      links.collect(std::span<const BidMessage>{raw_bids[i]}, i, stats, all_bids);
     }
-    if (tracer != nullptr) tracer->advance(step_ticks);
+    stats.bids_received = all_bids.size();
+    links.close_step(stats);
   }
-  stats.chaos.ticks_elapsed += step_ticks;
-  step_hist.observe(static_cast<double>(step_ticks));
 
   // Step 6: Optimize (broker-local, no transport).
   std::vector<AcceptMessage> accepts;
@@ -196,27 +249,14 @@ RoundStats run_chaos_round(BrokerParticipant& broker,
     accepts = broker.optimize(all_bids);
   }
 
-  // Step 7: Accept — CDNs hear about whichever outcomes reach them; a CDN
-  // that misses an Accept just doesn't update its strategy for that bid.
-  step_ticks = 0;
+  // Step 7: Accept. Every CDN hears whichever outcomes reach it; a CDN that
+  // misses an Accept just doesn't update its strategy for that bid.
   {
     const obs::SpanTracer::Scoped span{tracer, "decision.accept"};
-    for (std::size_t i = 0; i < cdns.size(); ++i) {
-      std::vector<AcceptMessage> delivered;
-      delivered.reserve(accepts.size());
-      for (const AcceptMessage& accept : accepts) {
-        ++stats.accepts_sent;
-        if (auto got = chaos_transmit(accept, i, injector, deadlines, stats, step_ticks,
-                                      config.obs)) {
-          delivered.push_back(*got);
-        }
-      }
-      cdns[i]->handle_accept(delivered);
-    }
-    if (tracer != nullptr) tracer->advance(step_ticks);
+    links.broadcast(std::span<const AcceptMessage>{accepts}, cdns,
+                    &CdnParticipant::handle_accept, stats.accepts_sent, stats);
+    links.close_step(stats);
   }
-  stats.chaos.ticks_elapsed += step_ticks;
-  step_hist.observe(static_cast<double>(step_ticks));
 
   record_round_metrics(config.obs, stats);
   return stats;
@@ -228,73 +268,11 @@ RoundStats run_decision_round(BrokerParticipant& broker,
                               std::span<CdnParticipant* const> cdns,
                               const DecisionEngineConfig& config) {
   if (config.faults != nullptr && config.faults->profile().any()) {
-    return run_chaos_round(broker, cdns, config);
+    FaultyLinks links{config};
+    return sequence_round(broker, cdns, config, links);
   }
-
-  RoundStats stats;
-  obs::SpanTracer* tracer = config.obs.tracer;
-
-  for (CdnParticipant* cdn : cdns) {
-    if (cdn == nullptr) throw std::invalid_argument{"null CdnParticipant"};
-  }
-
-  const obs::SpanTracer::Scoped round_span{tracer, "decision.round"};
-  if (tracer != nullptr) tracer->instant("decision.estimate");
-
-  // Steps 2-3: Gather + Share. A fault-free hop costs one logical tick per
-  // transport step, so logical-clock traces stay meaningful without chaos.
-  std::vector<ShareMessage> shares;
-  {
-    const obs::SpanTracer::Scoped span{tracer, "decision.gather"};
-    shares = broker.gather();
-  }
-  {
-    const obs::SpanTracer::Scoped span{tracer, "decision.share"};
-    const std::vector<ShareMessage> delivered =
-        config.share_client_data ? broadcast(shares, cdns.size(), stats.shares_sent,
-                                             stats.bytes_on_wire)
-                                 : std::vector<ShareMessage>{};
-    for (CdnParticipant* cdn : cdns) cdn->handle_share(delivered);
-    if (tracer != nullptr) tracer->advance(1);
-  }
-
-  // Steps 4-5: Matching + Announce.
-  std::vector<BidMessage> raw_bids;
-  {
-    const obs::SpanTracer::Scoped span{tracer, "decision.matching"};
-    for (CdnParticipant* cdn : cdns) {
-      for (BidMessage& bid : cdn->announce()) raw_bids.push_back(std::move(bid));
-    }
-  }
-  std::vector<BidMessage> all_bids;
-  {
-    const obs::SpanTracer::Scoped span{tracer, "decision.announce"};
-    all_bids.reserve(raw_bids.size());
-    for (const BidMessage& bid : raw_bids) {
-      all_bids.push_back(transmit(bid, stats.bytes_on_wire));
-      ++stats.bids_received;
-    }
-    if (tracer != nullptr) tracer->advance(1);
-  }
-
-  // Step 6: Optimize.
-  std::vector<AcceptMessage> accepts;
-  {
-    const obs::SpanTracer::Scoped span{tracer, "decision.optimize"};
-    accepts = broker.optimize(all_bids);
-  }
-
-  // Step 7: Accept — every CDN hears about every bid's outcome.
-  {
-    const obs::SpanTracer::Scoped span{tracer, "decision.accept"};
-    const std::vector<AcceptMessage> delivered =
-        broadcast(accepts, cdns.size(), stats.accepts_sent, stats.bytes_on_wire);
-    for (CdnParticipant* cdn : cdns) cdn->handle_accept(delivered);
-    if (tracer != nullptr) tracer->advance(1);
-  }
-
-  record_round_metrics(config.obs, stats);
-  return stats;
+  PerfectLinks links{config.obs.tracer};
+  return sequence_round(broker, cdns, config, links);
 }
 
 DeliveryOutcome run_delivery(const QueryMessage& query, DeliveryDirectory& directory,

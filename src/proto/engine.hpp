@@ -8,14 +8,17 @@
 // Delivery Protocol: Query -> Result -> Request -> Delivery, with a failover
 // re-resolution when the chosen cluster turns out to be dark.
 //
-// Chaos mode (paper §6.3): when a FaultInjector is plugged into the config,
-// every frame can be dropped, delayed, duplicated, or mutated. The engine
-// then runs a logical clock per protocol step: each message is retried with
-// exponential backoff until it arrives, the per-step deadline expires, or
-// the retry budget is exhausted; mutated frames are rejected by the
-// checksummed codec (never thrown across the engine) and counted. Messages
-// that miss their deadline are simply absent from what the receiver sees —
-// the round always completes, degraded rather than stalled.
+// The seven Decision-Protocol steps are written once and run over one of two
+// link policies, which decide only how a message crosses a link and how a
+// step's logical clock closes. Perfect links (no FaultInjector, or one whose
+// profile has no faults) take one tick per step. Faulty links (paper §6.3)
+// pass every frame through the injector, which may drop, delay, duplicate or
+// mutate it; each message is retried with exponential backoff until it
+// arrives, the per-step deadline expires, or the retry budget is exhausted,
+// and the step closes at its latest arrival. Mutated frames are rejected by
+// the checksummed codec (never thrown across the engine) and counted.
+// Messages that miss their deadline are simply absent from what the receiver
+// sees, so the round always completes, degraded rather than stalled.
 #pragma once
 
 #include <cstddef>
@@ -112,10 +115,10 @@ struct DecisionEngineConfig {
 };
 
 /// Runs one Decision Protocol round. Every message is encoded and re-decoded
-/// through the wire codec. On the fault-free transport a Share or Accept
-/// broadcast crosses the codec once and every CDN receives the same decoded
-/// span, while `shares_sent`, `accepts_sent` and `bytes_on_wire` still count
-/// one frame per CDN; under chaos every link carries its own frame.
+/// through the wire codec. Over perfect links a Share or Accept broadcast
+/// crosses the codec once and every CDN receives the same decoded span,
+/// while `shares_sent`, `accepts_sent` and `bytes_on_wire` still count one
+/// frame per CDN; over faulty links every link carries its own frame.
 [[nodiscard]] RoundStats run_decision_round(BrokerParticipant& broker,
                                             std::span<CdnParticipant* const> cdns,
                                             const DecisionEngineConfig& config = {});

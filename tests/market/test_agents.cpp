@@ -16,15 +16,21 @@ class AgentTest : public ::testing::Test {
     config.seed = 77;
     scenario_ = new sim::Scenario(sim::Scenario::build(config));
     background_ = new std::vector<double>(sim::place_background(*scenario_));
+    menus_ = new cdn::CandidateMenuCache{scenario_->catalog(), scenario_->mapping(),
+                                         scenario_->world().cities().size(),
+                                         CdnAgentConfig{}.matching()};
   }
   static void TearDownTestSuite() {
+    delete menus_;
     delete background_;
     delete scenario_;
     scenario_ = nullptr;
     background_ = nullptr;
+    menus_ = nullptr;
   }
   static const sim::Scenario& scenario() { return *scenario_; }
   static const std::vector<double>& background() { return *background_; }
+  static const cdn::CandidateMenuCache& menus() { return *menus_; }
 
   static std::vector<proto::ShareMessage> gather_shares() {
     VdxBrokerAgent broker{scenario()};
@@ -34,10 +40,12 @@ class AgentTest : public ::testing::Test {
  private:
   static sim::Scenario* scenario_;
   static std::vector<double>* background_;
+  static cdn::CandidateMenuCache* menus_;
 };
 
 sim::Scenario* AgentTest::scenario_ = nullptr;
 std::vector<double>* AgentTest::background_ = nullptr;
+cdn::CandidateMenuCache* AgentTest::menus_ = nullptr;
 
 TEST_F(AgentTest, BrokerGatherMatchesGroups) {
   const auto shares = gather_shares();
@@ -54,7 +62,7 @@ TEST_F(AgentTest, BrokerGatherMatchesGroups) {
 
 TEST_F(AgentTest, CdnAgentBidsOnlyWithSpareCapacity) {
   cdn::StaticStrategy strategy;
-  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background()};
+  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background(), menus()};
   agent.handle_share(gather_shares());
   const auto bids = agent.announce();
   ASSERT_FALSE(bids.empty());
@@ -72,52 +80,9 @@ TEST_F(AgentTest, CdnAgentBidsOnlyWithSpareCapacity) {
   }
 }
 
-TEST_F(AgentTest, CachedAndFallbackMenusProduceIdenticalBids) {
-  // The announce() loop reads candidate lanes either out of the shared arena
-  // or staged locally from candidates_for (no usable cache). Both shapes
-  // must produce bit-identical bids — including through a cache whose config
-  // mismatches, which has to be ignored in favor of the fallback.
-  const auto shares = gather_shares();
-  CdnAgentConfig config;
-
-  cdn::MatchingConfig matching;
-  matching.max_candidates = config.bid_count;
-  matching.score_tolerance = config.menu_tolerance;
-  const cdn::CandidateMenuCache cache{scenario().catalog(), scenario().mapping(),
-                                      scenario().world().cities().size(), matching};
-  cdn::MatchingConfig other = matching;
-  other.max_candidates = config.bid_count + 1;
-  const cdn::CandidateMenuCache mismatched{scenario().catalog(), scenario().mapping(),
-                                           scenario().world().cities().size(), other};
-
-  const auto announce_with = [&](const cdn::CandidateMenuCache* menus) {
-    cdn::StaticStrategy strategy;
-    CdnAgentConfig with_menus = config;
-    with_menus.menus = menus;
-    VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background(), with_menus};
-    agent.handle_share(shares);
-    return agent.announce();
-  };
-
-  const auto cached = announce_with(&cache);
-  const auto fallback = announce_with(nullptr);
-  const auto ignored = announce_with(&mismatched);
-  ASSERT_EQ(cached.size(), fallback.size());
-  ASSERT_EQ(ignored.size(), fallback.size());
-  for (std::size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_EQ(cached[i].share_id, fallback[i].share_id);
-    EXPECT_EQ(cached[i].cluster_id, fallback[i].cluster_id);
-    EXPECT_EQ(cached[i].performance_estimate, fallback[i].performance_estimate);
-    EXPECT_EQ(cached[i].price, fallback[i].price);
-    EXPECT_EQ(cached[i].capacity_mbps, fallback[i].capacity_mbps);
-    EXPECT_EQ(ignored[i].cluster_id, fallback[i].cluster_id);
-    EXPECT_EQ(ignored[i].capacity_mbps, fallback[i].capacity_mbps);
-  }
-}
-
 TEST_F(AgentTest, StaticStrategyPricesAtMarkup) {
   cdn::StaticStrategy strategy{1.2};
-  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background()};
+  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background(), menus()};
   agent.handle_share(gather_shares());
   for (const proto::BidMessage& bid : agent.announce()) {
     const cdn::Cluster& cluster =
@@ -128,7 +93,7 @@ TEST_F(AgentTest, StaticStrategyPricesAtMarkup) {
 
 TEST_F(AgentTest, FailedAgentGoesSilent) {
   cdn::StaticStrategy strategy;
-  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background()};
+  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background(), menus()};
   agent.handle_share(gather_shares());
   agent.set_failed(true);
   EXPECT_TRUE(agent.announce().empty());
@@ -138,12 +103,12 @@ TEST_F(AgentTest, FailedAgentGoesSilent) {
 
 TEST_F(AgentTest, FraudulentAgentMisreports) {
   cdn::StaticStrategy strategy;
-  VdxCdnAgent honest{scenario(), cdn::CdnId{0}, strategy, background()};
+  VdxCdnAgent honest{scenario(), cdn::CdnId{0}, strategy, background(), menus()};
   honest.handle_share(gather_shares());
   const auto honest_bids = honest.announce();
 
   cdn::StaticStrategy strategy2;
-  VdxCdnAgent liar{scenario(), cdn::CdnId{0}, strategy2, background()};
+  VdxCdnAgent liar{scenario(), cdn::CdnId{0}, strategy2, background(), menus()};
   liar.handle_share(gather_shares());
   liar.set_fraudulent(true);
   const auto fraud_bids = liar.announce();
@@ -158,7 +123,7 @@ TEST_F(AgentTest, FraudulentAgentMisreports) {
 
 TEST_F(AgentTest, AcceptFeedbackReachesStrategy) {
   cdn::RiskAverseStrategy strategy;
-  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background()};
+  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background(), menus()};
   agent.handle_share(gather_shares());
   const auto bids = agent.announce();
   ASSERT_FALSE(bids.empty());
@@ -187,7 +152,7 @@ TEST_F(AgentTest, AcceptFeedbackReachesStrategy) {
 
 TEST_F(AgentTest, AcceptIgnoresOtherCdns) {
   cdn::RiskAverseStrategy strategy;
-  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background()};
+  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background(), menus()};
   agent.handle_share(gather_shares());
   (void)agent.announce();
   proto::AcceptMessage foreign;
@@ -202,7 +167,7 @@ TEST_F(AgentTest, BrokerOptimizeProducesAcceptPerBid) {
   (void)broker.gather();
 
   cdn::StaticStrategy strategy;
-  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background()};
+  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background(), menus()};
   agent.handle_share(gather_shares());
   const auto bids = agent.announce();
 
@@ -218,7 +183,7 @@ TEST_F(AgentTest, ResolveReturnsWinningClusters) {
   VdxBrokerAgent broker{scenario()};
   (void)broker.gather();
   cdn::StaticStrategy strategy;
-  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background()};
+  VdxCdnAgent agent{scenario(), cdn::CdnId{0}, strategy, background(), menus()};
   agent.handle_share(gather_shares());
   (void)broker.optimize(agent.announce());
 
@@ -263,7 +228,7 @@ TEST_F(AgentTest, BackgroundArityValidated) {
   cdn::StaticStrategy strategy;
   std::vector<double> wrong(3, 0.0);
   EXPECT_THROW(
-      (VdxCdnAgent{scenario(), cdn::CdnId{0}, strategy, wrong}),
+      (VdxCdnAgent{scenario(), cdn::CdnId{0}, strategy, wrong, menus()}),
       std::invalid_argument);
 }
 

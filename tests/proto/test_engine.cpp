@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <sstream>
+#include <string>
+
+#include "core/fnv1a.hpp"
+
 namespace vdx::proto {
 namespace {
 
@@ -179,6 +185,94 @@ TEST(DecisionEngine, NullParticipantRejected) {
   EXPECT_THROW((void)run_decision_round(broker, cdns), std::invalid_argument);
 }
 
+std::uint64_t digest(const std::string& text) {
+  return core::fnv1a64(std::span{reinterpret_cast<const std::uint8_t*>(text.data()),
+                                 text.size()});
+}
+
+/// Everything a run of Decision-Protocol rounds exposes: each round's stats,
+/// the tracer's logical clock after each round, FNV-1a digests of the
+/// tracer, journal and metrics JSONL exports, and the histogram the chaos
+/// transport alone interns.
+struct RoundSurface {
+  std::vector<RoundStats> stats;
+  std::vector<std::uint64_t> clock;
+  std::uint64_t trace_digest = 0;
+  std::uint64_t journal_digest = 0;
+  std::uint64_t metrics_digest = 0;
+  bool has_step_ticks = false;
+};
+
+/// Four rounds between a 3-share broker and three scripted CDNs, with every
+/// observability sink attached.
+RoundSurface observe_rounds(FaultInjector* faults) {
+  constexpr std::uint32_t kRounds = 4;
+  obs::MetricsRegistry metrics;
+  obs::SpanTracer tracer;
+  obs::RunJournal journal;
+  DecisionEngineConfig config;
+  config.faults = faults;
+  config.obs = obs::Observer{&metrics, &tracer, &journal};
+
+  ScriptedBroker broker{3};
+  ScriptedCdn first{1, 1.0};
+  ScriptedCdn second{2, 2.0};
+  ScriptedCdn third{3, 3.0};
+  std::vector<CdnParticipant*> cdns{&first, &second, &third};
+
+  RoundSurface surface;
+  for (std::uint32_t round = 0; round < kRounds; ++round) {
+    journal.begin_round(round);
+    surface.stats.push_back(run_decision_round(broker, cdns, config));
+    surface.clock.push_back(tracer.logical_now());
+  }
+  std::ostringstream trace_out;
+  std::ostringstream journal_out;
+  std::ostringstream metrics_out;
+  tracer.write_jsonl(trace_out);
+  journal.write_jsonl(journal_out);
+  metrics.write_jsonl(metrics_out);
+  surface.trace_digest = digest(trace_out.str());
+  surface.journal_digest = digest(journal_out.str());
+  surface.metrics_digest = digest(metrics_out.str());
+  surface.has_step_ticks = metrics.find("proto.step_ticks").has_value();
+  return surface;
+}
+
+void expect_stats(const RoundStats& got, const RoundStats& want, std::size_t round) {
+  SCOPED_TRACE("round " + std::to_string(round));
+  EXPECT_EQ(got.shares_sent, want.shares_sent);
+  EXPECT_EQ(got.bids_received, want.bids_received);
+  EXPECT_EQ(got.accepts_sent, want.accepts_sent);
+  EXPECT_EQ(got.bytes_on_wire, want.bytes_on_wire);
+  EXPECT_EQ(got.chaos.messages, want.chaos.messages);
+  EXPECT_EQ(got.chaos.retries, want.chaos.retries);
+  EXPECT_EQ(got.chaos.timeouts, want.chaos.timeouts);
+  EXPECT_EQ(got.chaos.decode_rejects, want.chaos.decode_rejects);
+  EXPECT_EQ(got.chaos.frames_dropped, want.chaos.frames_dropped);
+  EXPECT_EQ(got.chaos.frames_duplicated, want.chaos.frames_duplicated);
+  EXPECT_EQ(got.chaos.ticks_elapsed, want.chaos.ticks_elapsed);
+}
+
+// The fault-free round's whole observable surface, recorded before the
+// perfect and chaos transports were folded into one sequence.
+TEST(DecisionEngine, FullSurfacePinned) {
+  const RoundSurface surface = observe_rounds(nullptr);
+
+  // 3 shares x 3 CDNs out, 9 bids back, 9 accepts x 3 CDNs out, every round.
+  const RoundStats want{9, 9, 27, 2259, {}};
+  ASSERT_EQ(surface.stats.size(), 4u);
+  for (std::size_t round = 0; round < surface.stats.size(); ++round) {
+    expect_stats(surface.stats[round], want, round);
+    // One tick per transport step (Share, Announce, Accept).
+    EXPECT_EQ(surface.clock[round], 3 * (round + 1));
+  }
+  EXPECT_EQ(surface.trace_digest, 0x42613bbb8e3604beULL);
+  EXPECT_EQ(surface.journal_digest, digest(""));  // a perfect link narrates nothing
+  EXPECT_EQ(surface.metrics_digest, 0x594c58d7478ea08aULL);
+  EXPECT_FALSE(surface.has_step_ticks);
+}
+
 class ScriptedDirectory final : public DeliveryDirectory {
  public:
   ResultMessage resolve(const QueryMessage& query) override {
@@ -198,17 +292,25 @@ class ScriptedFrontend final : public ClusterFrontend {
 };
 
 TEST(ChaosEngine, ZeroProfileInjectorMatchesPerfectTransport) {
-  ScriptedBroker perfect_broker;
-  ScriptedCdn perfect_cdn{1, 1.0};
-  std::vector<CdnParticipant*> perfect_cdns{&perfect_cdn};
-  const RoundStats perfect = run_decision_round(perfect_broker, perfect_cdns);
+  obs::SpanTracer perfect_tracer;
+  DecisionEngineConfig perfect_config;
+  perfect_config.obs.tracer = &perfect_tracer;
+  ScriptedBroker perfect_broker{2};
+  ScriptedCdn perfect_a{1, 1.0};
+  ScriptedCdn perfect_b{2, 3.0};
+  std::vector<CdnParticipant*> perfect_cdns{&perfect_a, &perfect_b};
+  const RoundStats perfect = run_decision_round(perfect_broker, perfect_cdns,
+                                                perfect_config);
 
   FaultInjector injector;  // empty profile: chaos path must not engage
+  obs::SpanTracer tracer;
   DecisionEngineConfig config;
   config.faults = &injector;
-  ScriptedBroker broker;
-  ScriptedCdn cdn{1, 1.0};
-  std::vector<CdnParticipant*> cdns{&cdn};
+  config.obs.tracer = &tracer;
+  ScriptedBroker broker{2};
+  ScriptedCdn a{1, 1.0};
+  ScriptedCdn b{2, 3.0};
+  std::vector<CdnParticipant*> cdns{&a, &b};
   const RoundStats stats = run_decision_round(broker, cdns, config);
 
   EXPECT_EQ(stats.shares_sent, perfect.shares_sent);
@@ -217,6 +319,16 @@ TEST(ChaosEngine, ZeroProfileInjectorMatchesPerfectTransport) {
   EXPECT_EQ(stats.bytes_on_wire, perfect.bytes_on_wire);
   EXPECT_EQ(stats.chaos.messages, 0u);
   EXPECT_EQ(stats.chaos.timeouts, 0u);
+  EXPECT_EQ(stats.chaos.ticks_elapsed, 0u);
+  // Every participant received the same messages, and the clock took the
+  // fault-free one tick per transport step.
+  EXPECT_EQ(frames(a.shares_), frames(perfect_a.shares_));
+  EXPECT_EQ(frames(b.shares_), frames(perfect_b.shares_));
+  EXPECT_EQ(frames(broker.seen_bids_), frames(perfect_broker.seen_bids_));
+  EXPECT_EQ(frames(a.accepts_), frames(perfect_a.accepts_));
+  EXPECT_EQ(frames(b.accepts_), frames(perfect_b.accepts_));
+  EXPECT_EQ(tracer.logical_now(), perfect_tracer.logical_now());
+  EXPECT_EQ(tracer.logical_now(), 3u);
 }
 
 TEST(ChaosEngine, TotalLossTimesOutEveryMessageButCompletes) {
@@ -300,6 +412,40 @@ TEST(ChaosEngine, CorruptedFramesAreRejectedNotThrown) {
   EXPECT_EQ(stats.chaos.frames_dropped, 0u);
   EXPECT_EQ(stats.bids_received, 0u);
   EXPECT_EQ(stats.bytes_on_wire, 117u);
+}
+
+// The chaos round's whole observable surface, recorded as above: every
+// fault kind and the burst model fire, so each step's ticks, the journal's
+// retry/timeout/reject narration and the injector's per-link streams are
+// pinned absolutely, not only run against run.
+TEST(ChaosEngine, FullSurfacePinned) {
+  FaultProfile profile;
+  profile.drop_rate = 0.15;
+  profile.duplicate_rate = 0.1;
+  profile.delay_rate = 0.2;
+  profile.truncate_rate = 0.05;
+  profile.corrupt_rate = 0.05;
+  profile.burst_enter = 0.1;
+  profile.seed = 29;
+  FaultInjector injector{profile};
+  const RoundSurface surface = observe_rounds(&injector);
+
+  const std::array<RoundStats, 4> want{{
+      {9, 8, 24, 2001, {41, 13, 4, 5, 13, 8, 20}},
+      {9, 9, 27, 2384, {45, 17, 0, 4, 13, 5, 19}},
+      {9, 8, 24, 2363, {42, 18, 2, 9, 12, 8, 21}},
+      {9, 8, 24, 2233, {42, 13, 2, 6, 9, 4, 23}},
+  }};
+  const std::array<std::uint64_t, 4> want_clock{20, 39, 60, 83};
+  ASSERT_EQ(surface.stats.size(), want.size());
+  for (std::size_t round = 0; round < want.size(); ++round) {
+    expect_stats(surface.stats[round], want[round], round);
+    EXPECT_EQ(surface.clock[round], want_clock[round]) << "round " << round;
+  }
+  EXPECT_EQ(surface.trace_digest, 0xb4914b12b491a728ULL);
+  EXPECT_EQ(surface.journal_digest, 0x3bf93df82e287870ULL);
+  EXPECT_EQ(surface.metrics_digest, 0x28e7174d8f9099cfULL);
+  EXPECT_TRUE(surface.has_step_ticks);
 }
 
 TEST(DeliveryEngine, RunsFourSteps) {
