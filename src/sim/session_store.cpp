@@ -1,10 +1,70 @@
 #include "sim/session_store.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
 
 namespace vdx::sim {
+
+std::uint64_t DepartureQueue::key_of(double t) noexcept {
+  if (t == 0.0) t = 0.0;  // -0.0 == +0.0, so they must share a key
+  const auto bits = std::bit_cast<std::uint64_t>(t);
+  // Negative doubles order reversed by their bits; flip them below the
+  // positives, which keep their order above the sign bit.
+  return (bits >> 63) != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+}
+
+std::size_t DepartureQueue::bucket_of(std::uint64_t key) const noexcept {
+  return static_cast<std::size_t>(std::bit_width(key ^ floor_));
+}
+
+void DepartureQueue::push(double end_s, std::uint32_t slot) {
+  const std::uint64_t key = key_of(end_s);
+  const Entry entry{static_cast<std::uint32_t>(key >> 32),
+                    static_cast<std::uint32_t>(key), slot};
+  if (key < floor_) {
+    overdue_.push_back(entry);
+  } else {
+    buckets_[bucket_of(key)].push_back(entry);
+  }
+  ++size_;
+}
+
+std::uint64_t DepartureQueue::bucket_first(std::size_t b) const noexcept {
+  if (b == 0) return floor_;
+  const std::uint64_t above = b == 64 ? 0 : floor_ & (~std::uint64_t{0} << b);
+  return above | (std::uint64_t{1} << (b - 1));
+}
+
+std::uint64_t DepartureQueue::bucket_last(std::size_t b) const noexcept {
+  if (b == 0) return floor_;
+  return bucket_first(b) | ((std::uint64_t{1} << (b - 1)) - 1);
+}
+
+bool DepartureQueue::spread(std::size_t b, std::uint64_t limit) {
+  const auto lowest = std::min_element(
+      buckets_[b].begin(), buckets_[b].end(),
+      [](const Entry& x, const Entry& y) { return x.key() < y.key(); });
+  if (lowest->key() > limit) return false;
+  floor_ = lowest->key();
+  // Size every target bucket exactly (all are empty), so the move holds
+  // no growth slack next to the entries it moves.
+  std::vector<Entry> entries;
+  entries.swap(buckets_[b]);
+  std::array<std::size_t, kBuckets> counts{};
+  for (const Entry& e : entries) ++counts[bucket_of(e.key())];
+  for (std::size_t i = 0; i < b; ++i) buckets_[i].reserve(counts[i]);
+  for (const Entry& e : entries) buckets_[bucket_of(e.key())].push_back(e);
+  return true;
+}
+
+void DepartureQueue::clear() {
+  for (std::vector<Entry>& bucket : buckets_) std::vector<Entry>{}.swap(bucket);
+  overdue_.clear();
+  floor_ = 0;
+  size_ = 0;
+}
 
 SessionStore::SessionStore(std::size_t city_hint)
     : city_count_(static_cast<std::uint32_t>(city_hint)) {}
@@ -84,7 +144,7 @@ void SessionStore::insert(std::uint32_t id, std::uint32_t city, std::uint32_t is
     order_.insert(order_.begin() + static_cast<std::ptrdiff_t>(at),
                   OrderEntry{id, slot});
   }
-  if (std::isfinite(end_s)) departures_.push(HeapEntry{end_s, id, slot});
+  if (std::isfinite(end_s)) departures_.push(end_s, slot);
   ++live_;
   groups_dirty_ = true;
 }
@@ -129,14 +189,18 @@ void SessionStore::maybe_compact_order() {
 
 std::size_t SessionStore::drop_until(double t) {
   std::size_t dropped = 0;
-  while (!departures_.empty() && departures_.top().end_s <= t) {
-    const HeapEntry top = departures_.top();
-    departures_.pop();
-    // Already shed or removed (possibly re-added since, with a new end).
-    if (ids_[top.slot] != top.id || end_s_[top.slot] != top.end_s) continue;
-    erase_slot(top.slot);
+  departures_.pop_until(t, [&](const DepartureQueue::Entry& due) {
+    // A stale entry (its session shed, removed or re-added with a new end)
+    // names a free slot or one whose end differs. A slot that now holds
+    // another session with the same end is due anyway, and that session's
+    // own entry is due in this same drain, finding the slot freed.
+    if (ids_[due.slot] == kFreeId ||
+        DepartureQueue::key_of(end_s_[due.slot]) != due.key()) {
+      return;
+    }
+    erase_slot(due.slot);
     ++dropped;
-  }
+  });
   if (dropped > 0) maybe_compact_order();
   return dropped;
 }
@@ -159,7 +223,7 @@ std::size_t SessionStore::shed_lowest(std::size_t n) {
                       return a.bitrate < b.bitrate ||
                              (a.bitrate == b.bitrate && a.id < b.id);
                     });
-  // Heap entries are left behind and lazily skipped by drop_until.
+  // Departure entries are left behind and lazily skipped by drop_until.
   for (std::size_t i = 0; i < n; ++i) erase_slot(order[i].slot);
   maybe_compact_order();
   return n;
@@ -228,7 +292,7 @@ void SessionStore::restore(std::span<const state::ActiveSession> active) {
   free_.clear();
   order_.clear();
   order_dead_ = 0;
-  departures_ = {};
+  departures_.clear();
   rung_kbps_.clear();
   rung_by_kbps_.clear();
   counts_.clear();

@@ -18,17 +18,25 @@
 //    map (a "rung" is one quantized kbps value; the rung dictionary is tiny
 //    and iterated in kbps order, so groups() reproduces the old
 //    (city, kbps, isp) tree order byte-identically), and
-//  * a lazily-validated (end_s, id) departure min-heap shared by both
-//    engines.
+//  * a DepartureQueue: a radix queue over the order-preserving bits of
+//    each finite end_s, whose entries are validated lazily against the
+//    slot arrays (a removed, shed or re-added session leaves its old entry
+//    behind to be skipped). It needs no bucket width, so the timeline's
+//    epoch grid and the exchange book's own drain times share it.
 //
 // Everything observable — group order, shed victim order, cursor
 // serialization order — is pinned to the std::map semantics the previous
 // implementations had, so exports and checkpoints stay byte-identical.
+// Slot numbers are not observable: every reader walks the population in id
+// order, and restore() lays slots out afresh. So departures may be dropped
+// in the queue's bucket order, which decides only which freed slot the
+// next admission reuses.
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -38,6 +46,92 @@
 #include "state/checkpoint.hpp"
 
 namespace vdx::sim {
+
+/// Finite departure times as a monotone radix queue. Each end_s maps to an
+/// unsigned key that orders like the double; an entry sits in the bucket
+/// of the highest bit in which its key differs from `floor_`, a key no
+/// larger than any bucketed key and no larger than the last drained t. A
+/// drain takes whole buckets below t and re-buckets the one bucket that
+/// straddles t around its minimum, so each entry moves only to lower
+/// buckets and push is O(1). Entries whose key falls below `floor_` (an
+/// end at or before a t already drained) wait in `overdue_` and leave at
+/// the next drain that covers them. t need not follow any grid.
+class DepartureQueue {
+ public:
+  /// The key in two halves keeps an entry at 12 bytes.
+  struct Entry {
+    std::uint32_t key_high = 0;
+    std::uint32_t key_low = 0;
+    std::uint32_t slot = 0;
+    [[nodiscard]] std::uint64_t key() const noexcept {
+      return (std::uint64_t{key_high} << 32) | key_low;
+    }
+  };
+
+  /// Order-preserving key of a non-NaN time (-0.0 keys as +0.0).
+  [[nodiscard]] static std::uint64_t key_of(double t) noexcept;
+
+  /// `end_s` must be finite.
+  void push(double end_s, std::uint32_t slot);
+
+  /// Removes every entry with end_s <= t and calls visit(entry) for each,
+  /// in no particular order. A NaN t removes nothing.
+  template <typename Fn>
+  void pop_until(double t, Fn&& visit) {
+    if (std::isnan(t)) return;
+    const std::uint64_t limit = key_of(t);
+    if (!overdue_.empty()) {
+      std::erase_if(overdue_, [&](const Entry& e) {
+        if (e.key() > limit) return false;
+        visit(e);
+        return true;
+      });
+    }
+    std::size_t b = 0;
+    while (b < kBuckets) {
+      std::vector<Entry>& bucket = buckets_[b];
+      if (bucket.empty()) {
+        ++b;
+      } else if (bucket_last(b) <= limit) {  // the whole bucket is due
+        for (const Entry& e : bucket) visit(e);
+        // Give the memory back: entries cascade through many buckets, and
+        // capacity kept in each would add up to several populations.
+        std::vector<Entry>{}.swap(bucket);
+        ++b;
+      } else if (bucket_first(b) > limit || !spread(b, limit)) {
+        break;
+      } else {
+        b = 0;  // the bucket's minimum is bucket 0 now
+      }
+    }
+    size_ = overdue_.size();
+    for (const std::vector<Entry>& bucket : buckets_) size_ += bucket.size();
+  }
+
+  /// Entries held, stale ones included.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  void clear();
+
+ private:
+  static constexpr std::size_t kBuckets = 65;  // bit_width of a 64-bit xor
+
+  [[nodiscard]] std::size_t bucket_of(std::uint64_t key) const noexcept;
+  /// Smallest and largest key bucket `b` can hold: bucket 0 holds floor_,
+  /// bucket b > 0 the keys that share floor_'s bits above bit b - 1 and set
+  /// that bit.
+  [[nodiscard]] std::uint64_t bucket_first(std::size_t b) const noexcept;
+  [[nodiscard]] std::uint64_t bucket_last(std::size_t b) const noexcept;
+  /// Re-buckets bucket `b`, which straddles `limit`, around its minimum:
+  /// every lower bucket is empty, so the minimum may become floor_; the
+  /// entries land in lower buckets and higher buckets keep their index.
+  /// Returns false, changing nothing, when the minimum is past `limit`.
+  bool spread(std::size_t b, std::uint64_t limit);
+
+  std::array<std::vector<Entry>, kBuckets> buckets_;
+  std::vector<Entry> overdue_;
+  std::uint64_t floor_ = 0;
+  std::size_t size_ = 0;
+};
 
 class SessionStore {
  public:
@@ -50,7 +144,7 @@ class SessionStore {
   /// that lived entirely between two samples never becomes active). Returns
   /// whether the population changed. Live ids must be unique; arrival order
   /// == ascending id order is the fast path (out-of-order ids still work).
-  /// A session with end_s = +inf never enters the departure heap: it stays
+  /// A session with end_s = +inf never enters the departure queue: it stays
   /// until remove(id), the explicit-delta mode of the exchange's book.
   bool admit(std::uint32_t id, core::CityId city, double bitrate_mbps, double end_s,
              double now, std::uint32_t isp = 0);
@@ -63,7 +157,8 @@ class SessionStore {
   /// order index.
   [[nodiscard]] std::optional<std::uint32_t> slot_of(std::uint32_t id) const;
 
-  /// Drops every session with end_s <= t (half-open [arrival, end) activity).
+  /// Drops every session with end_s <= t (half-open [arrival, end) activity),
+  /// including one admitted with an end at or before an earlier drained t.
   /// Returns the number dropped.
   std::size_t drop_until(double t);
 
@@ -113,9 +208,9 @@ class SessionStore {
   }
 
   /// Canonical id-order serialization (StreamCursor.active order). The
-  /// departure heap and counts are derived state and are rebuilt on
-  /// restore(); (end_s, id) is a total order, so the rebuilt heap pops in
-  /// exactly the original sequence.
+  /// departure queue and counts are derived state and are rebuilt on
+  /// restore(); the rebuilt queue drops exactly the same sessions at every
+  /// later t.
   [[nodiscard]] state::StreamCursor cursor() const;
 
   /// Rebuilds the population from a cursor's active list. Entries are
@@ -137,16 +232,6 @@ class SessionStore {
     std::uint32_t id = 0;
     std::uint32_t slot = 0;
   };
-  struct HeapEntry {
-    double end_s = 0.0;
-    std::uint32_t id = 0;
-    std::uint32_t slot = 0;
-  };
-  struct HeapLater {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
-      return a.end_s > b.end_s || (a.end_s == b.end_s && a.id > b.id);
-    }
-  };
 
   void insert(std::uint32_t id, std::uint32_t city, std::uint32_t isp,
               double bitrate_mbps, double end_s);
@@ -161,8 +246,8 @@ class SessionStore {
   // entry is live iff ids_[slot] still equals its recorded id; order_ holds
   // at most one entry per id (re-adding a removed id revives its tombstone
   // in place), so a slot reused by the same id cannot resurrect a second
-  // entry. A heap entry is live iff its slot still holds that id AND that
-  // end time.
+  // entry. A departure entry is live iff its slot holds a session with
+  // that end time.
   std::vector<std::uint32_t> ids_;
   std::vector<std::uint32_t> city_;
   std::vector<std::uint32_t> isp_;
@@ -177,7 +262,7 @@ class SessionStore {
   std::vector<OrderEntry> order_;
   std::size_t order_dead_ = 0;
 
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLater> departures_;
+  DepartureQueue departures_;
 
   // Rung dictionary (quantized kbps ladder, tiny) + dense counts per rung.
   std::vector<std::int64_t> rung_kbps_;

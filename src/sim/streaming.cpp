@@ -1,8 +1,8 @@
 #include "sim/streaming.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -25,6 +25,25 @@ std::vector<trace::Session> TraceStream::next_batch(std::size_t max_sessions) {
   return out;
 }
 
+void SessionStream::next_arrivals(std::size_t max_sessions,
+                                  std::vector<trace::Arrival>& out) {
+  out.clear();
+  for (const trace::Session& s : next_batch(max_sessions)) {
+    out.push_back(trace::to_arrival(s));
+  }
+}
+
+void TraceStream::next_arrivals(std::size_t max_sessions,
+                                std::vector<trace::Arrival>& out) {
+  out.clear();
+  const auto sessions = trace_->sessions();
+  const std::size_t take = std::min(max_sessions, sessions.size() - pos_);
+  for (std::size_t i = pos_; i < pos_ + take; ++i) {
+    out.push_back(trace::to_arrival(sessions[i]));
+  }
+  pos_ += take;
+}
+
 void TraceStream::seek(std::uint64_t consumed) {
   if (consumed > trace_->sessions().size()) {
     throw std::invalid_argument{"TraceStream::seek: position " +
@@ -37,37 +56,38 @@ void TraceStream::seek(std::uint64_t consumed) {
 namespace {
 
 /// The incrementally maintained active population of one stream: an arrival
-/// cursor (pending sessions pulled but not yet begun) feeding a SessionStore,
-/// which holds the population as flat parallel arrays and serves groups,
-/// shedding, and the checkpoint cursor (see sim/session_store.hpp).
+/// cursor (pending arrivals pulled but not yet begun, in a reused buffer
+/// read from `head_`) feeding a SessionStore, which holds the population as
+/// flat parallel arrays and serves groups, shedding, departures and the
+/// checkpoint cursor (see sim/session_store.hpp).
 class ActiveSet {
  public:
   ActiveSet(SessionStream& stream, std::size_t batch_sessions)
       : stream_(&stream), batch_(std::max<std::size_t>(1, batch_sessions)) {}
 
-  /// Advances to midpoint t (non-decreasing across calls): ingests arrivals
-  /// with arrival_s <= t, drops departures with end_s <= t (the half-open
-  /// [arrival, end) activity convention). Returns whether the population
-  /// changed.
-  bool advance_to(double t) {
+  /// Admits arrivals with arrival_s <= t (t non-decreasing across calls;
+  /// the stream and the pending buffer are arrival-ordered). A session that
+  /// already ended by t never becomes active. Returns whether the
+  /// population changed.
+  bool admit_until(double t) {
     bool changed = false;
-    // Arrivals (stream and pending buffer are arrival-ordered).
     while (true) {
-      while (!pending_.empty() && pending_.front().arrival_s <= t) {
-        const trace::Session& s = pending_.front();
-        changed |= store_.admit(s.id.value(), s.city, s.bitrate_mbps, s.end_s(), t);
-        pending_.pop_front();
+      for (; head_ < pending_.size() && pending_[head_].arrival_s <= t; ++head_) {
+        const trace::Arrival& a = pending_[head_];
+        changed |= store_.admit(a.id.value(), a.city, a.bitrate_mbps, a.end_s, t);
       }
-      if (!pending_.empty() || stream_->exhausted()) break;
-      auto batch = stream_->next_batch(batch_);
-      if (batch.empty()) break;
-      pulled_ += batch.size();
-      pending_.insert(pending_.end(), std::make_move_iterator(batch.begin()),
-                      std::make_move_iterator(batch.end()));
+      if (head_ < pending_.size() || stream_->exhausted()) break;
+      stream_->next_arrivals(batch_, pending_);
+      head_ = 0;
+      if (pending_.empty()) break;
+      pulled_ += pending_.size();
     }
-    changed |= store_.drop_until(t) > 0;
     return changed;
   }
+
+  /// Drops departures with end_s <= t (the half-open [arrival, end)
+  /// activity convention). Returns whether the population changed.
+  bool drop_until(double t) { return store_.drop_until(t) > 0; }
 
   [[nodiscard]] std::span<const broker::ClientGroup> groups() {
     return store_.groups();
@@ -80,12 +100,12 @@ class ActiveSet {
 
   [[nodiscard]] SessionStore& store() noexcept { return store_; }
 
-  /// Checkpointable position: sessions consumed from the stream (popped
-  /// from the pending buffer — sessions pulled but still pending are
-  /// re-pulled on resume) plus the active population in id order.
+  /// Checkpointable position: sessions consumed from the stream (admitted
+  /// or skipped from the pending buffer — sessions pulled but still pending
+  /// are re-pulled on resume) plus the active population in id order.
   [[nodiscard]] state::StreamCursor cursor() const {
     state::StreamCursor cursor = store_.cursor();
-    cursor.consumed = pulled_ - pending_.size();
+    cursor.consumed = pulled_ - (pending_.size() - head_);
     return cursor;
   }
 
@@ -96,15 +116,43 @@ class ActiveSet {
     stream_->seek(cursor.consumed);
     pulled_ = static_cast<std::size_t>(cursor.consumed);
     pending_.clear();
+    head_ = 0;
     store_.restore(cursor.active);
   }
 
  private:
   SessionStream* stream_;
   std::size_t batch_;
-  std::deque<trace::Session> pending_;
+  std::vector<trace::Arrival> pending_;
+  std::size_t head_ = 0;
   SessionStore store_;
   std::size_t pulled_ = 0;
+};
+
+/// The stages of one epoch, each timed into timeline.stage_seconds{stage}.
+enum class Stage : std::uint8_t {
+  kArrivals,
+  kDrop,  // departures and admission-control shedding
+  kGroups,
+  kBackground,
+  kDesign,
+  kAssign,
+  kMetrics,
+  kChurn,
+};
+constexpr std::array<const char*, 8> kStageNames{
+    "arrivals", "drop", "groups", "background", "design", "assign", "metrics", "churn"};
+
+/// Times one stage into its histogram. Without a metrics registry the
+/// histogram is a no-op handle and no clock is read.
+class StageTimer {
+ public:
+  explicit StageTimer(obs::Histogram histogram) {
+    if (histogram.valid()) timer_.emplace(histogram);
+  }
+
+ private:
+  std::optional<obs::ScopedTimer> timer_;
 };
 
 /// Range checks on a decoded checkpoint against the scenario it resumes
@@ -252,6 +300,7 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
   obs::Gauge active_gauge;
   obs::Gauge peak_gauge;
   obs::Histogram epoch_seconds;
+  std::array<obs::Histogram, kStageNames.size()> stage_seconds;
   if (config_.obs.metrics != nullptr) {
     rounds_counter = config_.obs.metrics->counter("timeline.decision_rounds");
     recompute_counter = config_.obs.metrics->counter("timeline.background_recomputes");
@@ -262,7 +311,14 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
     active_gauge = config_.obs.metrics->gauge("timeline.active_sessions");
     peak_gauge = config_.obs.metrics->gauge("timeline.peak_active_sessions");
     epoch_seconds = config_.obs.metrics->histogram("timeline.epoch_seconds");
+    for (std::size_t i = 0; i < kStageNames.size(); ++i) {
+      stage_seconds[i] = config_.obs.metrics->histogram("timeline.stage_seconds",
+                                                        {{"stage", kStageNames[i]}});
+    }
   }
+  const auto stage = [&](Stage which) {
+    return StageTimer{stage_seconds[static_cast<std::size_t>(which)]};
+  };
 
   ActiveSet broker_set{broker, config_.batch_sessions};
   ActiveSet background_set{background, config_.batch_sessions};
@@ -358,8 +414,16 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
                            static_cast<double>(config_.stress->state_key()));
       }
 
-      broker_set.advance_to(mid);
-      background_stale |= background_set.advance_to(mid);
+      {
+        const StageTimer timer = stage(Stage::kArrivals);
+        broker_set.admit_until(mid);
+        background_stale |= background_set.admit_until(mid);
+      }
+      {
+        const StageTimer timer = stage(Stage::kDrop);
+        broker_set.drop_until(mid);
+        background_stale |= background_set.drop_until(mid);
+      }
 
       const std::size_t concurrent =
           broker_set.active_count() + background_set.active_count();
@@ -372,8 +436,11 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
       std::size_t shed_now = 0;
       if (config_.overload.max_active_sessions > 0 &&
           pre_shed_active > config_.overload.max_active_sessions) {
-        shed_now = broker_set.shed_lowest(pre_shed_active -
-                                          config_.overload.max_active_sessions);
+        {
+          const StageTimer timer = stage(Stage::kDrop);
+          shed_now = broker_set.shed_lowest(pre_shed_active -
+                                            config_.overload.max_active_sessions);
+        }
         result.shed_sessions += shed_now;
         shed_counter.add(static_cast<double>(shed_now));
         overload_epochs_counter.add(1.0);
@@ -384,8 +451,12 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
       if (broker_set.active_count() > 0) {
         // The background only moves when a background session arrived or
         // departed; otherwise last epoch's placement is still exact.
-        const auto groups = broker_set.groups();
+        const auto groups = [&] {
+          const StageTimer timer = stage(Stage::kGroups);
+          return broker_set.groups();
+        }();
         if (background_stale) {
+          const StageTimer timer = stage(Stage::kBackground);
           background_loads = place_background_over(scenario, background_set.groups(),
                                                    background_menus);
           background_stale = false;
@@ -395,11 +466,17 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
 
         RunConfig run = base_run;
         run.qoe_epoch = e + 1;  // fresh broker-side measurements each round
-        const DesignOutcome outcome =
-            run_design_over(scenario, config_.design, run, groups, background_loads);
+        const DesignOutcome outcome = [&] {
+          const StageTimer timer = stage(Stage::kDesign);
+          return run_design_over(scenario, config_.design, run, groups, background_loads);
+        }();
 
-        auto assignment = detail::assign_sessions(broker_set.store(), outcome);
-        broker_set.store().apply_assignment(assignment);
+        auto assignment = [&] {
+          const StageTimer timer = stage(Stage::kAssign);
+          auto assigned = detail::assign_sessions(broker_set.store(), outcome);
+          broker_set.store().apply_assignment(assigned);
+          return assigned;
+        }();
 
         EpochReport report;
         report.epoch = e;
@@ -409,8 +486,14 @@ StreamingResult StreamingTimeline::run_impl(SessionStream& broker,
         report.active_sessions = pre_shed_active;
         report.shed_sessions = shed_now;
         report.assigned_sessions = assignment.size();
-        report.metrics = compute_metrics_over(scenario, outcome, groups);
-        churn.observe(scenario.catalog(), std::move(assignment), report);
+        {
+          const StageTimer timer = stage(Stage::kMetrics);
+          report.metrics = compute_metrics_over(scenario, outcome, groups);
+        }
+        {
+          const StageTimer timer = stage(Stage::kChurn);
+          churn.observe(scenario.catalog(), std::move(assignment), report);
+        }
 
         ++result.decision_rounds;
         rounds_counter.add(1.0);

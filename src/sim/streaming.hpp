@@ -2,9 +2,9 @@
 // a bounded session stream — the repo's one timeline engine.
 //
 // The engine consumes sessions in arrival order from a SessionStream,
-// maintains the active population incrementally — an arrival cursor plus a
-// departure min-heap delta-update a per-(city, bitrate) group-count map and
-// the per-cluster load inputs — and re-runs the Decision Protocol each epoch
+// maintains the active population incrementally — an arrival cursor over
+// lean Arrival records plus a bucketed departure queue delta-update the
+// per-(city, bitrate) group counts and the per-cluster load inputs — and re-runs the Decision Protocol each epoch
 // over state whose size is the *concurrent* session count, not the horizon
 // total. Background placements are recomputed only when the background
 // population actually changed. At million-session scale, GeneratorStream
@@ -47,6 +47,13 @@ class SessionStream {
   /// Up to `max_sessions` further sessions; empty means exhausted.
   [[nodiscard]] virtual std::vector<trace::Session> next_batch(
       std::size_t max_sessions) = 0;
+  /// The next up to `max_sessions` sessions as Arrival records in `out`
+  /// (cleared first, capacity reused); empty means exhausted. Advances the
+  /// same cursor as next_batch. The engine admits through this call; the
+  /// default projects next_batch, and the adapters below fill it without
+  /// copying whole sessions.
+  virtual void next_arrivals(std::size_t max_sessions,
+                             std::vector<trace::Arrival>& out);
   [[nodiscard]] virtual bool exhausted() const = 0;
   /// The stream horizon (drives the epoch count).
   [[nodiscard]] virtual double duration_s() const = 0;
@@ -64,6 +71,8 @@ class TraceStream final : public SessionStream {
 
   [[nodiscard]] std::vector<trace::Session> next_batch(
       std::size_t max_sessions) override;
+  void next_arrivals(std::size_t max_sessions,
+                     std::vector<trace::Arrival>& out) override;
   [[nodiscard]] bool exhausted() const override {
     return pos_ >= trace_->sessions().size();
   }
@@ -85,6 +94,10 @@ class GeneratorStream final : public SessionStream {
   [[nodiscard]] std::vector<trace::Session> next_batch(
       std::size_t max_sessions) override {
     return generator_->next_batch(max_sessions);
+  }
+  void next_arrivals(std::size_t max_sessions,
+                     std::vector<trace::Arrival>& out) override {
+    generator_->next_arrivals(max_sessions, out);
   }
   [[nodiscard]] bool exhausted() const override { return generator_->exhausted(); }
   [[nodiscard]] double duration_s() const override { return generator_->duration_s(); }

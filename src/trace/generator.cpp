@@ -610,4 +610,26 @@ std::vector<Session> BrokerTraceGenerator::next_batch(std::size_t max_sessions) 
   return out;
 }
 
+void BrokerTraceGenerator::next_arrivals(std::size_t max_sessions,
+                                         std::vector<Arrival>& out) {
+  out.clear();
+  const std::vector<double>& ladder = model_->config.bitrate_ladder;
+  while (out.size() < max_sessions) {
+    if (buffered() == 0) {
+      if (next_block_ >= block_count_) break;
+      refill();
+      continue;
+    }
+    const std::size_t take = std::min(max_sessions - out.size(), buffered());
+    const Block::Record* r = front_->records.data() + front_pos_;
+    for (std::size_t i = 0; i < take; ++i, ++r) {
+      out.push_back(Arrival{SessionId{static_cast<std::uint32_t>(emitted_ + i)},
+                            CityId{r->city}, r->arrival_s,
+                            ladder[r->bitrate_index], r->arrival_s + r->duration_s});
+    }
+    front_pos_ += take;
+    emitted_ += take;
+  }
+}
+
 }  // namespace vdx::trace

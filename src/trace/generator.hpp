@@ -92,14 +92,16 @@ class BrokerTrace {
 ///
 /// A block is generated as compact records (a Session's scalar fields plus
 /// an offset into a per-block switch pool) and turned into Sessions only
-/// when next_batch() hands them out. When the horizon has more than one
+/// when next_batch() hands them out; next_arrivals() hands out the few
+/// fields an engine admits by without building a Session at all. When the horizon has more than one
 /// block, one worker thread, started at the first refill, generates block
 /// b + 1 while the caller drains block b (DESIGN.md §9).
 ///
 /// Determinism contract:
 ///   * the emitted session sequence is a pure function of (world, config,
-///     seed, options) — the `n` passed to next_batch() only chunks the
-///     stream, it never changes it (chunk-boundary determinism);
+///     seed, options) — the `n` passed to next_batch() or next_arrivals()
+///     only chunks the stream, it never changes it (chunk-boundary
+///     determinism);
 ///   * block substreams are independent: block b's sessions depend only on
 ///     the base seed and b, never on how many other blocks were generated;
 ///   * the worker changes when a block is generated, never what it holds:
@@ -145,6 +147,13 @@ class BrokerTraceGenerator {
   /// Up to `max_sessions` further sessions in arrival order; empty once the
   /// horizon is exhausted. `max_sessions == 0` returns an empty batch.
   [[nodiscard]] std::vector<Session> next_batch(std::size_t max_sessions);
+
+  /// The same sessions as next_batch(max_sessions) would hand out, as
+  /// Arrival records in `out` (cleared first; its capacity is reused). They
+  /// are read straight from the block's compact records, so no Session and
+  /// no switch vector is built. Both calls advance one cursor: they may be
+  /// interleaved, and emitted() counts both.
+  void next_arrivals(std::size_t max_sessions, std::vector<Arrival>& out);
 
   [[nodiscard]] bool exhausted() const noexcept;
   /// Sessions handed out so far / over the full horizon.

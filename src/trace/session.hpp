@@ -78,4 +78,18 @@ struct Session {
   }
 };
 
+/// What an engine admitting a session reads of it: the session less its
+/// video, AS, CDN labels and switches. `end_s` equals Session::end_s().
+struct Arrival {
+  SessionId id;
+  CityId city;
+  double arrival_s = 0.0;
+  double bitrate_mbps = 1.0;
+  double end_s = 0.0;
+};
+
+[[nodiscard]] inline Arrival to_arrival(const Session& s) noexcept {
+  return Arrival{s.id, s.city, s.arrival_s, s.bitrate_mbps, s.end_s()};
+}
+
 }  // namespace vdx::trace

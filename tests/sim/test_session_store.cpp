@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <tuple>
@@ -44,6 +46,8 @@ struct ReferenceModel {
     sessions.emplace(id, Rec{c, bitrate, end_s});
     return true;
   }
+
+  bool remove(std::uint32_t id) { return sessions.erase(id) > 0; }
 
   std::size_t drop_until(double t) {
     std::size_t dropped = 0;
@@ -410,6 +414,127 @@ TEST(SessionStore, GroupsEqualGroupSessionsOverTheLiveSet) {
     ASSERT_EQ(store.size(), live.size());
     expect_groups_equal(store.groups(), broker::group_sessions(sessions));
   }
+  EXPECT_EQ(store.departure_backlog(), 0u);
+}
+
+TEST(SessionStore, DepartureQueueMatchesReferenceUnderRandomizedDeltas) {
+  // Every mutation the two engines make, against the map model: arrivals
+  // that may already have ended, the exchange book's always-admit path
+  // (ends at or before a drained t), +inf ends, removes, re-adds with a new
+  // end, shedding, and drains at times on no grid, now and then going back.
+  // Ends come from a small pool, so many tie.
+  std::uint64_t lcg = 0xD1B54A32D192ED03ull;
+  const auto next = [&lcg](std::uint32_t bound) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<std::uint32_t>((lcg >> 33) % bound);
+  };
+  const auto fraction = [&next] { return next(1u << 20) / double(1u << 20); };
+  constexpr double kAlways = -kForever;
+
+  SessionStore store;
+  ReferenceModel reference;
+  std::uint32_t next_id = 0;
+  std::vector<std::uint32_t> removed;
+  double last_t = 0.0;
+  std::vector<double> ends;  // the tie pool
+  std::size_t drops = 0;
+  std::size_t overdue_adds = 0;
+  for (int step = 0; step < 6000; ++step) {
+    const std::vector<std::uint32_t> before = live_ids(store);
+    const std::uint32_t op = next(100);
+    const auto pick_end = [&]() -> double {
+      const std::uint32_t kind = next(10);
+      if (kind == 0) return kForever;
+      if (kind <= 2 && !ends.empty()) return ends[next(static_cast<std::uint32_t>(ends.size()))];
+      if (kind == 3) {
+        ++overdue_adds;
+        return last_t - 50.0 * fraction();  // at or before the last drain
+      }
+      const double end = last_t + 200.0 * fraction();
+      if (ends.size() < 32) ends.push_back(end);
+      return end;
+    };
+    if (op < 45) {  // an arrival, checked against the drain time like the timeline
+      const std::uint32_t id = next_id++;
+      const std::uint32_t c = next(7);
+      const double bitrate = 0.5 * (1 + next(6));
+      const double end = pick_end();
+      const double now = next(3) == 0 ? kAlways : last_t;
+      ASSERT_EQ(store.admit(id, city(c), bitrate, end, now),
+                reference.admit(id, c, bitrate, end, now));
+    } else if (op < 55 && !removed.empty()) {  // a removed id comes back
+      const std::size_t at = next(static_cast<std::uint32_t>(removed.size()));
+      const std::uint32_t id = removed[at];
+      removed.erase(removed.begin() + static_cast<std::ptrdiff_t>(at));
+      const std::uint32_t c = next(7);
+      const double end = pick_end();
+      ASSERT_EQ(store.admit(id, city(c), 1.5, end, kAlways),
+                reference.admit(id, c, 1.5, end, kAlways));
+    } else if (op < 70 && !before.empty()) {  // remove, sometimes re-add at once
+      const std::uint32_t id = before[next(static_cast<std::uint32_t>(before.size()))];
+      ASSERT_EQ(store.remove(id), reference.remove(id));
+      if (next(2) == 0) {
+        const double end = pick_end();
+        ASSERT_EQ(store.admit(id, city(3), 2.0, end, kAlways),
+                  reference.admit(id, 3, 2.0, end, kAlways));
+      } else {
+        removed.push_back(id);
+      }
+    } else if (op < 74) {
+      const std::size_t n = next(6);
+      ASSERT_EQ(store.shed_lowest(n), reference.shed_lowest(n));
+    } else {
+      // Mostly forward by an off-grid step; sometimes back, sometimes the
+      // very same t again.
+      const std::uint32_t kind = next(10);
+      const double t = kind == 0   ? last_t - 30.0 * fraction()
+                       : kind == 1 ? last_t
+                                   : last_t + 40.0 * fraction();
+      ASSERT_EQ(store.drop_until(t), reference.drop_until(t)) << "step " << step;
+      last_t = std::max(last_t, t);
+      ++drops;
+    }
+    const std::vector<std::uint32_t> after = live_ids(store);
+    std::vector<std::uint32_t> want;
+    for (const auto& [id, rec] : reference.sessions) want.push_back(id);
+    ASSERT_EQ(after, want) << "step " << step;  // so the dropped set matches too
+    expect_groups_equal(store.groups(), reference.groups());
+    ASSERT_EQ(store.cursor().active, reference.cursor_active()) << "step " << step;
+    // Every live session with a finite end holds an entry.
+    const auto finite = static_cast<std::size_t>(std::count_if(
+        reference.sessions.begin(), reference.sessions.end(),
+        [](const auto& s) { return std::isfinite(s.second.end_s); }));
+    ASSERT_GE(store.departure_backlog(), finite) << "step " << step;
+  }
+  EXPECT_GT(drops, 1000u);
+  EXPECT_GT(overdue_adds, 100u);
+  // A drain past every finite end leaves only the +inf sessions, and no
+  // entry, stale or live, behind.
+  const double end_of_time = std::numeric_limits<double>::max();
+  EXPECT_EQ(store.drop_until(end_of_time), reference.drop_until(end_of_time));
+  EXPECT_EQ(store.size(), reference.sessions.size());
+  EXPECT_EQ(store.departure_backlog(), 0u);
+}
+
+TEST(SessionStore, DepartureQueueDropsExactlyTheDueSetAtAnyTime) {
+  // The order-preserving key: negative, zero, subnormal and huge ends drain
+  // exactly at their own time, and -0.0 counts as +0.0.
+  const std::vector<double> ends{-1e300, -2.5, -0.0, 0.0, 4.9e-324, 1e-300,
+                                 0.5,    1.0,  1.0,  3.0, 1e300};
+  SessionStore store;
+  for (std::uint32_t id = 0; id < ends.size(); ++id) {
+    ASSERT_TRUE(store.admit(id, city(0), 1.0, ends[id], -kForever));
+  }
+  ASSERT_TRUE(store.admit(99, city(0), 1.0, kForever, -kForever));
+  EXPECT_EQ(store.departure_backlog(), ends.size());
+  EXPECT_EQ(store.drop_until(std::nan("")), 0u);
+  const std::vector<std::pair<double, std::size_t>> drains{
+      {-3.0, 1}, {-0.0, 3}, {0.0, 0}, {1e-310, 1}, {0.9, 2},
+      {1.0, 2},  {2.0, 0},  {1e299, 1}, {kForever, 1}};
+  for (const auto& [t, dropped] : drains) {
+    EXPECT_EQ(store.drop_until(t), dropped) << "t=" << t;
+  }
+  EXPECT_EQ(live_ids(store), std::vector<std::uint32_t>{99});
   EXPECT_EQ(store.departure_backlog(), 0u);
 }
 

@@ -6,10 +6,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
+#include "core/fnv1a.hpp"
 #include "obs/observe.hpp"
 #include "sim/timeline_io.hpp"
+#include "state/checkpoint.hpp"
+#include "state/fault_fs.hpp"
+#include "state/store.hpp"
 #include "support/reference_timeline.hpp"
 
 namespace vdx::sim {
@@ -189,6 +199,223 @@ TEST_F(StreamingSmallTest, EmitsTimelineObservability) {
     if (event.kind == obs::EventKind::kEpoch) ++epoch_events;
   }
   EXPECT_EQ(epoch_events, result.decision_rounds);
+}
+
+TEST_F(StreamingSmallTest, StageTimersAccountForTheEpochTime) {
+  obs::MetricsRegistry metrics;
+  StreamingConfig config;
+  config.obs.metrics = &metrics;
+  TraceStream broker{scenario().broker_trace()};
+  TraceStream background{scenario().background_trace()};
+  const StreamingResult result =
+      StreamingTimeline{scenario(), config}.run(broker, background);
+  ASSERT_GT(result.decision_rounds, 0u);
+
+  const auto epoch = metrics.histogram_summary("timeline.epoch_seconds");
+  ASSERT_TRUE(epoch.has_value());
+  double stages = 0.0;
+  for (const char* stage : {"arrivals", "drop", "groups", "background", "design",
+                            "assign", "metrics", "churn"}) {
+    const auto summary =
+        metrics.histogram_summary("timeline.stage_seconds", {{"stage", stage}});
+    ASSERT_TRUE(summary.has_value()) << stage;
+    EXPECT_GT(summary->count, 0u) << stage;
+    stages += summary->sum;
+  }
+  // The stages cover the epoch body but its bookkeeping, so they take
+  // nearly all of it and never more.
+  EXPECT_LE(stages, epoch->sum);
+  EXPECT_GE(stages, 0.95 * epoch->sum);
+}
+
+/// A stream that only implements next_batch, so next_arrivals is the base
+/// class's projection.
+class BatchOnlyStream final : public SessionStream {
+ public:
+  explicit BatchOnlyStream(const trace::BrokerTrace& trace) : inner_(trace) {}
+  [[nodiscard]] std::vector<trace::Session> next_batch(
+      std::size_t max_sessions) override {
+    return inner_.next_batch(max_sessions);
+  }
+  [[nodiscard]] bool exhausted() const override { return inner_.exhausted(); }
+  [[nodiscard]] double duration_s() const override { return inner_.duration_s(); }
+  void seek(std::uint64_t consumed) override { inner_.seek(consumed); }
+
+ private:
+  TraceStream inner_;
+};
+
+/// Reads `stream` to its end alternating next_arrivals and next_batch and
+/// checks every record against the projection of `sessions`.
+void expect_arrivals_project(SessionStream& stream,
+                             std::span<const trace::Session> sessions) {
+  std::vector<trace::Arrival> buffer;
+  std::size_t position = 0;
+  for (std::size_t call = 0; position < sessions.size(); ++call) {
+    const std::size_t n = call % 3 == 0 ? 7 : 64;
+    const std::size_t take = std::min(n, sessions.size() - position);
+    if (call % 4 == 3) {
+      const auto batch = stream.next_batch(n);
+      ASSERT_EQ(batch.size(), take);
+      for (std::size_t i = 0; i < take; ++i) {
+        ASSERT_EQ(batch[i].id.value(), sessions[position + i].id.value());
+      }
+    } else {
+      stream.next_arrivals(n, buffer);
+      ASSERT_EQ(buffer.size(), take);
+      for (std::size_t i = 0; i < take; ++i) {
+        const trace::Session& s = sessions[position + i];
+        ASSERT_EQ(buffer[i].id.value(), s.id.value());
+        ASSERT_EQ(buffer[i].city.value(), s.city.value());
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(buffer[i].arrival_s),
+                  std::bit_cast<std::uint64_t>(s.arrival_s));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(buffer[i].bitrate_mbps),
+                  std::bit_cast<std::uint64_t>(s.bitrate_mbps));
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(buffer[i].end_s),
+                  std::bit_cast<std::uint64_t>(s.end_s()));
+      }
+    }
+    position += take;
+  }
+  stream.next_arrivals(8, buffer);
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_TRUE(stream.exhausted());
+}
+
+TEST_F(StreamingSmallTest, EveryStreamAdapterProjectsNextBatchAsArrivals) {
+  const auto sessions = scenario().broker_trace().sessions();
+  TraceStream traced{scenario().broker_trace()};
+  expect_arrivals_project(traced, sessions);
+  traced.seek(500);
+  expect_arrivals_project(traced, sessions.subspan(500));
+
+  BatchOnlyStream batch_only{scenario().broker_trace()};
+  expect_arrivals_project(batch_only, sessions);
+
+  trace::BrokerTraceGenerator::Options options;
+  options.block_sessions = 100;
+  trace::BrokerTraceGenerator reference{scenario().world(), scenario().config().trace,
+                                        core::Rng{3}, options};
+  std::vector<trace::Session> generated;
+  while (!reference.exhausted()) {
+    for (auto& s : reference.next_batch(256)) generated.push_back(std::move(s));
+  }
+  trace::BrokerTraceGenerator generator{scenario().world(), scenario().config().trace,
+                                        core::Rng{3}, options};
+  GeneratorStream stream{generator};
+  expect_arrivals_project(stream, generated);
+  stream.seek(333);
+  expect_arrivals_project(stream, std::span<const trace::Session>{generated}.subspan(333));
+  EXPECT_EQ(generator.emitted(), generated.size());
+}
+
+/// Forwards to a GeneratorStream and records the cumulative session count
+/// after every non-empty pull, so a test can tell which pulled sessions a
+/// checkpoint left pending.
+class CountingStream final : public SessionStream {
+ public:
+  explicit CountingStream(SessionStream& inner) : inner_(&inner) {}
+
+  [[nodiscard]] std::vector<trace::Session> next_batch(
+      std::size_t max_sessions) override {
+    auto batch = inner_->next_batch(max_sessions);
+    record(batch.size());
+    return batch;
+  }
+  void next_arrivals(std::size_t max_sessions,
+                     std::vector<trace::Arrival>& out) override {
+    inner_->next_arrivals(max_sessions, out);
+    record(out.size());
+  }
+  [[nodiscard]] bool exhausted() const override { return inner_->exhausted(); }
+  [[nodiscard]] double duration_s() const override { return inner_->duration_s(); }
+  void seek(std::uint64_t consumed) override { inner_->seek(consumed); }
+
+  /// Cumulative pulled totals, one per non-empty pull.
+  [[nodiscard]] const std::vector<std::uint64_t>& pulls() const { return pulls_; }
+
+ private:
+  void record(std::size_t n) {
+    if (n == 0) return;
+    pulls_.push_back((pulls_.empty() ? 0 : pulls_.back()) + n);
+  }
+
+  SessionStream* inner_;
+  std::vector<std::uint64_t> pulls_;
+};
+
+std::string hex64(std::uint64_t value) {
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx", static_cast<unsigned long long>(value));
+  return text;
+}
+
+TEST_F(StreamingSmallTest, CheckpointBytesArePinnedAtEveryEpoch) {
+  // FNV-1a 64 of each epoch's snapshot, recorded on the engine that pulled
+  // whole Sessions into a deque and drained departures from a binary heap.
+  // The arrival cursor (consumed = pulled - pending) and the id-ordered
+  // active list must not move by a byte under any arrival or departure
+  // structure.
+  const std::vector<std::string> expected{
+      "a04e1a114c8f8556", "9586288caeb1062a", "26fdd0a25154dd44",
+      "56f6c181514bad1b", "9a57666afb35fba9", "60768b0dd89300b1",
+      "3aef6a55da22bbae", "05a2c9e7b846cc6f", "7592e18d94e4f19d",
+      "61175c90df3b0ba4", "45d9361bba0814ad",
+  };
+  constexpr std::size_t kBlock = 100;  // 12 generator blocks over 1200 sessions
+  constexpr std::size_t kBatch = 64;   // pulls that cross block boundaries
+
+  trace::BrokerTraceGenerator::Options broker_options;
+  broker_options.block_sessions = kBlock;
+  trace::BrokerTraceGenerator broker_generator{
+      scenario().world(), scenario().config().trace, core::Rng{7}, broker_options};
+  trace::TraceConfig background_config = scenario().config().trace;
+  background_config.session_count *= 3;
+  trace::BrokerTraceGenerator::Options background_options;
+  background_options.block_sessions = kBlock * 3;
+  background_options.broker_controlled = false;
+  trace::BrokerTraceGenerator background_generator{
+      scenario().world(), background_config, core::Rng{8}, background_options};
+  GeneratorStream broker_inner{broker_generator};
+  GeneratorStream background_inner{background_generator};
+  CountingStream broker{broker_inner};
+  CountingStream background{background_inner};
+
+  state::FaultFs fs;
+  state::CheckpointStore store{"/ckpt", 64, {}, &fs};
+  StreamingConfig config;
+  config.batch_sessions = kBatch;
+  config.checkpoint.every_epochs = 1;
+  config.checkpoint.store = &store;
+  config.checkpoint.fingerprint.seed = 7;
+  config.checkpoint.fingerprint.broker_sessions = 1200;
+  config.checkpoint.fingerprint.duration_s = 3600.0;
+  config.checkpoint.fingerprint.epoch_s = config.epoch_s;
+  (void)StreamingTimeline{scenario(), config}.run(broker, background);
+
+  auto paths = store.list();
+  std::reverse(paths.begin(), paths.end());  // oldest epoch first
+  std::vector<std::string> digests;
+  bool straddled = false;
+  for (const auto& path : paths) {
+    const auto bytes = fs.read_file(path);
+    ASSERT_TRUE(bytes.ok()) << path;
+    digests.push_back(hex64(core::fnv1a64(bytes.value())));
+    const auto cp = state::decode_timeline(bytes.value());
+    ASSERT_TRUE(cp.ok()) << path;
+    // Sessions pulled but not yet admitted: [consumed, first pull total past
+    // it). Pulls happen only once the pending buffer ran dry.
+    const std::uint64_t consumed = cp.value().broker.consumed;
+    const auto& pulls = broker.pulls();
+    const auto pulled = std::upper_bound(pulls.begin(), pulls.end(), consumed);
+    if (pulled == pulls.end()) continue;
+    const std::uint64_t next_boundary = (consumed / kBlock + 1) * kBlock;
+    straddled |= next_boundary < *pulled;
+  }
+  EXPECT_EQ(digests.size(), 11u);
+  EXPECT_TRUE(straddled)
+      << "no checkpoint left a pending buffer across a generator block boundary";
+  EXPECT_EQ(digests, expected);
 }
 
 }  // namespace

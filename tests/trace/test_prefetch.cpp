@@ -5,8 +5,9 @@
 // worker must change when a block is generated, never a byte of the stream.
 // The suite carries the `parallel` label, so the TSan job runs the caller
 // and the worker against each other: pulls that cross block boundaries,
-// seek() and reset() while the next block is in flight, and destruction
-// with a block in flight.
+// seek() and reset() while the next block is in flight, destruction with a
+// block in flight, and next_arrivals() reading the blocks the worker hands
+// over.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -185,6 +186,64 @@ TEST_P(GeneratorPrefetch, ResetWhileTheNextBlockIsInFlight) {
   ASSERT_EQ(generator.next_batch(1).size(), 1u);  // block 0 out, block 1 in flight
   generator.reset();
   EXPECT_EQ(drain_digest(generator, 128), GetParam().full);
+}
+
+/// FNV-1a over every field of every Arrival record, in order.
+std::string arrivals_digest(const std::vector<Arrival>& arrivals) {
+  std::uint64_t hash = core::kFnv1a64Basis;
+  for (const Arrival& a : arrivals) {
+    const double fields[] = {static_cast<double>(a.id.value()),
+                             static_cast<double>(a.city.value()), a.arrival_s,
+                             a.bitrate_mbps, a.end_s};
+    std::uint8_t bytes[sizeof fields];
+    std::memcpy(bytes, fields, sizeof fields);
+    hash = core::fnv1a64(bytes, hash);
+  }
+  char text[17];
+  std::snprintf(text, sizeof text, "%016llx", static_cast<unsigned long long>(hash));
+  return text;
+}
+
+/// Everything the generator still has to emit, through next_arrivals
+/// `pull` at a time.
+std::vector<Arrival> drain_arrivals(BrokerTraceGenerator& generator, std::size_t pull) {
+  std::vector<Arrival> all;
+  std::vector<Arrival> buffer;
+  while (true) {
+    generator.next_arrivals(pull, buffer);
+    if (buffer.empty()) return all;
+    all.insert(all.end(), buffer.begin(), buffer.end());
+  }
+}
+
+TEST_P(GeneratorPrefetch, ArrivalsOverInFlightBlocksMatchTheBatchProjection) {
+  // The reference is the projection of next_batch; next_arrivals reads the
+  // same blocks as the worker hands them over.
+  const auto projected = [this](std::size_t seek_to) {
+    BrokerTraceGenerator generator = make();
+    generator.seek(seek_to);
+    std::vector<Arrival> arrivals;
+    while (!generator.exhausted()) {
+      for (const Session& s : generator.next_batch(512)) arrivals.push_back(to_arrival(s));
+    }
+    return arrivals_digest(arrivals);
+  };
+  const std::string full = projected(0);
+  const std::string tail = projected(kSeekTo);
+
+  for (const std::size_t pull : {std::size_t{1}, std::size_t{256}, kBlockSessions + 1}) {
+    BrokerTraceGenerator generator = make();
+    EXPECT_EQ(arrivals_digest(drain_arrivals(generator, pull)), full) << "pull " << pull;
+  }
+  BrokerTraceGenerator generator = make();
+  std::vector<Arrival> buffer;
+  generator.next_arrivals(kBlockSessions + 100, buffer);  // block 2 in flight
+  generator.seek(kSeekTo);
+  EXPECT_EQ(arrivals_digest(drain_arrivals(generator, 256)), tail);
+  generator.reset();
+  generator.next_arrivals(1, buffer);  // block 0 out, block 1 in flight
+  generator.reset();
+  EXPECT_EQ(arrivals_digest(drain_arrivals(generator, 128)), full);
 }
 
 TEST_P(GeneratorPrefetch, DestroyWhileTheNextBlockIsInFlight) {

@@ -1,11 +1,15 @@
 // BrokerTraceGenerator (chunked/streaming API): chunk-boundary determinism,
-// substream independence, horizon truncation edge cases (ISSUE 4).
+// substream independence, horizon truncation edge cases, and the lean
+// Arrival records next_arrivals() hands the streaming engine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "trace/generator.hpp"
+#include "trace/modulation.hpp"
 
 namespace vdx::trace {
 namespace {
@@ -216,6 +220,163 @@ TEST(BrokerTraceGeneratorTest, MatchesMonolithicMarginals) {
   };
   EXPECT_NEAR(abandoned_fraction(streamed), abandoned_fraction(mono.sessions()),
               0.02);
+}
+
+// -- next_arrivals: the projection of next_batch, bit for bit ---------------
+
+constexpr std::size_t kArrivalSessions = 3000;
+constexpr std::size_t kArrivalBlock = 256;  // 12 blocks of 250 sessions
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// `got` equals {id, city, arrival, bitrate, end_s()} of `want`, bit for bit.
+void expect_projection(const std::vector<Arrival>& got, std::span<const Session> want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Session& s = want[i];
+    ASSERT_EQ(got[i].id.value(), s.id.value()) << i;
+    ASSERT_EQ(got[i].city.value(), s.city.value()) << i;
+    ASSERT_TRUE(same_bits(got[i].arrival_s, s.arrival_s)) << i;
+    ASSERT_TRUE(same_bits(got[i].bitrate_mbps, s.bitrate_mbps)) << i;
+    ASSERT_TRUE(same_bits(got[i].end_s, s.end_s())) << i;
+  }
+}
+
+std::vector<Arrival> drain_arrivals(BrokerTraceGenerator& generator, std::size_t chunk) {
+  std::vector<Arrival> all;
+  std::vector<Arrival> buffer;
+  while (true) {
+    generator.next_arrivals(chunk, buffer);
+    if (buffer.empty()) break;
+    EXPECT_LE(buffer.size(), chunk);
+    all.insert(all.end(), buffer.begin(), buffer.end());
+  }
+  return all;
+}
+
+class GeneratorArrivals : public ::testing::Test {
+ protected:
+  GeneratorArrivals() {
+    config_.session_count = kArrivalSessions;
+    options_.block_sessions = kArrivalBlock;
+    BrokerTraceGenerator reference = make();
+    sessions_ = drain(reference, 1024);
+  }
+
+  [[nodiscard]] BrokerTraceGenerator make() const {
+    return BrokerTraceGenerator{world_, config_, core::Rng{42}, options_};
+  }
+  [[nodiscard]] std::span<const Session> from(std::size_t position) const {
+    return std::span<const Session>{sessions_}.subspan(position);
+  }
+  /// First session of every block, and the horizon end.
+  [[nodiscard]] std::vector<std::size_t> block_starts() const {
+    std::vector<std::size_t> starts;
+    const std::size_t blocks = (kArrivalSessions + kArrivalBlock - 1) / kArrivalBlock;
+    for (std::size_t b = 0; b <= blocks; ++b) starts.push_back(b * kArrivalSessions / blocks);
+    return starts;
+  }
+
+  geo::World world_ = test_world();
+  TraceConfig config_;
+  BrokerTraceGenerator::Options options_;
+  std::vector<Session> sessions_;
+};
+
+TEST_F(GeneratorArrivals, EveryChunkSizeProjectsNextBatch) {
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{8192},
+                                  kArrivalBlock - 1, kArrivalBlock, kArrivalBlock + 1}) {
+    BrokerTraceGenerator generator = make();
+    expect_projection(drain_arrivals(generator, chunk), sessions_);
+    EXPECT_EQ(generator.emitted(), kArrivalSessions) << "chunk " << chunk;
+    EXPECT_TRUE(generator.exhausted()) << "chunk " << chunk;
+  }
+  BrokerTraceGenerator generator = make();
+  std::vector<Arrival> none{Arrival{}};
+  generator.next_arrivals(0, none);
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(generator.emitted(), 0u);
+}
+
+TEST_F(GeneratorArrivals, EveryBlockBoundaryAfterSeek) {
+  const std::vector<std::size_t> starts = block_starts();
+  ASSERT_EQ(starts.size(), 13u);
+  BrokerTraceGenerator generator = make();
+  for (const std::size_t start : starts) {
+    for (const std::size_t position : {start - (start > 0 ? 1 : 0), start, start + 1}) {
+      if (position > kArrivalSessions) continue;
+      generator.seek(position);
+      EXPECT_EQ(generator.emitted(), position);
+      expect_projection(drain_arrivals(generator, 97), from(position));
+    }
+  }
+}
+
+TEST_F(GeneratorArrivals, SeekAndResetWithTheNextBlockInFlight) {
+  BrokerTraceGenerator generator = make();
+  std::vector<Arrival> buffer;
+  // Into block 1: the worker is now generating block 2.
+  generator.next_arrivals(kArrivalBlock + 5, buffer);
+  expect_projection(buffer, from(0).first(kArrivalBlock + 5));
+  generator.seek(1234);
+  expect_projection(drain_arrivals(generator, kArrivalBlock + 1), from(1234));
+
+  generator.seek(10);
+  generator.next_arrivals(1, buffer);  // block 0 out, block 1 in flight
+  generator.reset();
+  EXPECT_EQ(generator.emitted(), 0u);
+  expect_projection(drain_arrivals(generator, 7), sessions_);
+}
+
+TEST_F(GeneratorArrivals, InterleavedWithNextBatchOnOneCursor) {
+  BrokerTraceGenerator generator = make();
+  std::vector<Arrival> buffer;
+  std::size_t position = 0;
+  const std::size_t sizes[] = {1, 7, 300, 64, 249, 513};
+  for (std::size_t call = 0; position < kArrivalSessions; ++call) {
+    const std::size_t n = sizes[call % std::size(sizes)];
+    const std::size_t take = std::min(n, kArrivalSessions - position);
+    if (call % 2 == 0) {
+      generator.next_arrivals(n, buffer);
+      expect_projection(buffer, from(position).first(take));
+    } else {
+      expect_same_sessions(generator.next_batch(n),
+                           std::vector<Session>(from(position).begin(),
+                                                from(position).begin() +
+                                                    static_cast<std::ptrdiff_t>(take)));
+    }
+    position += take;
+    ASSERT_EQ(generator.emitted(), position) << "call " << call;
+  }
+  generator.next_arrivals(8, buffer);
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_TRUE(generator.exhausted());
+}
+
+TEST_F(GeneratorArrivals, FlashCrowdStreamProjectsNextBatch) {
+  WorkloadModulation modulation;
+  FlashCrowdSpec spike;
+  spike.city = core::CityId{3};
+  spike.factor = 50.0;
+  spike.start_s = 1200.0;
+  spike.ramp_s = 120.0;
+  spike.hold_s = 600.0;
+  spike.decay_s = 300.0;
+  modulation.add_flash_crowd(spike);
+  options_.modulation = &modulation;
+  BrokerTraceGenerator reference = make();
+  const std::vector<Session> sessions = drain(reference, 1024);
+  ASSERT_GT(sessions.size(), kArrivalSessions);  // the crowd added sessions
+  for (const std::size_t chunk : {std::size_t{7}, std::size_t{8192}, kArrivalBlock + 1}) {
+    BrokerTraceGenerator generator = make();
+    expect_projection(drain_arrivals(generator, chunk), sessions);
+  }
+  BrokerTraceGenerator generator = make();
+  generator.seek(sessions.size() / 2);
+  expect_projection(drain_arrivals(generator, 100),
+                    std::span<const Session>{sessions}.subspan(sessions.size() / 2));
 }
 
 }  // namespace
